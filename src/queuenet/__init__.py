@@ -23,7 +23,6 @@ from .net import (
 from .cost import (
     CostParams,
     capacity,
-    gamma_inverse,
     gamma_of_flow,
     link_travel_time,
     marginal_link_time,

@@ -12,6 +12,7 @@ from .solver import (
     ConvergenceReport,
     SolutionState,
     SolverOptions,
+    _relative_gap,
     solve,
     solve_variant,
 )
@@ -59,17 +60,11 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
     """
     ps = state.path_set
     costs = state.path_costs()
-    gap_num = 0.0
-    gap_den = 0.0
     min_costs = np.full(len(ps.network.od_pairs), np.nan)
     for i, group in enumerate(ps.od_groups):
-        if len(group) == 0:
-            continue
-        w = float(costs[group].min())
-        min_costs[i] = w
-        gap_num += float(np.sum(state.path_flows[group] * (costs[group] - w)))
-        gap_den += ps.network.od_pairs[i].demand * w
-    relative_gap = gap_num / gap_den if gap_den > 0 else 0.0
+        if len(group):
+            min_costs[i] = costs[group].min()
+    relative_gap = _relative_gap(ps, state.path_flows, costs)
 
     c_max = state.c_max
     gamma = np.broadcast_to(

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -274,20 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    workers = max(1, int(os.environ.get("QUEUELIB_THREADS", "1")))
-    if workers > 1:
-        # each point is an independent solve on shared read-only inputs
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            point_rows = list(
-                pool.map(
-                    lambda v: run_sweep(
-                        path_set, SweepSpec(args.param, (v,), od_index), params, options
-                    )[0],
-                    values,
-                )
-            )
-    else:
-        point_rows = run_sweep(path_set, spec, params, options)
+    point_rows = run_sweep(path_set, spec, params, options)
 
     track = args.track.split(",") if args.track else [l.id for l in network.links]
     known = {l.id for l in network.links}

@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CostParams",
     "gamma_of_flow",
-    "gamma_inverse",
     "capacity",
     "link_travel_time",
     "queuing_delay",
@@ -108,17 +107,12 @@ def gamma_of_flow(v: ArrayLike, c_max: ArrayLike, params: CostParams) -> np.ndar
     return np.where((gamma == 0) & (v >= c_max), 0.0, out)
 
 
-def gamma_inverse(q: ArrayLike, c_max: ArrayLike, params: CostParams) -> np.ndarray:
-    """Flow sustained when the link runs at queue q: C_max - gamma*q."""
-    return np.asarray(c_max, dtype=float) - np.asarray(params.gamma, dtype=float) * np.asarray(q, dtype=float)
-
-
 def capacity(q: ArrayLike, c_max: ArrayLike, params: CostParams) -> np.ndarray:
     """Queue-dependent discharge capacity C(Q) = C_max - gamma*Q (> 0)."""
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise ValueError("queue must be >= 0")
-    c = gamma_inverse(q, c_max, params)
+    c = np.asarray(c_max, dtype=float) - np.asarray(params.gamma, dtype=float) * q
     if np.any(c <= 0):
         raise ValueError("queue exhausts link capacity (C_max - gamma*Q <= 0)")
     return c
@@ -131,74 +125,93 @@ def queuing_delay(q: ArrayLike, c_max: ArrayLike, params: CostParams) -> np.ndar
     return np.asarray(params.alpha) * (q / c) ** np.asarray(params.m)
 
 
+def _link_arrays(params: CostParams) -> tuple[np.ndarray, ...]:
+    """(alpha, beta, m, n, gamma) as float arrays, in `_priced_cost` order."""
+    return tuple(
+        np.asarray(getattr(params, k), dtype=float)
+        for k in ("alpha", "beta", "m", "n", "gamma")
+    )
+
+
+def _priced_cost(
+    v: np.ndarray,
+    q: np.ndarray,
+    t_f: np.ndarray,
+    c_max: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    m: np.ndarray,
+    n: np.ndarray,
+    gamma: np.ndarray,
+    system_optimum: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Link cost priced by path choice and its own flow slope, unvalidated.
+
+    Returns (t, dt/dv) with t the generalized time, or for the system
+    optimum the marginal time and its slope,
+        (t + (v + Q) * t_v,  2 * t_v + (v + Q) * t_vv).
+    Slopes whose power of v would be negative at v = 0 are flushed to 0
+    there (to t_f * beta / C(Q) for n = 1).  The solver's hot path calls
+    this with per-link arrays of a feasible state; the public functions
+    validate the queue through `capacity` first.
+    """
+    c = c_max - gamma * q
+    r = v / c
+    t = t_f * (1.0 + beta * r**n) + alpha * (q / c) ** m
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slope = t_f * beta * n * r ** (n - 1.0) / c
+        t_v = np.where(v > 0, slope, np.where(n == 1.0, t_f * beta / c, 0.0))
+        if not system_optimum:
+            return t, t_v
+        t_vv = np.where(v > 0, t_f * beta * n * (n - 1.0) * r ** (n - 2.0) / c**2, 0.0)
+    load = v + q
+    return t + load * t_v, 2.0 * t_v + load * t_vv
+
+
+def _checked_cost(
+    v: ArrayLike,
+    q: ArrayLike,
+    t_f: ArrayLike,
+    c_max: ArrayLike,
+    params: CostParams,
+    system_optimum: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_priced_cost` behind the `capacity` checks on the queue."""
+    q = np.asarray(q, dtype=float)
+    capacity(q, c_max, params)
+    return _priced_cost(
+        np.asarray(v, dtype=float),
+        q,
+        np.asarray(t_f, dtype=float),
+        np.asarray(c_max, dtype=float),
+        *_link_arrays(params),
+        system_optimum,
+    )
+
+
 def link_travel_time(
     v: ArrayLike, q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams
 ) -> np.ndarray:
     """Generalized link time: running time against C(Q) plus queuing delay."""
-    v = np.asarray(v, dtype=float)
-    t_f = np.asarray(t_f, dtype=float)
-    c = capacity(q, c_max, params)
-    running = t_f * (1.0 + np.asarray(params.beta) * (v / c) ** np.asarray(params.n))
-    return running + queuing_delay(q, c_max, params)
+    return _checked_cost(v, q, t_f, c_max, params, False)[0]
 
 
 def running_time_slope(
     v: ArrayLike, q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams
 ) -> np.ndarray:
-    """d/dv of the running-time term: t_f * beta * n * v**(n-1) / C(Q)**n."""
-    v = np.asarray(v, dtype=float)
-    c = capacity(q, c_max, params)
-    n = np.asarray(params.n, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slope = np.asarray(t_f) * np.asarray(params.beta) * n * (v / c) ** (n - 1.0) / c
-    # v = 0 with n < 1 gives 0**negative; the slope limit there is +inf but
-    # we only use this as local curvature, so flush to 0 like the n > 1 case.
-    return np.where(v > 0, slope, np.where(n == 1.0, np.asarray(t_f) * np.asarray(params.beta) / c, 0.0))
+    """d/dv of the running-time term: t_f * beta * n * v**(n-1) / C(Q)**n.
+
+    At v = 0 with n < 1 the slope is +inf; it is only used as local
+    curvature, so it is flushed to 0 there, as for n > 1.
+    """
+    return _checked_cost(v, q, t_f, c_max, params, False)[1]
 
 
 def marginal_link_time(
     v: ArrayLike, q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams
 ) -> np.ndarray:
     """System-optimum marginal cost: t + (v + Q) * dt/dv."""
-    v = np.asarray(v, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return link_travel_time(v, q, t_f, c_max, params) + (v + q) * running_time_slope(
-        v, q, t_f, c_max, params
-    )
-
-
-def _generalized_time_fast(
-    v: np.ndarray,
-    q: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
-    beta: np.ndarray,
-    n: np.ndarray,
-    alpha: np.ndarray,
-    m: np.ndarray,
-    gamma: np.ndarray,
-) -> np.ndarray:
-    """Validation-free generalized-cost evaluation with capacity computed once.
-
-    Solver hot path; inputs are already-feasible solver state arrays.
-    """
-    c = c_max - gamma * q
-    return t_f * (1.0 + beta * (v / c) ** n) + alpha * (q / c) ** m
-
-
-def _running_slope_fast(
-    v: np.ndarray,
-    q: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
-    beta: np.ndarray,
-    n: np.ndarray,
-    gamma: np.ndarray,
-) -> np.ndarray:
-    c = c_max - gamma * q
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slope = t_f * beta * n * (v / c) ** (n - 1.0) / c
-    return np.where(v > 0, slope, np.where(n == 1.0, t_f * beta / c, 0.0))
+    return _checked_cost(v, q, t_f, c_max, params, True)[0]
 
 
 def _smoothed_exponent(q: ArrayLike, params: CostParams) -> np.ndarray:
@@ -401,18 +414,13 @@ def _path_cost_terms(
     params: CostParams,
     system_optimum: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Link cost priced by path choice and its (v, Q) derivatives.
+    """`_priced_cost` and, third, the priced cost's queue slope.
 
-    The generalized time t(v, Q), or for the system optimum the marginal
-    time t + (v + Q) * dt/dv.  Derivatives whose power of v or Q would be
-    negative at v = 0 or Q = 0 are flushed to 0 there.
+    Slopes whose power of v or Q would be negative at v = 0 or Q = 0 are
+    flushed to 0 there.
     """
-    alpha, beta, m, n, gamma = (
-        np.asarray(getattr(params, k), dtype=float)
-        for k in ("alpha", "beta", "m", "n", "gamma")
-    )
-    t = _generalized_time_fast(v, q, t_f, c_max, beta, n, alpha, m, gamma)
-    t_v = _running_slope_fast(v, q, t_f, c_max, beta, n, gamma)
+    alpha, beta, m, n, gamma = arrays = _link_arrays(params)
+    t, t_v = _priced_cost(v, q, t_f, c_max, *arrays, False)
     c = c_max - gamma * q
     r = v / c
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -424,10 +432,9 @@ def _path_cost_terms(
         t_q = t_f * beta * n * r**n * gamma / c + delay_q
         if not system_optimum:
             return t, t_v, t_q
-        t_vv = np.where(v > 0, t_f * beta * n * (n - 1.0) * r ** (n - 2.0) / c**2, 0.0)
         t_vq = np.where(v > 0, t_f * beta * n**2 * gamma * r ** (n - 1.0) / c**2, 0.0)
-    load = v + q
-    return t + load * t_v, 2.0 * t_v + load * t_vv, t_q + t_v + load * t_vq
+    cost, cost_v = _priced_cost(v, q, t_f, c_max, *arrays, True)
+    return cost, cost_v, t_q + t_v + (v + q) * t_vq
 
 
 def _segment_cumsum(values: np.ndarray, path_set: "PathSet") -> np.ndarray:

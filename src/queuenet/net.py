@@ -236,9 +236,6 @@ class PathSet:
     def link_index(self, link_id: str) -> int:
         return self._link_index[link_id]
 
-    def incident(self, link_id: str, path_index: int) -> bool:
-        return link_id in self.paths[path_index].links
-
     def downstream(self, link_id: str, path_index: int) -> tuple[str, ...]:
         """Links after `link_id` along the path, in traversal order."""
         links = self.paths[path_index].links

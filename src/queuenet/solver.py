@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
@@ -183,71 +183,43 @@ def _link_precedence_order(path_set: PathSet) -> np.ndarray:
         return np.argsort(first_pos, kind="stable")
 
 
-class _LinkArrays:
-    """Per-link parameter arrays unpacked once per solve for the hot path."""
+class _LinkArrays(NamedTuple):
+    """Per-link arrays unpacked once per solve for the hot path, in the
+    order `cost._priced_cost` takes them after (v, Q)."""
 
-    def __init__(self, params: CostParams, t_f: np.ndarray, c_max: np.ndarray):
-        shape = c_max.shape
-        as_arr = lambda x: np.ascontiguousarray(
-            np.broadcast_to(np.asarray(x, dtype=float), shape)
-        )
-        self.t_f = t_f
-        self.c_max = c_max
-        self.alpha = as_arr(params.alpha)
-        self.beta = as_arr(params.beta)
-        self.m = as_arr(params.m)
-        self.n = as_arr(params.n)
-        self.gamma = as_arr(params.gamma)
-        self.phi = as_arr(params.phi)
-        self.params = params
+    t_f: np.ndarray
+    c_max: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    gamma: np.ndarray
+
+    @classmethod
+    def of(cls, params: CostParams, t_f: np.ndarray, c_max: np.ndarray) -> "_LinkArrays":
+        return cls(t_f, c_max, *(
+            np.broadcast_to(a, c_max.shape) for a in _cost._link_arrays(params)
+        ))
 
     def sub(self, idx: np.ndarray) -> "_LinkArrays":
-        out = object.__new__(_LinkArrays)
-        for name in ("t_f", "c_max", "alpha", "beta", "m", "n", "gamma", "phi"):
-            setattr(out, name, getattr(self, name)[idx])
-        out.params = CostParams(
-            alpha=out.alpha,
-            beta=out.beta,
-            m=out.m,
-            n=out.n,
-            gamma=out.gamma,
-            phi=out.phi,
-        )
-        return out
-
-
-def _flow_marginals(
-    v: np.ndarray,
-    q: np.ndarray,
-    la: "_LinkArrays",
-    options: SolverOptions,
-) -> np.ndarray:
-    """Per-link marginals driving the path-flow step.
-
-    Both queue modes equilibrate the generalized link times themselves; the
-    system-optimum variant prices each link at its marginal
-    (externality-inclusive) time.
-    """
-    t = _cost._generalized_time_fast(
-        v, q, la.t_f, la.c_max, la.beta, la.n, la.alpha, la.m, la.gamma
-    )
-    if options.variant == "system_optimum":
-        slope = _cost._running_slope_fast(
-            v, q, la.t_f, la.c_max, la.beta, la.n, la.gamma
-        )
-        return t + (v + q) * slope
-    return t
+        return _LinkArrays(*(a[idx] for a in self))
 
 
 def _gp_flow_pass(
     path_set: PathSet,
     f: np.ndarray,
     queue_alloc: np.ndarray,
-    la: "_LinkArrays",
-    la_subs: list["_LinkArrays"],
+    la_subs: list[_LinkArrays],
     options: SolverOptions,
 ) -> np.ndarray:
     """One gradient-projection sweep over all OD pairs (returns new flows).
+
+    Each OD group moves flow from every costlier path to its cheapest one,
+    by the cost gap over the summed slope of the priced cost on the links
+    the two paths do not share (Jayakrishnan et al. 1994): a Newton step on
+    the generalized times, or on the marginal times for the system
+    optimum.  On queued links the slope also carries the queuing delay's
+    response.  A step never moves queued traffic.
 
     Queues are frozen for the whole pass; link flows are updated
     incrementally between OD groups (Gauss-Seidel), and each group only
@@ -257,6 +229,7 @@ def _gp_flow_pass(
     queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
     x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
     held = queue_alloc.sum(axis=0)  # queued traffic per path, immovable
+    system_optimum = options.variant == "system_optimum"
 
     for gi, group in enumerate(path_set.od_groups):
         if len(group) < 2:
@@ -265,23 +238,11 @@ def _gp_flow_pass(
         positions = path_set.od_group_positions[gi]
         la_g = la_subs[gi]
         q_g = q[glinks]
-        base_g = (x - q - q_prime)[glinks]  # before this group's shifts
-
-        x_g0 = x[glinks]
-
-        def eval_costs(xg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # throughflow = base throughflow plus this group's own deltas
-            vg = np.maximum(base_g + (xg - x_g0), 0.0)
-            marg = _flow_marginals(vg, q_g, la_g, options)
-            return np.array([marg[pos].sum() for pos in positions]), vg
-
-        costs, v_g = eval_costs(x_g0)
+        v_g = np.maximum((x - q - q_prime)[glinks], 0.0)
+        cost, slope = _cost._priced_cost(v_g, q_g, *la_g, system_optimum)
+        costs = np.array([cost[pos].sum() for pos in positions])
         local_best = int(np.argmin(costs))
-        best = group[local_best]
         best_pos = set(positions[local_best].tolist())
-        slope = _cost._running_slope_fast(
-            v_g, q_g, la_g.t_f, la_g.c_max, la_g.beta, la_g.n, la_g.gamma
-        )
         # on queued links extra inflow feeds the queue (amplified by
         # 1/(1-gamma)), so the equilibrium cost responds through the
         # queuing-delay term as well; fold that into the curvature so
@@ -297,10 +258,6 @@ def _gp_flow_pass(
             )
         slope = slope + np.where(q_g > 0, np.nan_to_num(queue_slope), 0.0)
         c_min = float(costs.min())
-        # below this, a costlier path's remnant flow is noise relative to
-        # the OD demand: flush it entirely instead of letting the
-        # curvature-scaled step shrink it geometrically forever
-        flush_floor = 1e-3 * float(f[group].sum())
         delta = np.zeros(len(group))
         for local, j in enumerate(group):
             if local == local_best or f[j] <= 0:
@@ -312,33 +269,16 @@ def _gp_flow_pass(
             distinct = list(own ^ best_pos)  # non-shared links of both paths
             curvature = max(float(np.sum(slope[distinct])), CURVATURE_FLOOR)
             movable = max(f[j] - held[j], 0.0)
-            if movable <= flush_floor:
-                delta[local] = movable
-            else:
-                delta[local] = min(movable, gap / (options.step_scale * curvature))
+            delta[local] = min(movable, gap / (options.step_scale * curvature))
         if not np.any(delta > 0):
             continue
-        # backtrack the whole shift until the used-path cost spread does not
-        # widen; guards against overshoot when curvature is near zero (e.g.
-        # an empty path whose running-time slope vanishes at v = 0)
-        spread_old = _group_spread(f, group, costs)
-        scale = 1.0
-        for _ in range(30):
-            x_trial = x_g0.copy()
-            moved = 0.0
-            for local in np.flatnonzero(delta):
-                x_trial[positions[local]] -= scale * delta[local]
-                moved += scale * delta[local]
-            x_trial[positions[local_best]] += moved
-            f_trial = f.copy()
-            f_trial[group] -= scale * delta
-            f_trial[best] += moved
-            costs_t, _ = eval_costs(x_trial)
-            if _group_spread(f_trial, group, costs_t) <= spread_old + 1e-12:
-                f = f_trial
-                x[glinks] = x_trial
-                break
-            scale /= 2.0
+        moved = 0.0
+        for local in np.flatnonzero(delta):
+            x[glinks[positions[local]]] -= delta[local]
+            moved += delta[local]
+        x[glinks[positions[local_best]]] += moved
+        f[group] -= delta
+        f[group[local_best]] += moved
     return f
 
 
@@ -375,14 +315,6 @@ def _flush_remnants(
                 f[j] = 0.0
                 queue_alloc[:, j] = 0.0
     return f, queue_alloc
-
-
-def _group_spread(f: np.ndarray, group: np.ndarray, costs: np.ndarray) -> float:
-    """Max used-path cost excess over the group's cheapest path."""
-    used = costs[f[group] > 1e-9]
-    if used.size == 0:
-        return 0.0
-    return float(used.max() - costs.min())
 
 
 def _repair_path_queues(
@@ -460,16 +392,20 @@ def _queue_targets_fixed_point(
         if g > 0:
             target = min(target, QUEUE_CAP_FRACTION * c_max[a] / g)
         # relax per (link, path): sudden re-attribution between paths is as
-        # destabilizing downstream as a sudden change in the link total
+        # destabilizing downstream as a sudden change in the link total;
+        # a path never holds back more than it brings to the link
         if target > 0 and inflow > 0:
             share = arriving / inflow
         else:
             share = np.zeros(len(through))
         for k, (j, _pos) in enumerate(through):
-            new_alloc[a, j] = max(
-                0.0,
-                new_alloc[a, j]
-                + relaxation * (target * share[k] - new_alloc[a, j]),
+            new_alloc[a, j] = min(
+                max(
+                    0.0,
+                    new_alloc[a, j]
+                    + relaxation * (target * share[k] - new_alloc[a, j]),
+                ),
+                arriving[k],
             )
     return new_alloc
 
@@ -608,7 +544,7 @@ def solve(
         f = _aon_initial_flows(path_set)
 
     queue_alloc = np.zeros((path_set.n_links, path_set.n_paths))
-    la = _LinkArrays(base, t_f, c_max)
+    la = _LinkArrays.of(base, t_f, c_max)
     la_subs = [la.sub(g) for g in path_set.od_group_links]
     order = _link_precedence_order(path_set)
     gamma_arr = np.broadcast_to(np.asarray(base.gamma, dtype=float), c_max.shape)
@@ -640,7 +576,7 @@ def solve(
         q_prev = queue_alloc.sum(axis=1)
 
         for _ in range(options.max_inner_passes):
-            f_new = _gp_flow_pass(path_set, f, queue_alloc, la, la_subs, options)
+            f_new = _gp_flow_pass(path_set, f, queue_alloc, la_subs, options)
             if smoothed:
                 # queued links take the change in their arrivals into their
                 # queues, keeping their capacity slack C(Q) - v, as a queue

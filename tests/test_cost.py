@@ -11,7 +11,6 @@ from queuenet import fixtures
 from queuenet.cost import (
     CostParams,
     capacity,
-    gamma_inverse,
     gamma_of_flow,
     link_travel_time,
     marginal_link_time,
@@ -83,7 +82,7 @@ class TestCapacityResponse:
     )
     def test_inverse_round_trip(self, q, c, g):
         p = CostParams(gamma=g)
-        v = gamma_inverse(q, c, p)
+        v = c - g * q
         if v < c:
             # round-trip error grows like c/gamma in floating point
             assert gamma_of_flow(v, c, p) == pytest.approx(
