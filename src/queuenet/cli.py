@@ -21,7 +21,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import cost as _cost
-from .analysis import compare_models, kkt_report
+from .analysis import compare_models, gradient_check, kkt_report
 from .cost import CostParams
 from .net import Network, NetworkError, PathSet, enumerate_paths, load_demands, load_network, load_path_set
 from .solver import VARIANTS, SolverOptions, solve
@@ -343,29 +343,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     q_ap = _scale_feasible(path_set, f, q_ap)
 
     # the merit is the function the smoothed-gradient queue mode descends
-    grad_f, grad_q = _cost.merit_gradient(path_set, f, q_ap, t_f, c_max, params)
-    max_rel = 0.0
-
-    def j_of(f_trial, q_trial):
-        return _cost.merit(path_set, f_trial, q_trial, t_f, c_max, params)
-
-    for j in range(path_set.n_paths):
-        h = 1e-4 * max(1.0, abs(f[j]))
-        fp, fm = f.copy(), f.copy()
-        fp[j] += h
-        fm[j] -= h
-        fd = (j_of(fp, q_ap) - j_of(fm, q_ap)) / (2 * h)
-        denom = max(abs(fd), 1e-8)
-        max_rel = max(max_rel, abs(grad_f[j] - fd) / denom)
-    for a in range(path_set.n_links):
-        for j, _pos in path_set.paths_through[a]:
-            h = 1e-4 * max(1.0, abs(q_ap[a, j]))
-            qp, qm = q_ap.copy(), q_ap.copy()
-            qp[a, j] += h
-            qm[a, j] = max(0.0, qm[a, j] - h)
-            fd = (j_of(f, qp) - j_of(f, qm)) / (qp[a, j] - qm[a, j])
-            denom = max(abs(fd), 1e-8)
-            max_rel = max(max_rel, abs(grad_q[a, j] - fd) / denom)
+    max_rel = gradient_check(
+        _cost.merit, _cost.merit_gradient, path_set, f, q_ap, t_f, c_max, params
+    )
 
     ok = max_rel <= 1e-5
     print(

@@ -2,8 +2,8 @@
 
 Links carry free-flow time (hours) and physical capacity (veh/hr).  Paths
 are fixed, enumerated link chains per OD pair; the path set precomputes the
-link-path incidence and, for every link on a path, the ordered sets of
-upstream and downstream links along that path.
+link-path incidence, the flat (link, path) entries in traversal order, and
+per OD pair a 0/1 membership matrix of its paths over the links they use.
 """
 from __future__ import annotations
 
@@ -203,35 +203,22 @@ class PathSet:
         self.entry_path = np.repeat(np.arange(self.n_paths), lengths)
         self.path_start = np.cumsum(lengths) - lengths
         self.path_od = np.array([p.od_index for p in self.paths], dtype=np.intp)
-        # per link: (path index, position of the link within that path)
-        self.paths_through: list[list[tuple[int, int]]] = [
-            [] for _ in range(self.n_links)
-        ]
-        for j, idx in enumerate(self.path_link_idx):
-            for pos, a in enumerate(idx.tolist()):
-                self.paths_through[a].append((j, pos))
         self.od_groups: list[np.ndarray] = [
             np.array(
                 [j for j, p in enumerate(self.paths) if p.od_index == i], dtype=np.intp
             )
             for i in range(len(network.od_pairs))
         ]
-        # per OD group: union of its paths' link indices, and each path's
-        # positions within that union (lets solvers work on the subset)
+        # per OD group: union of its paths' link indices, and a 0/1 matrix
+        # (group paths x union links) of which path uses which of them
+        # (lets solvers work on the subset with matrix products)
         self.od_group_links: list[np.ndarray] = []
-        self.od_group_positions: list[list[np.ndarray]] = []
+        self.od_group_members: list[np.ndarray] = []
         for group in self.od_groups:
-            if len(group) == 0:
-                self.od_group_links.append(np.empty(0, dtype=np.intp))
-                self.od_group_positions.append([])
-                continue
-            union = np.unique(
-                np.concatenate([self.path_link_idx[j] for j in group])
-            )
+            rows = self.incidence.T[group]
+            union = np.flatnonzero(rows.any(axis=0))
             self.od_group_links.append(union)
-            self.od_group_positions.append(
-                [np.searchsorted(union, self.path_link_idx[j]) for j in group]
-            )
+            self.od_group_members.append(np.ascontiguousarray(rows[:, union]))
 
     def link_index(self, link_id: str) -> int:
         return self._link_index[link_id]

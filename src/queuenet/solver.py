@@ -13,6 +13,18 @@ The solver alternates two blocks until neither moves:
 
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.
+
+The hot path works on the flat path-link entries of `PathSet`: one entry
+per (link, path) pair, path after path in traversal order (`entry_link`,
+`entry_path`, each path's first entry at `path_start`).  Link totals are
+`np.bincount` over the entries, and what a path holds upstream of an
+entry is a running sum restarted on every path (`cost._segment_cumsum`).
+The fixed-point sweep visits links by level: a link's level is its depth
+in the precedence of links along the paths (`_sweep_levels`), so the
+links of one level are independent and are swept in one vectorized step.
+The GP step keeps its Gauss-Seidel order over OD groups; within a group,
+path costs and step curvatures are products with the group's 0/1
+path-by-link membership matrix (`PathSet.od_group_members`).
 """
 from __future__ import annotations
 
@@ -20,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
 from . import cost as _cost
@@ -53,6 +64,10 @@ CURVATURE_FLOOR = 1e-6
 #: a solve that carries queues is feasible (and may count as converged)
 #: only if no link discharges more than C(Q) + this share of C_max
 CAPACITY_RTOL = 1e-6
+
+#: a smoothed-gradient solve counts as converged only if the relative gap
+#: of the cost its variant prices paths by is at most this (criterion 7)
+SMOOTHED_GAP_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -98,7 +113,9 @@ class ConvergenceReport:
         default_factory=list
     )
     #: why the solve stopped: "tolerance" (converged), "iteration_limit",
-    #: or "infeasible" (a queue-carrying state discharges above C(Q))
+    #: "stalled" (smoothed mode: steps vanished at a relative gap above
+    #: SMOOTHED_GAP_TOL), or "infeasible" (a queue-carrying state
+    #: discharges above C(Q))
     termination: str = "tolerance"
 
 
@@ -147,12 +164,11 @@ def assemble_link_state(
     queues upstream of the link on each of its paths, and v = x - Q - Q'
     the flow that actually traverses the link.
     """
-    x = path_set.incidence @ path_flows
-    q = queue_alloc.sum(axis=1)
-    q_prime = np.zeros(path_set.n_links)
-    for j, idx in enumerate(path_set.path_link_idx):
-        held = queue_alloc[idx, j]
-        q_prime[idx[1:]] += np.cumsum(held[:-1])
+    link_e, path_e, n_links = path_set.entry_link, path_set.entry_path, path_set.n_links
+    held = queue_alloc[link_e, path_e]
+    x = np.bincount(link_e, np.asarray(path_flows, dtype=float)[path_e], n_links)
+    q = np.bincount(link_e, held, n_links)
+    q_prime = np.bincount(link_e, _cost._segment_cumsum(held, path_set) - held, n_links)
     v = x - q - q_prime
     if np.any(v < -1e-9):
         worst = int(np.argmin(v))
@@ -163,24 +179,50 @@ def assemble_link_state(
     return x, q, q_prime, np.maximum(v, 0.0)
 
 
-def _link_precedence_order(path_set: PathSet) -> np.ndarray:
-    """Link indices ordered so every upstream-on-a-path link comes first.
+class _Level(NamedTuple):
+    """The path entries of one sweep level: entry indices, the level's
+    links, and each entry's position among those links."""
 
-    Falls back to ordering by earliest path position if the precedence
-    relation is cyclic (possible with overlapping paths on a cyclic graph).
+    entries: np.ndarray
+    links: np.ndarray
+    local: np.ndarray
+
+
+def _sweep_levels(path_set: PathSet) -> list[_Level]:
+    """Path entries grouped by their link's depth in the link precedence.
+
+    A link precedes the next link of every path through it; a link's depth
+    is the longest chain of links preceding it, found by relaxing
+    depth[next] >= depth[prev] + 1 over consecutive entries.  Every link
+    upstream of a link on some path then sits at a lower depth,
+    so the links of one level are independent and a path meets at most one
+    of them.  If the relaxation does not settle, the precedence is cyclic
+    (possible with overlapping paths on a cyclic graph); the levels then
+    fall back to one link each, ordered by earliest path position.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(range(path_set.n_links))
-    for idx in path_set.path_link_idx:
-        g.add_edges_from(zip(idx[:-1], idx[1:]))
-    try:
-        return np.array(list(nx.topological_sort(g)), dtype=np.intp)
-    except nx.NetworkXUnfeasible:
-        first_pos = np.full(path_set.n_links, np.inf)
-        for idx in path_set.path_link_idx:
-            for pos, a in enumerate(idx):
-                first_pos[a] = min(first_pos[a], pos)
-        return np.argsort(first_pos, kind="stable")
+    link_e, n_links = path_set.entry_link, path_set.n_links
+    same_path = path_set.entry_path[1:] == path_set.entry_path[:-1]
+    prev, nxt = link_e[:-1][same_path], link_e[1:][same_path]
+    depth = np.zeros(n_links, dtype=np.intp)
+    for _ in range(n_links + 1):
+        relaxed = np.zeros_like(depth)
+        np.maximum.at(relaxed, nxt, depth[prev] + 1)
+        if np.array_equal(relaxed, depth):
+            break
+        depth = relaxed
+    else:
+        position = np.arange(len(link_e)) - path_set.path_start[path_set.entry_path]
+        first_pos = np.full(n_links, np.inf)
+        np.minimum.at(first_pos, link_e, position)
+        depth[np.argsort(first_pos, kind="stable")] = np.arange(n_links)
+    entry_depth = depth[link_e]
+    by_depth = np.argsort(entry_depth, kind="stable")
+    _, starts = np.unique(entry_depth[by_depth], return_index=True)
+    levels = []
+    for entries in np.split(by_depth, starts[1:]):
+        links, local = np.unique(link_e[entries], return_inverse=True)
+        levels.append(_Level(entries, links, local))
+    return levels
 
 
 class _LinkArrays(NamedTuple):
@@ -223,7 +265,8 @@ def _gp_flow_pass(
 
     Queues are frozen for the whole pass; link flows are updated
     incrementally between OD groups (Gauss-Seidel), and each group only
-    ever touches the links its own paths use.
+    ever touches the links its own paths use, through its 0/1 membership
+    matrix (group paths x group links).
     """
     f = f.copy()
     queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
@@ -231,54 +274,51 @@ def _gp_flow_pass(
     held = queue_alloc.sum(axis=0)  # queued traffic per path, immovable
     system_optimum = options.variant == "system_optimum"
 
-    for gi, group in enumerate(path_set.od_groups):
-        if len(group) < 2:
-            continue
-        glinks = path_set.od_group_links[gi]
-        positions = path_set.od_group_positions[gi]
-        la_g = la_subs[gi]
-        q_g = q[glinks]
-        v_g = np.maximum((x - q - q_prime)[glinks], 0.0)
-        cost, slope = _cost._priced_cost(v_g, q_g, *la_g, system_optimum)
-        costs = np.array([cost[pos].sum() for pos in positions])
-        local_best = int(np.argmin(costs))
-        best_pos = set(positions[local_best].tolist())
-        # on queued links extra inflow feeds the queue (amplified by
-        # 1/(1-gamma)), so the equilibrium cost responds through the
-        # queuing-delay term as well; fold that into the curvature so
-        # steps stay small where the queue, not the running time, reacts
-        c_g = la_g.c_max - la_g.gamma * q_g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            queue_slope = (
-                la_g.alpha
-                * la_g.m
-                * (q_g / c_g) ** (la_g.m - 1.0)
-                * (c_g + la_g.gamma * q_g)
-                / (c_g**2 * np.maximum(1.0 - la_g.gamma, 1e-3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for gi, group in enumerate(path_set.od_groups):
+            if len(group) < 2:
+                continue
+            glinks = path_set.od_group_links[gi]
+            member = path_set.od_group_members[gi]
+            la_g = la_subs[gi]
+            q_g = q[glinks]
+            v_g = np.maximum(x[glinks] - q_g - q_prime[glinks], 0.0)
+            cost, slope = _cost._priced_cost(v_g, q_g, *la_g, system_optimum)
+            if q_g.any():
+                # on queued links extra inflow feeds the queue (amplified by
+                # 1/(1-gamma)), so the equilibrium cost responds through the
+                # queuing-delay term as well; fold that into the curvature
+                # so steps stay small where the queue, not the running
+                # time, reacts
+                c_g = la_g.c_max - la_g.gamma * q_g
+                queue_slope = (
+                    la_g.alpha
+                    * la_g.m
+                    * (q_g / c_g) ** (la_g.m - 1.0)
+                    * (c_g + la_g.gamma * q_g)
+                    / (c_g**2 * np.maximum(1.0 - la_g.gamma, 1e-3))
+                )
+                slope = slope + np.where(q_g > 0, queue_slope, 0.0)
+            costs = member @ cost
+            best = int(costs.argmin())
+            gap = costs - costs[best]
+            # summed slope on the links either path uses but not both
+            curvature = np.maximum(
+                np.abs(member - member[best]) @ slope, CURVATURE_FLOOR
             )
-        slope = slope + np.where(q_g > 0, np.nan_to_num(queue_slope), 0.0)
-        c_min = float(costs.min())
-        delta = np.zeros(len(group))
-        for local, j in enumerate(group):
-            if local == local_best or f[j] <= 0:
+            f_g = f[group]
+            movable = np.maximum(f_g - held[group], 0.0)
+            delta = np.where(
+                (gap > 0) & (f_g > 0),
+                np.minimum(movable, gap / (options.step_scale * curvature)),
+                0.0,
+            )
+            if not delta.any():
                 continue
-            gap = costs[local] - c_min
-            if gap <= 0:
-                continue
-            own = set(positions[local].tolist())
-            distinct = list(own ^ best_pos)  # non-shared links of both paths
-            curvature = max(float(np.sum(slope[distinct])), CURVATURE_FLOOR)
-            movable = max(f[j] - held[j], 0.0)
-            delta[local] = min(movable, gap / (options.step_scale * curvature))
-        if not np.any(delta > 0):
-            continue
-        moved = 0.0
-        for local in np.flatnonzero(delta):
-            x[glinks[positions[local]]] -= delta[local]
-            moved += delta[local]
-        x[glinks[positions[local_best]]] += moved
-        f[group] -= delta
-        f[group[local_best]] += moved
+            moved = delta.sum()
+            x[glinks] += moved * member[best] - delta @ member
+            f[group] -= delta
+            f[group[best]] += moved
     return f
 
 
@@ -353,7 +393,7 @@ def _queue_targets_fixed_point(
     c_max: np.ndarray,
     params: CostParams,
     relaxation: float,
-    order: np.ndarray | None = None,
+    levels: list[_Level] | None = None,
     slack: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complementarity fixed-point queue sweep (returns new queue_alloc).
@@ -362,51 +402,50 @@ def _queue_targets_fixed_point(
     queues is x - Q'; if it exceeds the base capacity, the steady queue
     solves x - Q' - Q = C_max - gamma*Q, i.e. Q = (x - Q' - C_max)/(1 -
     gamma); otherwise the queue vanishes.  The link queue is attributed to
-    its paths in proportion to their assigned flow.
+    its paths in proportion to their assigned flow.  The links of one
+    level (`_sweep_levels`) are swept together.
 
     With `slack`, each link keeps that capacity slack C(Q) - v instead of
     closing it (a slack of -inf holds no queue).
     """
     gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
-    new_alloc = queue_alloc.copy()
-    if order is None:
-        order = _link_precedence_order(path_set)
-    for a in order:
-        # per-path flow still arriving at a after upstream queues (this sweep)
-        through = path_set.paths_through[a]
-        arriving = np.empty(len(through))
-        for k, (j, pos) in enumerate(through):
-            idx = path_set.path_link_idx[j]
-            arriving[k] = max(f[j] - float(new_alloc[idx[:pos], j].sum()), 0.0)
-        inflow = float(arriving.sum())  # = x_a - Q'_a
-        g = gamma[a]
-        surplus = inflow - c_max[a]
-        if slack is not None:
-            surplus += slack[a]
-        if g >= 1.0:
-            target = np.inf if surplus > 0 else 0.0
-        else:
-            target = max(0.0, surplus / (1.0 - g))
-        # never hold back more than arrives, nor beyond the capacity cap
-        target = min(target, inflow)
-        if g > 0:
-            target = min(target, QUEUE_CAP_FRACTION * c_max[a] / g)
-        # relax per (link, path): sudden re-attribution between paths is as
-        # destabilizing downstream as a sudden change in the link total;
-        # a path never holds back more than it brings to the link
-        if target > 0 and inflow > 0:
-            share = arriving / inflow
-        else:
-            share = np.zeros(len(through))
-        for k, (j, _pos) in enumerate(through):
-            new_alloc[a, j] = min(
-                max(
-                    0.0,
-                    new_alloc[a, j]
-                    + relaxation * (target * share[k] - new_alloc[a, j]),
-                ),
-                arriving[k],
+    if levels is None:
+        levels = _sweep_levels(path_set)
+    link_e, path_e = path_set.entry_link, path_set.entry_path
+    held = queue_alloc[link_e, path_e]
+    flow_e = f[path_e]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for entries, links, local in levels:
+            # per-path flow still arriving after upstream queues (this sweep)
+            upstream = _cost._segment_cumsum(held, path_set) - held
+            arriving = np.maximum(flow_e[entries] - upstream[entries], 0.0)
+            inflow = np.bincount(local, arriving, len(links))  # = x - Q'
+            g, cap = gamma[links], c_max[links]
+            surplus = inflow - cap
+            if slack is not None:
+                surplus = surplus + slack[links]
+            target = np.where(
+                g >= 1.0,
+                np.where(surplus > 0, np.inf, 0.0),
+                np.maximum(0.0, surplus / (1.0 - g)),
             )
+            # never hold back more than arrives, nor beyond the capacity cap
+            target = np.minimum(target, inflow)
+            target = np.where(
+                g > 0, np.minimum(target, QUEUE_CAP_FRACTION * cap / g), target
+            )
+            # relax per (link, path): sudden re-attribution between paths is
+            # as destabilizing downstream as a sudden change in the link
+            # total; a path never holds back more than it brings to the link
+            queued = (target > 0) & (inflow > 0)
+            share = np.where(queued[local], arriving / inflow[local], 0.0)
+            old = held[entries]
+            held[entries] = np.minimum(
+                np.maximum(0.0, old + relaxation * (target[local] * share - old)),
+                arriving,
+            )
+    new_alloc = np.zeros_like(queue_alloc)
+    new_alloc[link_e, path_e] = held
     return new_alloc
 
 
@@ -546,7 +585,7 @@ def solve(
     queue_alloc = np.zeros((path_set.n_links, path_set.n_paths))
     la = _LinkArrays.of(base, t_f, c_max)
     la_subs = [la.sub(g) for g in path_set.od_group_links]
-    order = _link_precedence_order(path_set)
+    levels = _sweep_levels(path_set)
     gamma_arr = np.broadcast_to(np.asarray(base.gamma, dtype=float), c_max.shape)
     if options.queue_relaxation is not None:
         theta = options.queue_relaxation
@@ -586,7 +625,7 @@ def solve(
                 j_before = merit(f, queue_alloc)
                 for _bt in range(40):
                     trial_q = _queue_targets_fixed_point(
-                        path_set, f_new, queue_alloc, c_max, base, 1.0, order, slack
+                        path_set, f_new, queue_alloc, c_max, base, 1.0, levels, slack
                     )
                     if merit(f_new, trial_q) <= j_before:
                         queue_alloc = trial_q
@@ -632,7 +671,7 @@ def solve(
                 )
             else:
                 queue_alloc = _queue_targets_fixed_point(
-                    path_set, f, queue_alloc, c_max, base, theta, order
+                    path_set, f, queue_alloc, c_max, base, theta, levels
                 )
 
         flow_change = float(np.max(np.abs(f - f_prev))) if f.size else 0.0
@@ -653,11 +692,18 @@ def solve(
         # one exact (unrelaxed) sweep so queued links satisfy v = C(Q) to
         # machine precision rather than to the stopping tolerance
         queue_alloc = _queue_targets_fixed_point(
-            path_set, f, queue_alloc, c_max, base, 1.0, order
+            path_set, f, queue_alloc, c_max, base, 1.0, levels
         )
 
     x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)
     termination = "tolerance" if converged else "iteration_limit"
+    if converged and smoothed:
+        # small steps are no equilibrium where neither half-step lowers the
+        # merit: gate on the gap of the cost this variant prices paths by
+        priced, _ = _cost._priced_cost(v, q, *la, merit_args["system_optimum"])
+        if _relative_gap(path_set, f, path_set.incidence.T @ priced) > SMOOTHED_GAP_TOL:
+            converged = False
+            termination = "stalled"
     if update_queues and np.any(v - (c_max - gamma_arr * q) > CAPACITY_RTOL * c_max):
         # a state that discharges above C(Q) is not an equilibrium, however
         # small the last steps were

@@ -1,0 +1,149 @@
+"""Per-path, per-link loop versions of the solver's hot path.
+
+These are the straightforward loops that `solver.assemble_link_state`,
+`solver._queue_targets_fixed_point` and `solver._gp_flow_pass` replaced
+with array operations over the path-link entries.  They serve as oracles:
+the vectorized versions must compute the same numbers up to rounding.
+"""
+
+import networkx as nx
+import numpy as np
+
+from queuenet import cost as _cost
+from queuenet.solver import CURVATURE_FLOOR, QUEUE_CAP_FRACTION, _repair_path_queues
+
+
+def assemble_link_state(path_set, path_flows, queue_alloc):
+    x = path_set.incidence @ path_flows
+    q = queue_alloc.sum(axis=1)
+    q_prime = np.zeros(path_set.n_links)
+    for j, idx in enumerate(path_set.path_link_idx):
+        held = queue_alloc[idx, j]
+        q_prime[idx[1:]] += np.cumsum(held[:-1])
+    v = x - q - q_prime
+    if np.any(v < -1e-9):
+        worst = int(np.argmin(v))
+        raise ValueError(
+            f"infeasible state: negative throughflow {v[worst]:.3g} on link "
+            f"{path_set.network.links[worst].id}"
+        )
+    return x, q, q_prime, np.maximum(v, 0.0)
+
+
+def link_precedence_graph(path_set):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(path_set.n_links))
+    for idx in path_set.path_link_idx:
+        g.add_edges_from(zip(idx[:-1], idx[1:]))
+    return g
+
+
+def link_precedence_order(path_set):
+    """Upstream-first link order; earliest path position if cyclic."""
+    try:
+        return np.array(
+            list(nx.topological_sort(link_precedence_graph(path_set))), dtype=np.intp
+        )
+    except nx.NetworkXUnfeasible:
+        first_pos = np.full(path_set.n_links, np.inf)
+        for idx in path_set.path_link_idx:
+            for pos, a in enumerate(idx):
+                first_pos[a] = min(first_pos[a], pos)
+        return np.argsort(first_pos, kind="stable")
+
+
+def queue_targets_fixed_point(
+    path_set, f, queue_alloc, c_max, params, relaxation, slack=None
+):
+    gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
+    new_alloc = queue_alloc.copy()
+    paths_through = [[] for _ in range(path_set.n_links)]
+    for j, idx in enumerate(path_set.path_link_idx):
+        for pos, a in enumerate(idx.tolist()):
+            paths_through[a].append((j, pos))
+    for a in link_precedence_order(path_set):
+        through = paths_through[a]
+        arriving = np.empty(len(through))
+        for k, (j, pos) in enumerate(through):
+            idx = path_set.path_link_idx[j]
+            arriving[k] = max(f[j] - float(new_alloc[idx[:pos], j].sum()), 0.0)
+        inflow = float(arriving.sum())
+        g = gamma[a]
+        surplus = inflow - c_max[a]
+        if slack is not None:
+            surplus += slack[a]
+        if g >= 1.0:
+            target = np.inf if surplus > 0 else 0.0
+        else:
+            target = max(0.0, surplus / (1.0 - g))
+        target = min(target, inflow)
+        if g > 0:
+            target = min(target, QUEUE_CAP_FRACTION * c_max[a] / g)
+        if target > 0 and inflow > 0:
+            share = arriving / inflow
+        else:
+            share = np.zeros(len(through))
+        for k, (j, _pos) in enumerate(through):
+            new_alloc[a, j] = min(
+                max(
+                    0.0,
+                    new_alloc[a, j]
+                    + relaxation * (target * share[k] - new_alloc[a, j]),
+                ),
+                arriving[k],
+            )
+    return new_alloc
+
+
+def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
+    f = f.copy()
+    queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
+    x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
+    held = queue_alloc.sum(axis=0)
+    system_optimum = options.variant == "system_optimum"
+
+    for gi, group in enumerate(path_set.od_groups):
+        if len(group) < 2:
+            continue
+        glinks = path_set.od_group_links[gi]
+        positions = [np.searchsorted(glinks, path_set.path_link_idx[j]) for j in group]
+        la_g = la_subs[gi]
+        q_g = q[glinks]
+        v_g = np.maximum((x - q - q_prime)[glinks], 0.0)
+        cost, slope = _cost._priced_cost(v_g, q_g, *la_g, system_optimum)
+        costs = np.array([cost[pos].sum() for pos in positions])
+        local_best = int(np.argmin(costs))
+        best_pos = set(positions[local_best].tolist())
+        c_g = la_g.c_max - la_g.gamma * q_g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            queue_slope = (
+                la_g.alpha
+                * la_g.m
+                * (q_g / c_g) ** (la_g.m - 1.0)
+                * (c_g + la_g.gamma * q_g)
+                / (c_g**2 * np.maximum(1.0 - la_g.gamma, 1e-3))
+            )
+        slope = slope + np.where(q_g > 0, np.nan_to_num(queue_slope), 0.0)
+        c_min = float(costs.min())
+        delta = np.zeros(len(group))
+        for local, j in enumerate(group):
+            if local == local_best or f[j] <= 0:
+                continue
+            gap = costs[local] - c_min
+            if gap <= 0:
+                continue
+            own = set(positions[local].tolist())
+            distinct = list(own ^ best_pos)
+            curvature = max(float(np.sum(slope[distinct])), CURVATURE_FLOOR)
+            movable = max(f[j] - held[j], 0.0)
+            delta[local] = min(movable, gap / (options.step_scale * curvature))
+        if not np.any(delta > 0):
+            continue
+        moved = 0.0
+        for local in np.flatnonzero(delta):
+            x[glinks[positions[local]]] -= delta[local]
+            moved += delta[local]
+        x[glinks[positions[local_best]]] += moved
+        f[group] -= delta
+        f[group[local_best]] += moved
+    return f

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 import conftest
 from queuenet import fixtures
-from queuenet.analysis import kkt_report, uniqueness_probe
+from queuenet.analysis import gradient_check, kkt_report, uniqueness_probe
 from queuenet.cost import (
     CostParams,
     capacity,
@@ -288,32 +288,13 @@ def test_criterion_09a_gradient_check(six_node):
     rng = np.random.default_rng(2024)
 
     # the merit is the function the smoothed-gradient mode descends
-    def j_of(f_, qa_):
-        return merit(six_node, f_, qa_, t_f, c_max, params)
-
     worst = 0.0
     for _ in range(100):
         f, qa = conftest.feasible_random_state(six_node, rng)
-        grad_f, grad_q = merit_gradient(six_node, f, qa, t_f, c_max, params)
-        for j in range(six_node.n_paths):
-            h = 1e-4 * max(1.0, abs(f[j]))
-            fp, fm = f.copy(), f.copy()
-            fp[j] += h
-            fm[j] = max(fm[j] - h, 0.0)
-            fd = (j_of(fp, qa) - j_of(fm, qa)) / (fp[j] - fm[j])
-            rel = abs(grad_f[j] - fd) / max(abs(fd), 1e-8)
-            worst = max(worst, rel)
-        for j, idx in enumerate(six_node.path_link_idx):
-            for a in idx:
-                h = 1e-4 * max(1.0, qa[a, j])
-                if qa[a, j] - h < 0:
-                    continue
-                qp, qm = qa.copy(), qa.copy()
-                qp[a, j] += h
-                qm[a, j] -= h
-                fd = (j_of(f, qp) - j_of(f, qm)) / (2 * h)
-                rel = abs(grad_q[a, j] - fd) / max(abs(fd), 1e-8)
-                worst = max(worst, rel)
+        worst = max(
+            worst,
+            gradient_check(merit, merit_gradient, six_node, f, qa, t_f, c_max, params),
+        )
     c.check(worst <= 1e-5, f"worst relative error {worst:.2e} > 1e-5")
     c.finish(f"100 points, worst {worst:.1e}")
 

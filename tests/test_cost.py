@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queuenet import fixtures
+from queuenet.analysis import gradient_check
 from queuenet.cost import (
     CostParams,
     capacity,
@@ -258,29 +259,7 @@ class TestGradient:
     def _check_point(
         self, path_set, f, queue_alloc, la, value=merit, gradient=merit_gradient, rel=1e-5
     ):
-        grad_f, grad_q = gradient(path_set, f, queue_alloc, *la)
-
-        def j_of(f_, qa_):
-            return value(path_set, f_, qa_, *la)
-
-        for j in range(path_set.n_paths):
-            h = 1e-4 * max(1.0, abs(f[j]))
-            fp, fm = f.copy(), f.copy()
-            fp[j] += h
-            fm[j] = max(fm[j] - h, 0.0)
-            fd = (j_of(fp, queue_alloc) - j_of(fm, queue_alloc)) / (fp[j] - fm[j])
-            assert grad_f[j] == pytest.approx(fd, rel=rel, abs=1e-8)
-
-        for j, idx in enumerate(path_set.path_link_idx):
-            for a in idx:
-                h = 1e-4 * max(1.0, queue_alloc[a, j])
-                if queue_alloc[a, j] - h < 0:
-                    continue  # keep the probe inside the feasible box
-                qp, qm = queue_alloc.copy(), queue_alloc.copy()
-                qp[a, j] += h
-                qm[a, j] -= h
-                fd = (j_of(f, qp) - j_of(f, qm)) / (2 * h)
-                assert grad_q[a, j] == pytest.approx(fd, rel=rel, abs=1e-8)
+        assert gradient_check(value, gradient, path_set, f, queue_alloc, *la) <= rel
 
     def _check_random_points(self, path_set, **fns):
         params = CostParams().for_links(path_set.network.links)

@@ -1,0 +1,152 @@
+"""The vectorized hot path against its per-path, per-link loop versions.
+
+`loop_reference` holds the loops that state assembly, the fixed-point
+queue sweep and the GP flow pass replaced; on the same inputs both must
+give the same numbers to rounding.
+"""
+
+import sys
+from pathlib import Path
+
+import networkx as nx
+import numpy as np
+import pytest
+
+import loop_reference as ref
+from queuenet import fixtures
+from queuenet.cost import CostParams
+from queuenet.net import PathSet, enumerate_paths
+from queuenet.solver import (
+    VARIANTS,
+    SolverOptions,
+    _LinkArrays,
+    _aon_initial_flows,
+    _apply_variant,
+    _gp_flow_pass,
+    _queue_targets_fixed_point,
+    _sweep_levels,
+    assemble_link_state,
+    solve,
+)
+
+RTOL = 1e-9
+ATOL = 1e-9  # veh/h, for entries that are zero in one version
+
+
+def _link_arrays(path_set):
+    links = path_set.network.links
+    t_f = np.array([l.free_flow_time for l in links])
+    c_max = np.array([l.capacity for l in links])
+    return t_f, c_max, CostParams().for_links(links)
+
+
+def _six_node_queued():
+    ps = fixtures.six_node_path_set()
+    qa = np.zeros((ps.n_links, ps.n_paths))
+    qa[ps.link_index("4"), [1, 3]] = 50.0
+    return ps, np.array([1775.0, 1225.0, 1775.0, 1225.0]), qa
+
+
+def _grid10_after_five_iterations():
+    ps = enumerate_paths(fixtures.grid_network(size=10, n_od=20, demand=1200.0), 3)
+    state, _ = solve(ps, options=SolverOptions(max_outer_iterations=5))
+    return ps, state.path_flows, state.queue_alloc
+
+
+def _cyclic_precedence():
+    # overlapping k-shortest paths whose link precedence has a cycle, so
+    # the sweep falls back to first-position order; one GP pass from the
+    # all-or-nothing start and one relaxed sweep give 72 queued entries
+    ps = enumerate_paths(fixtures.grid_network(size=10, n_od=40, demand=900.0), 3)
+    t_f, c_max, params = _link_arrays(ps)
+    la = _LinkArrays.of(params, t_f, c_max)
+    la_subs = [la.sub(g) for g in ps.od_group_links]
+    qa = np.zeros((ps.n_links, ps.n_paths))
+    f = ref.gp_flow_pass(ps, _aon_initial_flows(ps), qa, la_subs, SolverOptions())
+    return ps, f, ref.queue_targets_fixed_point(ps, f, qa, c_max, params, 0.5)
+
+
+CASES = {
+    "six_node": _six_node_queued,
+    "grid10": _grid10_after_five_iterations,
+    "cyclic": _cyclic_precedence,
+}
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def case(request):
+    ps, f, qa = CASES[request.param]()
+    assert np.any(qa > 0)
+    return ps, f, qa
+
+
+def _close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=ATOL)
+
+
+def test_assemble_link_state_matches_loop(case):
+    ps, f, qa = case
+    for new, old in zip(assemble_link_state(ps, f, qa), ref.assemble_link_state(ps, f, qa)):
+        _close(new, old)
+
+
+@pytest.mark.parametrize("relaxation", [0.5, 1.0])
+def test_queue_sweep_matches_loop(case, relaxation):
+    ps, f, qa = case
+    _, c_max, params = _link_arrays(ps)
+    _close(
+        _queue_targets_fixed_point(ps, f, qa, c_max, params, relaxation),
+        ref.queue_targets_fixed_point(ps, f, qa, c_max, params, relaxation),
+    )
+
+
+def test_slack_keeping_sweep_matches_loop(case):
+    ps, f, qa = case
+    _, c_max, params = _link_arrays(ps)
+    _, q, _, v = ref.assemble_link_state(ps, f, qa)
+    slack = np.where(q > 0, c_max - np.asarray(params.gamma) * q - v, -np.inf)
+    _close(
+        _queue_targets_fixed_point(ps, f, qa, c_max, params, 1.0, slack=slack),
+        ref.queue_targets_fixed_point(ps, f, qa, c_max, params, 1.0, slack=slack),
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_gp_flow_pass_matches_loop(case, variant):
+    ps, f, qa = case
+    t_f, c_max, params = _link_arrays(ps)
+    la = _LinkArrays.of(_apply_variant(params, variant), t_f, c_max)
+    la_subs = [la.sub(g) for g in ps.od_group_links]
+    options = SolverOptions(variant=variant)
+    new = _gp_flow_pass(ps, f, qa, la_subs, options)
+    assert np.max(np.abs(new - f)) > 0.0  # the pass moves flow
+    _close(new, ref.gp_flow_pass(ps, f, qa, la_subs, options))
+
+
+def _used_links(levels):
+    return [set(level.links.tolist()) for level in levels]
+
+
+def test_levels_are_topological_generations():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import GRID20, GRID_SEED, staircase_paths
+    finally:
+        sys.path.pop(0)
+    network = fixtures.grid_network(GRID20.size, GRID20.n_od, GRID20.demand, GRID_SEED)
+    ps = PathSet(network, staircase_paths(network))
+    used = set(ps.entry_link.tolist())
+    generations = [
+        set(gen) & used
+        for gen in nx.topological_generations(ref.link_precedence_graph(ps))
+    ]
+    assert _used_links(_sweep_levels(ps)) == [g for g in generations if g]
+
+
+def test_cyclic_levels_fall_back_to_first_position_order():
+    ps, _, _ = _cyclic_precedence()
+    with pytest.raises(nx.NetworkXUnfeasible):
+        list(nx.topological_sort(ref.link_precedence_graph(ps)))
+    used = set(ps.entry_link.tolist())
+    order = [a for a in ref.link_precedence_order(ps).tolist() if a in used]
+    assert _used_links(_sweep_levels(ps)) == [{a} for a in order]

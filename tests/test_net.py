@@ -149,9 +149,15 @@ class TestPathSet:
         with pytest.raises(PathError):
             six_node.downstream("4", 0)
 
-    def test_paths_through(self, six_node):
-        through = six_node.paths_through[six_node.link_index("4")]
-        assert through == [(1, 1), (3, 1)]
+    def test_path_link_entries(self, six_node):
+        # link 4 is the second link of paths 1 and 3
+        at4 = np.flatnonzero(six_node.entry_link == six_node.link_index("4"))
+        assert six_node.entry_path[at4].tolist() == [1, 3]
+        assert (at4 - six_node.path_start[[1, 3]]).tolist() == [1, 1]
+        # OD 1->3: path 0 is link 1 alone, path 1 is 3-4-6
+        links = [six_node.network.links[a].id for a in six_node.od_group_links[0]]
+        assert links == ["1", "3", "4", "6"]
+        assert six_node.od_group_members[0].tolist() == [[1, 0, 0, 0], [0, 1, 1, 1]]
 
     def test_broken_chain_rejected(self, six_node):
         net = six_node.network

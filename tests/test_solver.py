@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from queuenet import cost as _cost
 from queuenet import fixtures
 from queuenet.analysis import kkt_report
 from queuenet.cost import CostParams, link_travel_time, marginal_link_time
@@ -276,6 +277,25 @@ class TestConvergenceContract:
         assert eq.max_complementarity_residual <= 1e-3
         assert eq.relative_gap <= 1e-4
         assert state.link_queues[six_node.link_index("4")] > 0.0
+
+    def test_smoothed_mode_stall_is_not_converged(self, six_node, monkeypatch):
+        # with 1/100 of the merit weight the descent at m = 0.5 stops after
+        # two iterations at an overloaded link with no queue: neither
+        # half-step lowers the merit, so the steps vanish far from the
+        # equilibrium (relative gap 7.2e-2)
+        weights = _cost._merit_weights
+        monkeypatch.setattr(
+            _cost, "_merit_weights", lambda t_f, c_max: weights(t_f, c_max) / 100.0
+        )
+        state, report = solve(
+            six_node,
+            params=CostParams(m=0.5),
+            options=SolverOptions(queue_mode="smoothed_gradient"),
+        )
+        assert report.iterations == 2
+        assert kkt_report(state).relative_gap > 1e-2
+        assert not report.converged
+        assert report.termination == "stalled"
 
     def test_smoothed_mode_rejects_gamma_one(self, six_node):
         with pytest.raises(ValueError, match="gamma < 1"):
