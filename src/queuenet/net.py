@@ -3,7 +3,7 @@
 Links carry free-flow time (hours) and physical capacity (veh/hr).  Paths
 are fixed, enumerated link chains per OD pair; the path set precomputes the
 link-path incidence, the flat (link, path) entries in traversal order, and
-per OD pair a 0/1 membership matrix of its paths over the links they use.
+per OD pair its paths and the links they use.
 """
 from __future__ import annotations
 
@@ -209,16 +209,11 @@ class PathSet:
             )
             for i in range(len(network.od_pairs))
         ]
-        # per OD group: union of its paths' link indices, and a 0/1 matrix
-        # (group paths x union links) of which path uses which of them
-        # (lets solvers work on the subset with matrix products)
-        self.od_group_links: list[np.ndarray] = []
-        self.od_group_members: list[np.ndarray] = []
-        for group in self.od_groups:
-            rows = self.incidence.T[group]
-            union = np.flatnonzero(rows.any(axis=0))
-            self.od_group_links.append(union)
-            self.od_group_members.append(np.ascontiguousarray(rows[:, union]))
+        # per OD group: the sorted union of its paths' link indices
+        self.od_group_links: list[np.ndarray] = [
+            np.flatnonzero(self.incidence[:, group].any(axis=1))
+            for group in self.od_groups
+        ]
 
     def link_index(self, link_id: str) -> int:
         return self._link_index[link_id]

@@ -22,9 +22,15 @@ entry is a running sum restarted on every path (`cost._segment_cumsum`).
 The fixed-point sweep visits links by level: a link's level is its depth
 in the precedence of links along the paths (`_sweep_levels`), so the
 links of one level are independent and are swept in one vectorized step.
-The GP step keeps its Gauss-Seidel order over OD groups; within a group,
-path costs and step curvatures are products with the group's 0/1
-path-by-link membership matrix (`PathSet.od_group_members`).
+The GP step runs level by level too, over OD groups (`_group_levels`): a
+group's level is one above the highest level of any earlier group that
+shares a link with it, so the groups of one level use disjoint links and
+each level is one vectorized step.  That is exact Gauss-Seidel in the
+path-set order of the groups: a group reads and writes link flows only on
+its own links, every earlier group sharing one of them is at a lower
+level, and no later one is.  Within a level, path costs and step
+curvatures are products with the level's block-diagonal 0/1 path-by-link
+membership matrix.
 """
 from __future__ import annotations
 
@@ -65,9 +71,9 @@ CURVATURE_FLOOR = 1e-6
 #: only if no link discharges more than C(Q) + this share of C_max
 CAPACITY_RTOL = 1e-6
 
-#: a smoothed-gradient solve counts as converged only if the relative gap
-#: of the cost its variant prices paths by is at most this (criterion 7)
-SMOOTHED_GAP_TOL = 1e-4
+#: a solve counts as converged only if the relative gap of the cost its
+#: variant prices paths by is at most this (criterion 7)
+GAP_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,8 @@ class ConvergenceReport:
         default_factory=list
     )
     #: why the solve stopped: "tolerance" (converged), "iteration_limit",
-    #: "stalled" (smoothed mode: steps vanished at a relative gap above
-    #: SMOOTHED_GAP_TOL), or "infeasible" (a queue-carrying state
-    #: discharges above C(Q))
+    #: "stalled" (steps vanished at a relative gap above GAP_TOL), or
+    #: "infeasible" (a queue-carrying state discharges above C(Q))
     termination: str = "tolerance"
 
 
@@ -247,11 +252,56 @@ class _LinkArrays(NamedTuple):
         return _LinkArrays(*(a[idx] for a in self))
 
 
+class _GroupLevel(NamedTuple):
+    """One level of link-disjoint OD groups for the GP pass: its paths,
+    group after group; its links; the block-diagonal 0/1 paths x links
+    membership matrix; each path's group within the level; each group's
+    first row; and the link arrays on the level's links."""
+
+    paths: np.ndarray
+    links: np.ndarray
+    member: np.ndarray
+    group: np.ndarray
+    starts: np.ndarray
+    la: _LinkArrays
+
+
+def _group_levels(path_set: PathSet, la: _LinkArrays) -> list[_GroupLevel]:
+    """OD groups stacked into levels of groups that share no link.
+
+    Taken in path-set order, a group's level is one above the highest level
+    of any earlier group that shares a link with it; `last` holds each
+    link's latest level.  Groups with fewer than two paths never move flow
+    and are in no level.
+    """
+    last = np.full(path_set.n_links, -1, dtype=np.intp)
+    by_level: list[list[int]] = []
+    for gi, group in enumerate(path_set.od_groups):
+        if len(group) < 2:
+            continue
+        links = path_set.od_group_links[gi]
+        level = int(last[links].max()) + 1
+        last[links] = level
+        if level == len(by_level):
+            by_level.append([])
+        by_level[level].append(gi)
+    levels = []
+    for gis in by_level:
+        paths = np.concatenate([path_set.od_groups[gi] for gi in gis])
+        links = np.concatenate([path_set.od_group_links[gi] for gi in gis])
+        sizes = [len(path_set.od_groups[gi]) for gi in gis]
+        member = np.ascontiguousarray(path_set.incidence[np.ix_(links, paths)].T)
+        group = np.repeat(np.arange(len(gis)), sizes)
+        starts = np.cumsum(sizes) - sizes
+        levels.append(_GroupLevel(paths, links, member, group, starts, la.sub(links)))
+    return levels
+
+
 def _gp_flow_pass(
     path_set: PathSet,
     f: np.ndarray,
     queue_alloc: np.ndarray,
-    la_subs: list[_LinkArrays],
+    levels: list[_GroupLevel],
     options: SolverOptions,
 ) -> np.ndarray:
     """One gradient-projection sweep over all OD pairs (returns new flows).
@@ -264,61 +314,62 @@ def _gp_flow_pass(
     response.  A step never moves queued traffic.
 
     Queues are frozen for the whole pass; link flows are updated
-    incrementally between OD groups (Gauss-Seidel), and each group only
-    ever touches the links its own paths use, through its 0/1 membership
-    matrix (group paths x group links).
+    incrementally between the levels of link-disjoint OD groups
+    (`_group_levels`), which is the Gauss-Seidel order over groups.  All
+    groups of a level step at once through the level's membership matrix,
+    each on its own links only.
     """
     f = f.copy()
     queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
     x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
-    held = queue_alloc.sum(axis=0)  # queued traffic per path, immovable
+    held = _path_held(path_set, queue_alloc)  # queued traffic, immovable
     system_optimum = options.variant == "system_optimum"
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for gi, group in enumerate(path_set.od_groups):
-            if len(group) < 2:
-                continue
-            glinks = path_set.od_group_links[gi]
-            member = path_set.od_group_members[gi]
-            la_g = la_subs[gi]
-            q_g = q[glinks]
-            v_g = np.maximum(x[glinks] - q_g - q_prime[glinks], 0.0)
-            cost, slope = _cost._priced_cost(v_g, q_g, *la_g, system_optimum)
-            if q_g.any():
+        for paths, links, member, group, starts, la_l in levels:
+            q_l = q[links]
+            v_l = np.maximum(x[links] - q_l - q_prime[links], 0.0)
+            cost, slope = _cost._priced_cost(v_l, q_l, *la_l, system_optimum)
+            if np.count_nonzero(q_l):
                 # on queued links extra inflow feeds the queue (amplified by
                 # 1/(1-gamma)), so the equilibrium cost responds through the
                 # queuing-delay term as well; fold that into the curvature
                 # so steps stay small where the queue, not the running
                 # time, reacts
-                c_g = la_g.c_max - la_g.gamma * q_g
+                c_l = la_l.c_max - la_l.gamma * q_l
                 queue_slope = (
-                    la_g.alpha
-                    * la_g.m
-                    * (q_g / c_g) ** (la_g.m - 1.0)
-                    * (c_g + la_g.gamma * q_g)
-                    / (c_g**2 * np.maximum(1.0 - la_g.gamma, 1e-3))
+                    la_l.alpha
+                    * la_l.m
+                    * (q_l / c_l) ** (la_l.m - 1.0)
+                    * (c_l + la_l.gamma * q_l)
+                    / (c_l**2 * np.maximum(1.0 - la_l.gamma, 1e-3))
                 )
-                slope = slope + np.where(q_g > 0, queue_slope, 0.0)
+                slope = slope + np.where(q_l > 0, queue_slope, 0.0)
             costs = member @ cost
-            best = int(costs.argmin())
-            gap = costs - costs[best]
+            # each group's first cheapest path, as argmin picks it: a stable
+            # sort by group, then cost
+            best = np.lexsort((costs, group))[starts]
+            best_row = best[group]
+            gap = costs - costs[best_row]
             # summed slope on the links either path uses but not both
             curvature = np.maximum(
-                np.abs(member - member[best]) @ slope, CURVATURE_FLOOR
+                np.abs(member - member.take(best_row, axis=0)) @ slope, CURVATURE_FLOOR
             )
-            f_g = f[group]
-            movable = np.maximum(f_g - held[group], 0.0)
+            f_l = f[paths]
+            movable = np.maximum(f_l - held[paths], 0.0)
             delta = np.where(
-                (gap > 0) & (f_g > 0),
+                (gap > 0) & (f_l > 0),
                 np.minimum(movable, gap / (options.step_scale * curvature)),
                 0.0,
             )
-            if not delta.any():
+            if not np.count_nonzero(delta):
                 continue
-            moved = delta.sum()
-            x[glinks] += moved * member[best] - delta @ member
-            f[group] -= delta
-            f[group[best]] += moved
+            # the flow change of each path: -delta, and what its group
+            # moved onto the cheapest path (whose own delta is 0)
+            change = -delta
+            change[best] = np.add.reduceat(delta, starts)
+            x[links] += change @ member
+            f[paths] = f_l + change
     return f
 
 
@@ -365,12 +416,18 @@ def _repair_path_queues(
     Keeps the trip-completing flow f_p = f~_p - sum_a Q_ap nonnegative after
     the flow step moves flow off a path whose queues were sized for more.
     """
-    held = queue_alloc.sum(axis=0)
+    held = _path_held(path_set, queue_alloc)
     over = held > f
     if not np.any(over):
         return queue_alloc
     scale = np.where(over, f / np.maximum(held, 1e-300), 1.0)
     return queue_alloc * scale[None, :]
+
+
+def _path_held(path_set: PathSet, queue_alloc: np.ndarray) -> np.ndarray:
+    """Queued traffic per path, summed over the path's entries."""
+    link_e, path_e = path_set.entry_link, path_set.entry_path
+    return np.bincount(path_e, queue_alloc[link_e, path_e], path_set.n_paths)
 
 
 def _relative_gap(
@@ -584,7 +641,7 @@ def solve(
 
     queue_alloc = np.zeros((path_set.n_links, path_set.n_paths))
     la = _LinkArrays.of(base, t_f, c_max)
-    la_subs = [la.sub(g) for g in path_set.od_group_links]
+    group_levels = _group_levels(path_set, la)
     levels = _sweep_levels(path_set)
     gamma_arr = np.broadcast_to(np.asarray(base.gamma, dtype=float), c_max.shape)
     if options.queue_relaxation is not None:
@@ -615,7 +672,7 @@ def solve(
         q_prev = queue_alloc.sum(axis=1)
 
         for _ in range(options.max_inner_passes):
-            f_new = _gp_flow_pass(path_set, f, queue_alloc, la_subs, options)
+            f_new = _gp_flow_pass(path_set, f, queue_alloc, group_levels, options)
             if smoothed:
                 # queued links take the change in their arrivals into their
                 # queues, keeping their capacity slack C(Q) - v, as a queue
@@ -697,11 +754,14 @@ def solve(
 
     x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)
     termination = "tolerance" if converged else "iteration_limit"
-    if converged and smoothed:
-        # small steps are no equilibrium where neither half-step lowers the
-        # merit: gate on the gap of the cost this variant prices paths by
+    if converged:
+        # small steps are no equilibrium where they vanish away from it: the
+        # smoothed mode stalls where neither half-step lowers the merit, and
+        # with m < 1 a queue's rounding residue makes the GP curvature
+        # through its link unbounded; gate on the gap of the cost this
+        # variant prices paths by
         priced, _ = _cost._priced_cost(v, q, *la, merit_args["system_optimum"])
-        if _relative_gap(path_set, f, path_set.incidence.T @ priced) > SMOOTHED_GAP_TOL:
+        if _relative_gap(path_set, f, path_set.incidence.T @ priced) > GAP_TOL:
             converged = False
             termination = "stalled"
     if update_queues and np.any(v - (c_max - gamma_arr * q) > CAPACITY_RTOL * c_max):

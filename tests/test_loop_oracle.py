@@ -15,7 +15,7 @@ import pytest
 import loop_reference as ref
 from queuenet import fixtures
 from queuenet.cost import CostParams
-from queuenet.net import PathSet, enumerate_paths
+from queuenet.net import ODPair, PathSet, enumerate_paths
 from queuenet.solver import (
     VARIANTS,
     SolverOptions,
@@ -23,6 +23,7 @@ from queuenet.solver import (
     _aon_initial_flows,
     _apply_variant,
     _gp_flow_pass,
+    _group_levels,
     _queue_targets_fixed_point,
     _sweep_levels,
     assemble_link_state,
@@ -66,9 +67,40 @@ def _cyclic_precedence():
     return ps, f, ref.queue_targets_fixed_point(ps, f, qa, c_max, params, 0.5)
 
 
+def _grid20_staircase_path_set():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import GRID20, GRID_SEED, staircase_paths
+    finally:
+        sys.path.pop(0)
+    network = fixtures.grid_network(GRID20.size, GRID20.n_od, GRID20.demand, GRID_SEED)
+    return PathSet(network, staircase_paths(network))
+
+
+def _grid20_after_five_iterations():
+    # the benchmark's staircase paths: one OD pair has a single path
+    ps = _grid20_staircase_path_set()
+    assert min(len(g) for g in ps.od_groups) == 1
+    state, _ = solve(ps, options=SolverOptions(max_outer_iterations=5))
+    return ps, state.path_flows, state.queue_alloc
+
+
+def _six_node_one_od_off():
+    # as in the demand sweep: OD 2->4 at zero demand, OD 1->3 at 4000
+    six = fixtures.six_node_network()
+    network = six.with_demands(
+        [ODPair(od.origin, od.destination, d) for od, d in zip(six.od_pairs, (4000.0, 0.0))]
+    )
+    ps = fixtures.six_node_path_set(network)
+    state, _ = solve(ps, options=SolverOptions(max_outer_iterations=5))
+    return ps, state.path_flows, state.queue_alloc
+
+
 CASES = {
     "six_node": _six_node_queued,
+    "six_node_one_od_off": _six_node_one_od_off,
     "grid10": _grid10_after_five_iterations,
+    "grid20_staircase": _grid20_after_five_iterations,
     "cyclic": _cyclic_precedence,
 }
 
@@ -118,7 +150,7 @@ def test_gp_flow_pass_matches_loop(case, variant):
     la = _LinkArrays.of(_apply_variant(params, variant), t_f, c_max)
     la_subs = [la.sub(g) for g in ps.od_group_links]
     options = SolverOptions(variant=variant)
-    new = _gp_flow_pass(ps, f, qa, la_subs, options)
+    new = _gp_flow_pass(ps, f, qa, _group_levels(ps, la), options)
     assert np.max(np.abs(new - f)) > 0.0  # the pass moves flow
     _close(new, ref.gp_flow_pass(ps, f, qa, la_subs, options))
 
@@ -128,13 +160,7 @@ def _used_links(levels):
 
 
 def test_levels_are_topological_generations():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    try:
-        from workloads import GRID20, GRID_SEED, staircase_paths
-    finally:
-        sys.path.pop(0)
-    network = fixtures.grid_network(GRID20.size, GRID20.n_od, GRID20.demand, GRID_SEED)
-    ps = PathSet(network, staircase_paths(network))
+    ps = _grid20_staircase_path_set()
     used = set(ps.entry_link.tolist())
     generations = [
         set(gen) & used

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from queuenet import fixtures
+from queuenet.cost import CostParams
 from queuenet.net import (
     Link,
     Network,
@@ -20,6 +21,7 @@ from queuenet.net import (
     load_path_set,
     write_path_set,
 )
+from queuenet.solver import _LinkArrays, _group_levels
 
 
 def _net(nodes, links, ods=()):
@@ -154,10 +156,16 @@ class TestPathSet:
         at4 = np.flatnonzero(six_node.entry_link == six_node.link_index("4"))
         assert six_node.entry_path[at4].tolist() == [1, 3]
         assert (at4 - six_node.path_start[[1, 3]]).tolist() == [1, 1]
-        # OD 1->3: path 0 is link 1 alone, path 1 is 3-4-6
+        # OD 1->3: path 0 is link 1 alone, path 1 is 3-4-6; it is alone on
+        # the GP pass's first level, since OD 2->4 shares link 4 with it
         links = [six_node.network.links[a].id for a in six_node.od_group_links[0]]
         assert links == ["1", "3", "4", "6"]
-        assert six_node.od_group_members[0].tolist() == [[1, 0, 0, 0], [0, 1, 1, 1]]
+        per_link = np.ones(six_node.n_links)
+        la = _LinkArrays.of(CostParams(), per_link, per_link)
+        first = _group_levels(six_node, la)[0]
+        assert first.paths.tolist() == [0, 1]
+        assert first.links.tolist() == six_node.od_group_links[0].tolist()
+        assert first.member.tolist() == [[1, 0, 0, 0], [0, 1, 1, 1]]
 
     def test_broken_chain_rejected(self, six_node):
         net = six_node.network

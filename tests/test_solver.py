@@ -8,7 +8,7 @@ from queuenet import cost as _cost
 from queuenet import fixtures
 from queuenet.analysis import kkt_report
 from queuenet.cost import CostParams, link_travel_time, marginal_link_time
-from queuenet.net import Link, Network, Node, ODPair, enumerate_paths
+from queuenet.net import Link, Network, Node, ODPair, PathSet, enumerate_paths
 from queuenet.solver import (
     QUEUE_CAP_FRACTION,
     SolverOptions,
@@ -17,6 +17,7 @@ from queuenet.solver import (
     _aon_initial_flows,
     _apply_variant,
     _gp_flow_pass,
+    _group_levels,
     _repair_path_queues,
     assemble_link_state,
     solve,
@@ -95,7 +96,7 @@ class TestFlowPass:
         t_f = np.array([l.free_flow_time for l in net.links])
         c_max = np.array([l.capacity for l in net.links])
         la = _LinkArrays.of(CostParams().for_links(net.links), t_f, c_max)
-        la_subs = [la.sub(g) for g in six_node.od_group_links]
+        levels = _group_levels(six_node, la)
         options = SolverOptions()
         qa = np.zeros((7, 4))
         i4 = six_node.link_index("4")
@@ -103,7 +104,7 @@ class TestFlowPass:
         qa[i4, 3] = 50.0
         f = np.array([3000.0, 0.0, 3000.0, 0.0])
         for _ in range(200):
-            f_new = _gp_flow_pass(six_node, f, qa, la_subs, options)
+            f_new = _gp_flow_pass(six_node, f, qa, levels, options)
             if np.max(np.abs(f_new - f)) < 1e-6:
                 f = f_new
                 break
@@ -125,7 +126,7 @@ class TestFlowPass:
         c_max = np.array([l.capacity for l in net.links])
         params = _apply_variant(CostParams().for_links(net.links), variant)
         la = _LinkArrays.of(params, t_f, c_max)
-        la_subs = [la.sub(g) for g in six_node.od_group_links]
+        levels = _group_levels(six_node, la)
         options = SolverOptions(variant=variant)
         priced = marginal_link_time if variant == "system_optimum" else link_travel_time
 
@@ -149,8 +150,42 @@ class TestFlowPass:
                 for _ in range(20):
                     frozen = _repair_path_queues(six_node, f, qa)
                     before = spread(f, frozen)
-                    f = _gp_flow_pass(six_node, f, qa, la_subs, options)
+                    f = _gp_flow_pass(six_node, f, qa, levels, options)
                     assert spread(f, frozen) <= before + 1e-9
+
+    def test_group_levels_keep_the_gauss_seidel_order(self):
+        # criterion 10's path set (50 OD pairs, 3 paths each), and the same
+        # with OD 0 cut to its first path
+        full = enumerate_paths(fixtures.grid_network(), k=3)
+        first_of_0 = full.od_groups[0][0]
+        cut = PathSet(
+            full.network,
+            [p for j, p in enumerate(full.paths) if p.od_index != 0 or j == first_of_0],
+        )
+        per_link = np.ones(full.n_links)
+        la = _LinkArrays.of(CostParams(), per_link, per_link)
+        for ps in (full, cut):
+            levels = _group_levels(ps, la)
+            assert len(levels) == 10
+            level_of = {}
+            for lv, level in enumerate(levels):
+                ods = ps.path_od[level.paths[level.starts]]
+                np.testing.assert_array_equal(ps.path_od[level.paths], ods[level.group])
+                links = [set(ps.od_group_links[i].tolist()) for i in ods]
+                # no two groups of one level share a link
+                assert sum(map(len, links)) == len(set().union(*links)) == len(level.links)
+                np.testing.assert_array_equal(
+                    level.member, ps.incidence[np.ix_(level.links, level.paths)].T
+                )
+                level_of.update((int(i), lv) for i in ods)
+            # groups with fewer than two paths are in no level
+            assert sorted(level_of) == [i for i, g in enumerate(ps.od_groups) if len(g) > 1]
+            # every earlier group sharing a link with a group is below it
+            for i in level_of:
+                for j in level_of:
+                    if j < i and np.intersect1d(ps.od_group_links[i], ps.od_group_links[j]).size:
+                        assert level_of[j] < level_of[i]
+        assert 0 not in level_of
 
     def test_single_path_od_unchanged(self):
         net = Network(
@@ -294,6 +329,22 @@ class TestConvergenceContract:
         )
         assert report.iterations == 2
         assert kkt_report(state).relative_gap > 1e-2
+        assert not report.converged
+        assert report.termination == "stalled"
+
+    def test_fixed_point_stall_is_not_converged(self, six_node):
+        # at gamma = 0.9 and m = 0.5, a queue relaxed almost fully dissolves
+        # to a rounding residue (1e-13 veh on link 4); with m < 1 the GP
+        # curvature through that link is unbounded, so every step through
+        # it vanishes: three iterations, 1308 veh queued on links 1 and 2,
+        # relative gap 0.94
+        state, report = solve(
+            six_node,
+            CostParams(gamma=0.9, m=0.5),
+            SolverOptions(queue_relaxation=0.9999999999999998),
+        )
+        assert report.iterations == 3
+        assert kkt_report(state).relative_gap > 0.5
         assert not report.converged
         assert report.termination == "stalled"
 
