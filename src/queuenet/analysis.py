@@ -13,6 +13,7 @@ from .solver import (
     ConvergenceReport,
     SolutionState,
     SolverOptions,
+    _cheapest,
     _relative_gap,
     solve,
     solve_variant,
@@ -62,10 +63,9 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
     """
     ps = state.path_set
     costs = state.path_costs()
-    min_costs = np.full(len(ps.network.od_pairs), np.nan)
-    for i, group in enumerate(ps.od_groups):
-        if len(group):
-            min_costs[i] = costs[group].min()
+    best = _cheapest(ps, costs)
+    min_costs = np.full(len(best), np.nan)
+    min_costs[best >= 0] = costs[best[best >= 0]]
     relative_gap = _relative_gap(ps, state.path_flows, costs)
 
     c_max = state.c_max
@@ -194,9 +194,9 @@ def gradient_check(
 
     `value(path_set, f, queue_alloc, *args)` is a function of the state
     and `gradient` (same arguments) returns its (grad_f, grad_q), as
-    `cost.merit` and `cost.merit_gradient` do.  Every path flow and every
-    (link, path) queue on the path-link pattern is probed by +-h with
-    h = 1e-4 * max(1, |entry|).  Probes stay in the feasible box: a flow
+    `cost.merit` and `cost.merit_gradient` do; `queue_alloc` and grad_q
+    hold one value per path-link entry.  Every path flow and every entry's
+    queue is probed by +-h with h = 1e-4 * max(1, |value|).  Probes stay in the feasible box: a flow
     probe stops at 0, and a queue probe that would go negative is skipped.
     The error of one entry is |analytic - fd| / max(|fd|, 1e-8).
     """
@@ -213,13 +213,13 @@ def gradient_check(
             fp[j] - fm[j]
         )
         worst = max(worst, abs(grad_f[j] - fd) / max(abs(fd), 1e-8))
-    for a, j in zip(path_set.entry_link.tolist(), path_set.entry_path.tolist()):
-        h = 1e-4 * max(1.0, qa[a, j])
-        if qa[a, j] - h < 0:
+    for e in range(len(qa)):
+        h = 1e-4 * max(1.0, qa[e])
+        if qa[e] - h < 0:
             continue
         qp, qm = qa.copy(), qa.copy()
-        qp[a, j] += h
-        qm[a, j] -= h
+        qp[e] += h
+        qm[e] -= h
         fd = (value(path_set, f, qp, *args) - value(path_set, f, qm, *args)) / (2 * h)
-        worst = max(worst, abs(grad_q[a, j] - fd) / max(abs(fd), 1e-8))
+        worst = max(worst, abs(grad_q[e] - fd) / max(abs(fd), 1e-8))
     return worst

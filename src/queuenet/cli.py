@@ -339,8 +339,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for i, group in enumerate(path_set.od_groups):
         if len(group):
             f[group] = rng.dirichlet(np.ones(len(group))) * network.od_pairs[i].demand
-    q_ap = np.where(path_set.incidence > 0, rng.uniform(0.0, 1.0, path_set.incidence.shape), 0.0)
-    q_ap = _scale_feasible(path_set, f, q_ap)
+    q_ap = _scale_feasible(path_set, f, rng.uniform(0.0, 1.0, len(path_set.entry_link)))
 
     # the merit is the function the smoothed-gradient queue mode descends
     max_rel = gradient_check(
@@ -357,10 +356,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _scale_feasible(path_set, f, q_ap):
-    held = q_ap.sum(axis=0)
+    held = np.bincount(path_set.entry_path, q_ap, path_set.n_paths)
     cap = 0.5 * f  # keep queues well inside the feasible interior
     scale = np.where(held > cap, cap / np.maximum(held, 1e-300), 1.0)
-    return q_ap * scale[None, :]
+    return q_ap * scale[path_set.entry_path]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,9 @@ equilibrium; with queues it is neither convex in the queues nor stationary
 at the queue-dependent equilibrium, and no solver mode minimises it.  No
 function can serve as an exact potential for this model: `merit` explains
 why.
+
+Per-(link, path) queues Q_ap, and gradients in them, are vectors over the
+path set's flat path-link entries (`PathSet.entry_link`, `entry_path`).
 """
 from __future__ import annotations
 
@@ -381,7 +384,7 @@ def objective_gradient(
     """Gradient of the objective in (path flows, per-path link queues).
 
     Returns (grad_f, grad_q) with grad_f of shape (n_paths,) and grad_q of
-    shape (n_links, n_paths); grad_q is zero off the incidence pattern.
+    shape (n_entries,), one value per path-link entry.
 
     A unit of path flow adds flow to every link of the path, so grad_f is
     the path sum of smoothed link times.  A unit of queue Q_ap removes a
@@ -391,19 +394,16 @@ def objective_gradient(
     """
     v = np.asarray(v, dtype=float)
     q = np.asarray(q, dtype=float)
-    t_s = smoothed_link_time(v, q, t_f, c_max, params)
-    grad_f = path_set.incidence.T @ t_s
+    t_e = smoothed_link_time(v, q, t_f, c_max, params)[path_set.entry_link]
+    grad_f = np.bincount(path_set.entry_path, t_e, path_set.n_paths)
 
     g_q = queue_delay_marginal(q, t_f, c_max, params) + _exponent_sensitivity(
         v, q, np.asarray(t_f, dtype=float), np.asarray(c_max, dtype=float), params
     )
-    grad_q = np.zeros((path_set.n_links, path_set.n_paths))
-    for j, idx in enumerate(path_set.path_link_idx):
-        # suffix sums of smoothed times along the path: link a plus all
-        # links after it lose the unit of flow held in the queue at a
-        suffix = np.cumsum(t_s[idx][::-1])[::-1]
-        grad_q[idx, j] = -suffix + g_q[idx]
-    return grad_f, grad_q
+    # suffix sums of smoothed times along the path: link a plus all links
+    # after it lose the unit of flow held in the queue at a
+    suffix = grad_f[path_set.entry_path] - _segment_cumsum(t_e, path_set) + t_e
+    return grad_f, g_q[path_set.entry_link] - suffix
 
 
 def _path_cost_terms(
@@ -460,7 +460,7 @@ def _path_arrivals(
     A path's arrivals at a link are its flow less what its queues upstream
     of the link hold back; a link's arrivals are x - Q'.
     """
-    held = queue_alloc[path_set.entry_link, path_set.entry_path]
+    held = np.asarray(queue_alloc, dtype=float)
     arriving = path_flows[path_set.entry_path] - (_segment_cumsum(held, path_set) - held)
     return held, arriving, np.bincount(path_set.entry_link, arriving, path_set.n_links)
 
@@ -539,9 +539,7 @@ def _merit(
     grad_f = grad_f + np.bincount(path_e, flow_e, n_paths)
     # a unit held at a link is missing from it and from every later link
     after = np.bincount(path_e, flow_e, n_paths)[path_e] - _segment_cumsum(flow_e, ps)
-    grad_q = np.zeros((n_links, n_paths))
-    grad_q[link_e, path_e] = queue_e - after
-    return value, grad_f, grad_q
+    return value, grad_f, queue_e - after
 
 
 def merit(
@@ -608,9 +606,9 @@ def merit_gradient(
     """Gradient of `merit` in (path flows, per-path link queues).
 
     Returns (grad_f, grad_q) with grad_f of shape (n_paths,) and grad_q of
-    shape (n_links, n_paths); grad_q is zero off the incidence pattern.  A
-    unit of Q_ap moves a unit of path p's traffic at link a from the
-    throughflow into the queue and removes it from every later link of p.
+    shape (n_entries,), one value per path-link entry.  A unit of Q_ap
+    moves a unit of path p's traffic at link a from the throughflow into
+    the queue and removes it from every later link of p.
     """
     _, grad_f, grad_q = _merit(
         path_set, path_flows, queue_alloc, t_f, c_max, params,

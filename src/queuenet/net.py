@@ -1,9 +1,10 @@
 """Road network and path-set data model with GMNS-style CSV ingestion.
 
 Links carry free-flow time (hours) and physical capacity (veh/hr).  Paths
-are fixed, enumerated link chains per OD pair; the path set precomputes the
-link-path incidence, the flat (link, path) entries in traversal order, and
-per OD pair its paths and the links they use.
+are fixed, enumerated link chains per OD pair; the path set records which
+links a path uses only as flat (link, path) entries in traversal order,
+over which per-(link, path) data such as queues are vectors, and holds per
+OD pair its paths and the links they use.
 """
 from __future__ import annotations
 
@@ -139,7 +140,7 @@ class Path:
 
 
 class PathSet:
-    """Fixed path set with incidence and per-(link, path) eta sets.
+    """Fixed path set with its flat path-link entries and OD groups.
 
     Immutable after construction; safe to share across concurrent solves.
     """
@@ -190,9 +191,6 @@ class PathSet:
             np.array([self._link_index[lid] for lid in p.links], dtype=np.intp)
             for p in self.paths
         ]
-        self.incidence = np.zeros((self.n_links, self.n_paths), dtype=float)
-        for j, idx in enumerate(self.path_link_idx):
-            self.incidence[idx, j] = 1.0
         # the same (link, path) pairs flattened in traversal order, path after
         # path, with each path's first entry: lets per-path prefix and suffix
         # sums run as one vectorized cumulative sum
@@ -204,15 +202,13 @@ class PathSet:
         self.path_start = np.cumsum(lengths) - lengths
         self.path_od = np.array([p.od_index for p in self.paths], dtype=np.intp)
         self.od_groups: list[np.ndarray] = [
-            np.array(
-                [j for j, p in enumerate(self.paths) if p.od_index == i], dtype=np.intp
-            )
-            for i in range(len(network.od_pairs))
+            np.flatnonzero(self.path_od == i) for i in range(len(network.od_pairs))
         ]
         # per OD group: the sorted union of its paths' link indices
+        od_e = self.path_od[self.entry_path]
         self.od_group_links: list[np.ndarray] = [
-            np.flatnonzero(self.incidence[:, group].any(axis=1))
-            for group in self.od_groups
+            np.flatnonzero(np.bincount(self.entry_link[od_e == i], minlength=self.n_links))
+            for i in range(len(network.od_pairs))
         ]
 
     def link_index(self, link_id: str) -> int:

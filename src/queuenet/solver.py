@@ -14,11 +14,12 @@ The solver alternates two blocks until neither moves:
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.
 
-The hot path works on the flat path-link entries of `PathSet`: one entry
+The solver works on the flat path-link entries of `PathSet`: one entry
 per (link, path) pair, path after path in traversal order (`entry_link`,
-`entry_path`, each path's first entry at `path_start`).  Link totals are
-`np.bincount` over the entries, and what a path holds upstream of an
-entry is a running sum restarted on every path (`cost._segment_cumsum`).
+`entry_path`, each path's first entry at `path_start`); the queues are one
+vector over them.  Link totals and path costs are `np.bincount` over the
+entries, and what a path holds upstream of an entry is a running sum
+restarted on every path (`cost._segment_cumsum`).
 The fixed-point sweep visits links by level: a link's level is its depth
 in the precedence of links along the paths (`_sweep_levels`), so the
 links of one level are independent and are swept in one vectorized step.
@@ -30,7 +31,7 @@ path-set order of the groups: a group reads and writes link flows only on
 its own links, every earlier group sharing one of them is at a lower
 level, and no later one is.  Within a level, path costs and step
 curvatures are products with the level's block-diagonal 0/1 path-by-link
-membership matrix.
+membership matrix, built from the level's entries.
 """
 from __future__ import annotations
 
@@ -75,6 +76,9 @@ CAPACITY_RTOL = 1e-6
 #: variant prices paths by is at most this (criterion 7)
 GAP_TOL = 1e-4
 
+#: GP passes per outer iteration, at most
+MAX_INNER_PASSES = 50
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -82,8 +86,6 @@ class SolverOptions:
     variant: str = "queue_dependent"
     epsilon: float = 1e-3
     max_outer_iterations: int = 2000
-    step_scale: float = 1.0
-    max_inner_passes: int = 50
     queue_relaxation: float | None = None  # None = auto from gamma
 
     def __post_init__(self) -> None:
@@ -95,8 +97,6 @@ class SolverOptions:
             raise ValueError("epsilon must be > 0")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be > 0")
         if self.queue_relaxation is not None and not (
             0 < self.queue_relaxation <= 1
         ):
@@ -132,7 +132,7 @@ class SolutionState:
     params: CostParams  # per-link arrays, variant already applied
     variant: str
     path_flows: np.ndarray  # (n_paths,)
-    queue_alloc: np.ndarray  # (n_links, n_paths)
+    queue_alloc: np.ndarray  # (n_entries,): Q_ap on each path-link entry
     link_flows: np.ndarray  # x: inflow assigned to each link
     link_queues: np.ndarray  # Q: residual queue at each link entrance
     upstream_queues: np.ndarray  # Q': traffic held upstream of each link
@@ -148,11 +148,11 @@ class SolutionState:
         return np.array([l.capacity for l in self.path_set.network.links])
 
     def path_costs(self) -> np.ndarray:
-        return self.path_set.incidence.T @ self.link_times
+        return _path_costs(self.path_set, self.link_times)
 
     def completing_flows(self) -> np.ndarray:
         """Trip-completing path flows f_p = f~_p - sum of queues along p."""
-        return self.path_flows - self.queue_alloc.sum(axis=0)
+        return self.path_flows - _path_held(self.path_set, self.queue_alloc)
 
     def objective(self) -> float:
         return _cost.objective(
@@ -163,14 +163,14 @@ class SolutionState:
 def assemble_link_state(
     path_set: PathSet, path_flows: np.ndarray, queue_alloc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Derive (x, Q, Q', v) from path flows and per-path queues.
+    """Derive (x, Q, Q', v) from path flows and per-entry queues.
 
     x is assigned inflow, Q the link's own queue, Q' the traffic held in
     queues upstream of the link on each of its paths, and v = x - Q - Q'
     the flow that actually traverses the link.
     """
     link_e, path_e, n_links = path_set.entry_link, path_set.entry_path, path_set.n_links
-    held = queue_alloc[link_e, path_e]
+    held = np.asarray(queue_alloc, dtype=float)
     x = np.bincount(link_e, np.asarray(path_flows, dtype=float)[path_e], n_links)
     q = np.bincount(link_e, held, n_links)
     q_prime = np.bincount(link_e, _cost._segment_cumsum(held, path_set) - held, n_links)
@@ -286,11 +286,17 @@ def _group_levels(path_set: PathSet, la: _LinkArrays) -> list[_GroupLevel]:
             by_level.append([])
         by_level[level].append(gi)
     levels = []
+    row = np.empty(path_set.n_paths, dtype=np.intp)
+    col = np.empty(path_set.n_links, dtype=np.intp)
     for gis in by_level:
         paths = np.concatenate([path_set.od_groups[gi] for gi in gis])
         links = np.concatenate([path_set.od_group_links[gi] for gi in gis])
         sizes = [len(path_set.od_groups[gi]) for gi in gis]
-        member = np.ascontiguousarray(path_set.incidence[np.ix_(links, paths)].T)
+        row[paths] = np.arange(len(paths))
+        col[links] = np.arange(len(links))
+        inside = np.isin(path_set.entry_path, paths)
+        member = np.zeros((len(paths), len(links)))
+        member[row[path_set.entry_path[inside]], col[path_set.entry_link[inside]]] = 1.0
         group = np.repeat(np.arange(len(gis)), sizes)
         starts = np.cumsum(sizes) - sizes
         levels.append(_GroupLevel(paths, links, member, group, starts, la.sub(links)))
@@ -359,7 +365,7 @@ def _gp_flow_pass(
             movable = np.maximum(f_l - held[paths], 0.0)
             delta = np.where(
                 (gap > 0) & (f_l > 0),
-                np.minimum(movable, gap / (options.step_scale * curvature)),
+                np.minimum(movable, gap / curvature),
                 0.0,
             )
             if not np.count_nonzero(delta):
@@ -374,12 +380,7 @@ def _gp_flow_pass(
 
 
 def _flush_remnants(
-    path_set: PathSet,
-    f: np.ndarray,
-    queue_alloc: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
-    params: CostParams,
+    path_set: PathSet, f: np.ndarray, queue_alloc: np.ndarray, costs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero out costlier paths whose flow is noise relative to OD demand.
 
@@ -388,24 +389,17 @@ def _flush_remnants(
     attributed to it (flow and held queue then chase each other downward).
     Reassigning the remnant (bounded by 1e-3 of the OD demand) to the
     cheapest path perturbs link flows by less than the solve tolerance.
+    `costs` are the path costs at (f, queue_alloc).
     """
+    od = path_set.path_od
+    best = _cheapest(path_set, costs)[od]
+    floor = 1e-3 * np.bincount(od, f, len(path_set.network.od_pairs))[od]
+    # a cheapest path is never flushed, so a single-path OD pair keeps its flow
+    flush = (f > 0.0) & (f <= floor) & (costs > costs[best] + 1e-9)
     f = f.copy()
-    queue_alloc = queue_alloc.copy()
-    x, q, _, v = assemble_link_state(path_set, f, queue_alloc)
-    times = _cost.link_travel_time(v, q, t_f, c_max, params)
-    costs = path_set.incidence.T @ times
-    for group in path_set.od_groups:
-        if len(group) < 2:
-            continue
-        floor = 1e-3 * float(f[group].sum())
-        best = group[int(np.argmin(costs[group]))]
-        c_min = float(costs[group].min())
-        for j in group:
-            if j != best and 0.0 < f[j] <= floor and costs[j] > c_min + 1e-9:
-                f[best] += f[j]
-                f[j] = 0.0
-                queue_alloc[:, j] = 0.0
-    return f, queue_alloc
+    np.add.at(f, best[flush], f[flush])
+    f[flush] = 0.0
+    return f, np.where(flush[path_set.entry_path], 0.0, queue_alloc)
 
 
 def _repair_path_queues(
@@ -421,25 +415,37 @@ def _repair_path_queues(
     if not np.any(over):
         return queue_alloc
     scale = np.where(over, f / np.maximum(held, 1e-300), 1.0)
-    return queue_alloc * scale[None, :]
+    return queue_alloc * scale[path_set.entry_path]
 
 
 def _path_held(path_set: PathSet, queue_alloc: np.ndarray) -> np.ndarray:
     """Queued traffic per path, summed over the path's entries."""
-    link_e, path_e = path_set.entry_link, path_set.entry_path
-    return np.bincount(path_e, queue_alloc[link_e, path_e], path_set.n_paths)
+    return np.bincount(path_set.entry_path, queue_alloc, path_set.n_paths)
+
+
+def _path_costs(path_set: PathSet, times: np.ndarray) -> np.ndarray:
+    """Per path, the sum of its links' times."""
+    return np.bincount(path_set.entry_path, times[path_set.entry_link], path_set.n_paths)
+
+
+def _cheapest(path_set: PathSet, costs: np.ndarray) -> np.ndarray:
+    """Each OD pair's first cheapest path, as argmin picks it (-1 if it has
+    no path): the head of its run in a stable sort by OD pair, then cost."""
+    od = path_set.path_od
+    order = np.lexsort((costs, od))
+    heads = order[np.diff(od[order], prepend=-1) != 0]
+    best = np.full(len(path_set.network.od_pairs), -1, dtype=np.intp)
+    best[od[heads]] = heads
+    return best
 
 
 def _relative_gap(
     path_set: PathSet, f: np.ndarray, costs: np.ndarray
 ) -> float:
-    num = den = 0.0
-    for i, group in enumerate(path_set.od_groups):
-        if len(group) == 0:
-            continue
-        w = float(costs[group].min())
-        num += float(np.sum(f[group] * (costs[group] - w)))
-        den += path_set.network.od_pairs[i].demand * w
+    best = _cheapest(path_set, costs)
+    demand = np.array([od.demand for od in path_set.network.od_pairs])
+    num = float(f @ (costs - costs[best[path_set.path_od]]))
+    den = float(demand[best >= 0] @ costs[best[best >= 0]])
     return num / den if den > 0 else 0.0
 
 
@@ -453,7 +459,7 @@ def _queue_targets_fixed_point(
     levels: list[_Level] | None = None,
     slack: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Complementarity fixed-point queue sweep (returns new queue_alloc).
+    """Complementarity fixed-point queue sweep (returns new per-entry queues).
 
     Per link, in upstream-first order: the inflow that survives upstream
     queues is x - Q'; if it exceeds the base capacity, the steady queue
@@ -468,9 +474,8 @@ def _queue_targets_fixed_point(
     gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
     if levels is None:
         levels = _sweep_levels(path_set)
-    link_e, path_e = path_set.entry_link, path_set.entry_path
-    held = queue_alloc[link_e, path_e]
-    flow_e = f[path_e]
+    held = np.array(queue_alloc, dtype=float)
+    flow_e = f[path_set.entry_path]
     with np.errstate(divide="ignore", invalid="ignore"):
         for entries, links, local in levels:
             # per-path flow still arriving after upstream queues (this sweep)
@@ -501,9 +506,7 @@ def _queue_targets_fixed_point(
                 np.maximum(0.0, old + relaxation * (target[local] * share - old)),
                 arriving,
             )
-    new_alloc = np.zeros_like(queue_alloc)
-    new_alloc[link_e, path_e] = held
-    return new_alloc
+    return held
 
 
 def _project_queues(
@@ -511,17 +514,14 @@ def _project_queues(
 ) -> np.ndarray:
     """Nearest-feasible queues: >= 0, no path holds back more than it
     carries (upstream queues first), and link totals under the queue cap."""
-    link_e, path_e = path_set.entry_link, path_set.entry_path
-    held = np.maximum(queue_alloc[link_e, path_e], 0.0)
-    total = np.minimum(_cost._segment_cumsum(held, path_set), f[path_e])
+    held = np.maximum(queue_alloc, 0.0)
+    total = np.minimum(_cost._segment_cumsum(held, path_set), f[path_set.entry_path])
     before = np.roll(total, 1)
     before[path_set.path_start] = 0.0
     held = np.maximum(total - before, 0.0)
-    q = np.bincount(link_e, held, path_set.n_links)
+    q = np.bincount(path_set.entry_link, held, path_set.n_links)
     scale = np.where(q > q_cap, q_cap / np.maximum(q, 1e-300), 1.0)
-    out = np.zeros_like(queue_alloc)
-    out[link_e, path_e] = held * scale[link_e]
-    return out
+    return held * scale[path_set.entry_link]
 
 
 def _queue_step_smoothed(
@@ -544,14 +544,13 @@ def _queue_step_smoothed(
     state = (path_set, f, queue_alloc, t_f, c_max, params)
     j0 = _cost.merit(*state, **merit_args)
     _, grad_q = _cost.merit_gradient(*state, **merit_args)
-    link_e, path_e = path_set.entry_link, path_set.entry_path
+    link_e = path_set.entry_link
     _, arriving, y = _cost._path_arrivals(path_set, f, queue_alloc)
     gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
     kappa = _cost._merit_weights(t_f, c_max)
     curvature = kappa * (1.0 - gamma) + 2.0 * kappa * (y / c_max) ** 2
     share = arriving / np.maximum(y[link_e], 1e-300)
-    direction = np.zeros_like(queue_alloc)
-    direction[link_e, path_e] = -share * grad_q[link_e, path_e] / curvature[link_e]
+    direction = -share * grad_q / curvature[link_e]
     with np.errstate(divide="ignore"):
         q_cap = np.where(gamma > 0, QUEUE_CAP_FRACTION * c_max / np.where(gamma > 0, gamma, 1.0), np.inf)
     step = 1.0
@@ -639,7 +638,7 @@ def solve(
     else:
         f = _aon_initial_flows(path_set)
 
-    queue_alloc = np.zeros((path_set.n_links, path_set.n_paths))
+    queue_alloc = np.zeros(len(path_set.entry_link))
     la = _LinkArrays.of(base, t_f, c_max)
     group_levels = _group_levels(path_set, la)
     levels = _sweep_levels(path_set)
@@ -664,14 +663,15 @@ def solve(
     flow_change = queue_change = np.inf
     converged = False
     it = 0
-    damping = np.ones(len(path_set.od_groups))
+    od, n_od = path_set.path_od, len(path_set.od_groups)
+    damping = np.ones(n_od)
     delta_prev: np.ndarray | None = None
     t_start = time.perf_counter()
     for it in range(1, options.max_outer_iterations + 1):
         f_prev = f.copy()
-        q_prev = queue_alloc.sum(axis=1)
+        q_prev = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
 
-        for _ in range(options.max_inner_passes):
+        for _ in range(MAX_INNER_PASSES):
             f_new = _gp_flow_pass(path_set, f, queue_alloc, group_levels, options)
             if smoothed:
                 # queued links take the change in their arrivals into their
@@ -705,16 +705,13 @@ def solve(
         # no damping: every half-step it takes lowers the merit.
         delta = f - f_prev
         if delta_prev is not None and not smoothed:
-            damped_any = False
-            for i, group in enumerate(path_set.od_groups):
-                if float(delta_prev[group] @ delta[group]) < 0.0:
-                    damping[i] = max(0.05, 0.5 * damping[i])
-                else:
-                    damping[i] = min(1.0, 1.25 * damping[i])
-                if damping[i] < 1.0:
-                    f[group] = f_prev[group] + damping[i] * delta[group]
-                    damped_any = True
-            if damped_any:
+            damping = np.where(
+                np.bincount(od, delta_prev * delta, n_od) < 0.0,  # reversed
+                np.maximum(0.05, 0.5 * damping), np.minimum(1.0, 1.25 * damping),
+            )
+            damped = damping[od] < 1.0
+            if np.any(damped):
+                f = np.where(damped, f_prev + damping[od] * delta, f)
                 queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
         delta_prev = f - f_prev
 
@@ -732,19 +729,17 @@ def solve(
                 )
 
         flow_change = float(np.max(np.abs(f - f_prev))) if f.size else 0.0
-        queue_change = float(
-            np.max(np.abs(queue_alloc.sum(axis=1) - q_prev))
-        )
         x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)
+        queue_change = float(np.max(np.abs(q - q_prev)))
         j_full = merit(f, queue_alloc) if smoothed else _cost.objective(v, q, t_f, c_max, base)
-        times = _cost.link_travel_time(v, q, t_f, c_max, base)
-        gap = _relative_gap(path_set, f, path_set.incidence.T @ times)
+        costs = _path_costs(path_set, _cost.link_travel_time(v, q, t_f, c_max, base))
+        gap = _relative_gap(path_set, f, costs)
         history.append((it, j_half, j_full, flow_change, queue_change, gap))
         if max(flow_change, queue_change) <= options.epsilon:
             converged = True
             break
 
-    f, queue_alloc = _flush_remnants(path_set, f, queue_alloc, t_f, c_max, base)
+    f, queue_alloc = _flush_remnants(path_set, f, queue_alloc, costs)
     if update_queues:
         # one exact (unrelaxed) sweep so queued links satisfy v = C(Q) to
         # machine precision rather than to the stopping tolerance
@@ -761,7 +756,7 @@ def solve(
         # through its link unbounded; gate on the gap of the cost this
         # variant prices paths by
         priced, _ = _cost._priced_cost(v, q, *la, merit_args["system_optimum"])
-        if _relative_gap(path_set, f, path_set.incidence.T @ priced) > GAP_TOL:
+        if _relative_gap(path_set, f, _path_costs(path_set, priced)) > GAP_TOL:
             converged = False
             termination = "stalled"
     if update_queues and np.any(v - (c_max - gamma_arr * q) > CAPACITY_RTOL * c_max):

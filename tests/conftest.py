@@ -3,10 +3,14 @@
 Session-scoped so the reference scenario is solved once per test run.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from queuenet import fixtures
+from queuenet.net import PathSet
 from queuenet.solver import SolverOptions, solve
 
 # (criterion id, label, passed, detail) tuples collected by the acceptance
@@ -58,8 +62,24 @@ def scenario_dir(tmp_path_factory):
     return d
 
 
+def _grid20_staircase_path_set():
+    """The benchmark's grid20_paths path set: a 20x20 grid, staircase paths."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import GRID20, GRID_SEED, staircase_paths
+    finally:
+        sys.path.pop(0)
+    network = fixtures.grid_network(GRID20.size, GRID20.n_od, GRID20.demand, GRID_SEED)
+    return PathSet(network, staircase_paths(network))
+
+
+def per_entry(path_set, qa):
+    """Per-entry queues from an (n_links, n_paths) array of Q_ap."""
+    return qa[path_set.entry_link, path_set.entry_path]
+
+
 def feasible_random_state(path_set, rng):
-    """Random feasible (path flows, queue allocation) for gradient probes."""
+    """Random feasible (path flows, per-entry queues) for gradient probes."""
     f = np.zeros(path_set.n_paths)
     for i, group in enumerate(path_set.od_groups):
         if len(group) == 0:
@@ -72,4 +92,4 @@ def feasible_random_state(path_set, rng):
         if len(idx) and total > 0:
             share = rng.dirichlet(np.ones(len(idx)))
             queue_alloc[idx, j] = total * share
-    return f, queue_alloc
+    return f, per_entry(path_set, queue_alloc)

@@ -4,17 +4,37 @@ These are the straightforward loops that `solver.assemble_link_state`,
 `solver._queue_targets_fixed_point` and `solver._gp_flow_pass` replaced
 with array operations over the path-link entries.  They serve as oracles:
 the vectorized versions must compute the same numbers up to rounding.
+
+The loops keep the dense layout: queues are an (n_links, n_paths) array
+Q_ap, zero where path p does not use link a, and path membership is a
+dense 0/1 link-path incidence.  `dense_queues` converts the solver's
+per-entry queues at the boundary.
 """
 
 import networkx as nx
 import numpy as np
 
 from queuenet import cost as _cost
-from queuenet.solver import CURVATURE_FLOOR, QUEUE_CAP_FRACTION, _repair_path_queues
+from queuenet.solver import CURVATURE_FLOOR, QUEUE_CAP_FRACTION
+
+
+def incidence(path_set):
+    """Dense 0/1 (n_links, n_paths) link-path incidence."""
+    inc = np.zeros((path_set.n_links, path_set.n_paths))
+    for j, idx in enumerate(path_set.path_link_idx):
+        inc[idx, j] = 1.0
+    return inc
+
+
+def dense_queues(path_set, held):
+    """Per-entry queues as an (n_links, n_paths) array, zero off the entries."""
+    queue_alloc = np.zeros((path_set.n_links, path_set.n_paths))
+    queue_alloc[path_set.entry_link, path_set.entry_path] = held
+    return queue_alloc
 
 
 def assemble_link_state(path_set, path_flows, queue_alloc):
-    x = path_set.incidence @ path_flows
+    x = incidence(path_set) @ path_flows
     q = queue_alloc.sum(axis=1)
     q_prime = np.zeros(path_set.n_links)
     for j, idx in enumerate(path_set.path_link_idx):
@@ -95,9 +115,15 @@ def queue_targets_fixed_point(
     return new_alloc
 
 
+def repair_path_queues(path_set, f, queue_alloc):
+    held = queue_alloc.sum(axis=0)
+    scale = np.where(held > f, f / np.maximum(held, 1e-300), 1.0)
+    return queue_alloc * scale[None, :]
+
+
 def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
     f = f.copy()
-    queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
+    queue_alloc = repair_path_queues(path_set, f, queue_alloc)
     x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
     held = queue_alloc.sum(axis=0)
     system_optimum = options.variant == "system_optimum"
@@ -136,7 +162,7 @@ def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
             distinct = list(own ^ best_pos)
             curvature = max(float(np.sum(slope[distinct])), CURVATURE_FLOOR)
             movable = max(f[j] - held[j], 0.0)
-            delta[local] = min(movable, gap / (options.step_scale * curvature))
+            delta[local] = min(movable, gap / curvature)
         if not np.any(delta > 0):
             continue
         moved = 0.0

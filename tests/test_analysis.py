@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import per_entry
 from queuenet import fixtures
 from queuenet.analysis import (
     compare_models,
@@ -34,7 +35,7 @@ class TestKKTReport:
 
     def test_unbalanced_state_has_positive_gap(self, six_node):
         f = np.array([3000.0, 0.0, 3000.0, 0.0])
-        qa = np.zeros((7, 4))
+        qa = per_entry(six_node, np.zeros((7, 4)))
         x, q, q_prime, v = assemble_link_state(six_node, f, qa)
         params = CostParams().for_links(six_node.network.links)
         t_f = np.array([l.free_flow_time for l in six_node.network.links])

@@ -26,7 +26,8 @@ from queuenet.cost import (
 )
 from queuenet.solver import assemble_link_state
 
-from conftest import feasible_random_state
+from conftest import feasible_random_state, per_entry
+from loop_reference import dense_queues, incidence
 
 P = CostParams()  # alpha=0.5, beta=0.5, m=1, n=4, gamma=0.5, phi=e
 
@@ -246,11 +247,11 @@ class TestMerit:
         # move the bottleneck queue onto one of its two paths: flows, link
         # totals and complementarity are unchanged, FIFO sharing is not
         i4 = six_node.link_index("4")
-        qa = base_state.queue_alloc.copy()
+        qa = dense_queues(six_node, base_state.queue_alloc)
         qa[i4, 1] += qa[i4, 3]
         qa[i4, 3] = 0.0
         la = self._la(six_node)
-        assert merit(six_node, base_state.path_flows, qa, *la) > merit(
+        assert merit(six_node, base_state.path_flows, per_entry(six_node, qa), *la) > merit(
             six_node, base_state.path_flows, base_state.queue_alloc, *la
         ) + 1.0
 
@@ -285,7 +286,7 @@ class TestGradient:
         c_max = np.array([l.capacity for l in six_node.network.links])
         f = np.array([1500.0, 1500.0, 1500.0, 1500.0])
         qa = np.zeros((7, 4))
-        x, q, _, v = assemble_link_state(six_node, f, qa)
+        x, q, _, v = assemble_link_state(six_node, f, per_entry(six_node, qa))
         grad_f, _ = objective_gradient(six_node, v, q, t_f, c_max, params)
         t_s = smoothed_link_time(v, q, t_f, c_max, params)
-        assert grad_f == pytest.approx(six_node.incidence.T @ t_s)
+        assert grad_f == pytest.approx(incidence(six_node).T @ t_s)

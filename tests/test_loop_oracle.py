@@ -2,20 +2,19 @@
 
 `loop_reference` holds the loops that state assembly, the fixed-point
 queue sweep and the GP flow pass replaced; on the same inputs both must
-give the same numbers to rounding.
+give the same numbers to rounding.  The cases are per-entry queues; the
+loops get them as a dense array (`loop_reference.dense_queues`).
 """
-
-import sys
-from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
 import loop_reference as ref
+from conftest import _grid20_staircase_path_set, per_entry
 from queuenet import fixtures
 from queuenet.cost import CostParams
-from queuenet.net import ODPair, PathSet, enumerate_paths
+from queuenet.net import ODPair, enumerate_paths
 from queuenet.solver import (
     VARIANTS,
     SolverOptions,
@@ -45,7 +44,7 @@ def _six_node_queued():
     ps = fixtures.six_node_path_set()
     qa = np.zeros((ps.n_links, ps.n_paths))
     qa[ps.link_index("4"), [1, 3]] = 50.0
-    return ps, np.array([1775.0, 1225.0, 1775.0, 1225.0]), qa
+    return ps, np.array([1775.0, 1225.0, 1775.0, 1225.0]), per_entry(ps, qa)
 
 
 def _grid10_after_five_iterations():
@@ -64,17 +63,7 @@ def _cyclic_precedence():
     la_subs = [la.sub(g) for g in ps.od_group_links]
     qa = np.zeros((ps.n_links, ps.n_paths))
     f = ref.gp_flow_pass(ps, _aon_initial_flows(ps), qa, la_subs, SolverOptions())
-    return ps, f, ref.queue_targets_fixed_point(ps, f, qa, c_max, params, 0.5)
-
-
-def _grid20_staircase_path_set():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    try:
-        from workloads import GRID20, GRID_SEED, staircase_paths
-    finally:
-        sys.path.pop(0)
-    network = fixtures.grid_network(GRID20.size, GRID20.n_od, GRID20.demand, GRID_SEED)
-    return PathSet(network, staircase_paths(network))
+    return ps, f, per_entry(ps, ref.queue_targets_fixed_point(ps, f, qa, c_max, params, 0.5))
 
 
 def _grid20_after_five_iterations():
@@ -118,7 +107,8 @@ def _close(actual, expected):
 
 def test_assemble_link_state_matches_loop(case):
     ps, f, qa = case
-    for new, old in zip(assemble_link_state(ps, f, qa), ref.assemble_link_state(ps, f, qa)):
+    dense = ref.dense_queues(ps, qa)
+    for new, old in zip(assemble_link_state(ps, f, qa), ref.assemble_link_state(ps, f, dense)):
         _close(new, old)
 
 
@@ -126,20 +116,24 @@ def test_assemble_link_state_matches_loop(case):
 def test_queue_sweep_matches_loop(case, relaxation):
     ps, f, qa = case
     _, c_max, params = _link_arrays(ps)
+    dense = ref.dense_queues(ps, qa)
     _close(
         _queue_targets_fixed_point(ps, f, qa, c_max, params, relaxation),
-        ref.queue_targets_fixed_point(ps, f, qa, c_max, params, relaxation),
+        per_entry(ps, ref.queue_targets_fixed_point(ps, f, dense, c_max, params, relaxation)),
     )
 
 
 def test_slack_keeping_sweep_matches_loop(case):
     ps, f, qa = case
     _, c_max, params = _link_arrays(ps)
-    _, q, _, v = ref.assemble_link_state(ps, f, qa)
+    dense = ref.dense_queues(ps, qa)
+    _, q, _, v = ref.assemble_link_state(ps, f, dense)
     slack = np.where(q > 0, c_max - np.asarray(params.gamma) * q - v, -np.inf)
     _close(
         _queue_targets_fixed_point(ps, f, qa, c_max, params, 1.0, slack=slack),
-        ref.queue_targets_fixed_point(ps, f, qa, c_max, params, 1.0, slack=slack),
+        per_entry(
+            ps, ref.queue_targets_fixed_point(ps, f, dense, c_max, params, 1.0, slack=slack)
+        ),
     )
 
 
@@ -152,7 +146,7 @@ def test_gp_flow_pass_matches_loop(case, variant):
     options = SolverOptions(variant=variant)
     new = _gp_flow_pass(ps, f, qa, _group_levels(ps, la), options)
     assert np.max(np.abs(new - f)) > 0.0  # the pass moves flow
-    _close(new, ref.gp_flow_pass(ps, f, qa, la_subs, options))
+    _close(new, ref.gp_flow_pass(ps, f, ref.dense_queues(ps, qa), la_subs, options))
 
 
 def _used_links(levels):

@@ -137,7 +137,9 @@ class TestPathSet:
         ]
 
     def test_incidence(self, six_node):
-        inc = six_node.incidence
+        # the dense incidence, built from the path-link entries
+        inc = np.zeros((six_node.n_links, six_node.n_paths))
+        inc[six_node.entry_link, six_node.entry_path] = 1.0
         assert inc.shape == (7, 4)
         assert inc[six_node.link_index("4"), 1] == 1.0
         assert inc[six_node.link_index("4"), 3] == 1.0

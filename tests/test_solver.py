@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import _grid20_staircase_path_set, per_entry
+from loop_reference import incidence
 from queuenet import cost as _cost
 from queuenet import fixtures
 from queuenet.analysis import kkt_report
@@ -35,7 +37,7 @@ class TestAssembleLinkState:
         i4 = six_node.link_index("4")
         qa[i4, 1] = 50.0
         qa[i4, 3] = 50.0
-        x, q, q_prime, v = assemble_link_state(six_node, f, qa)
+        x, q, q_prime, v = assemble_link_state(six_node, f, per_entry(six_node, qa))
         assert v[i4] == pytest.approx(2450.0 - 100.0)
         assert v[six_node.link_index("3")] == pytest.approx(1225.0)
         assert v[six_node.link_index("6")] == pytest.approx(1225.0 - 50.0)
@@ -44,7 +46,7 @@ class TestAssembleLinkState:
 
     def test_zero_queue_throughflow_is_flow(self, six_node):
         f = np.array([1500.0, 1500.0, 1500.0, 1500.0])
-        x, q, q_prime, v = assemble_link_state(six_node, f, np.zeros((7, 4)))
+        x, q, q_prime, v = assemble_link_state(six_node, f, per_entry(six_node, np.zeros((7, 4))))
         assert np.allclose(v, x)
         assert np.all(q == 0) and np.all(q_prime == 0)
 
@@ -52,7 +54,7 @@ class TestAssembleLinkState:
         f = np.array([1500.0, 1500.0, 1500.0, 1500.0])
         qa = np.zeros((7, 4))
         qa[six_node.link_index("3"), 1] = 40.0  # first link of path 3-4-6
-        _, _, q_prime, v = assemble_link_state(six_node, f, qa)
+        _, _, q_prime, v = assemble_link_state(six_node, f, per_entry(six_node, qa))
         for lid in ("4", "6"):
             assert q_prime[six_node.link_index(lid)] == pytest.approx(40.0)
         assert v[six_node.link_index("4")] == pytest.approx(3000.0 - 40.0)
@@ -62,7 +64,26 @@ class TestAssembleLinkState:
         qa = np.zeros((7, 4))
         qa[six_node.link_index("3"), 1] = 500.0  # exceeds the path's flow
         with pytest.raises(ValueError, match="throughflow"):
-            assemble_link_state(six_node, f, qa)
+            assemble_link_state(six_node, f, per_entry(six_node, qa))
+
+
+def _arrays_held(obj):
+    for value in vars(obj).values():
+        if isinstance(value, (list, tuple)):
+            yield from (v for v in value if isinstance(v, np.ndarray))
+        elif isinstance(value, np.ndarray):
+            yield value
+
+
+def test_no_array_outgrows_the_entries():
+    # per-(link, path) data lives on the path-link entries: nothing the path
+    # set or a solved state holds is n_links x n_paths
+    ps = _grid20_staircase_path_set()
+    state, _ = solve(ps)
+    n_entries = len(ps.entry_link)
+    held = [*_arrays_held(ps), *_arrays_held(state), *_arrays_held(state.params)]
+    assert max(a.size for a in held) <= max(n_entries, ps.n_links, ps.n_paths)
+    assert state.queue_alloc.shape == (n_entries,)
 
 
 def _frozen_queue_split_oracle(six_node, q4_per_path):
@@ -72,6 +93,7 @@ def _frozen_queue_split_oracle(six_node, q4_per_path):
     c_max = np.array([l.capacity for l in net.links])
     params = CostParams().for_links(net.links)
     i4 = six_node.link_index("4")
+    inc = incidence(six_node)
 
     def spread(direct_flow):
         f = np.array(
@@ -80,9 +102,9 @@ def _frozen_queue_split_oracle(six_node, q4_per_path):
         qa = np.zeros((7, 4))
         qa[i4, 1] = q4_per_path
         qa[i4, 3] = q4_per_path
-        _, q, _, v = assemble_link_state(six_node, f, qa)
+        _, q, _, v = assemble_link_state(six_node, f, per_entry(six_node, qa))
         t = link_travel_time(v, q, t_f, c_max, params)
-        costs = six_node.incidence.T @ t
+        costs = inc.T @ t
         return costs[0] - costs[1]
 
     grid = np.linspace(1000.0, 2500.0, 15001)
@@ -102,6 +124,7 @@ class TestFlowPass:
         i4 = six_node.link_index("4")
         qa[i4, 1] = 50.0
         qa[i4, 3] = 50.0
+        qa = per_entry(six_node, qa)
         f = np.array([3000.0, 0.0, 3000.0, 0.0])
         for _ in range(200):
             f_new = _gp_flow_pass(six_node, f, qa, levels, options)
@@ -132,7 +155,7 @@ class TestFlowPass:
 
         def spread(f, qa):
             _, q, _, v = assemble_link_state(six_node, f, qa)
-            costs = six_node.incidence.T @ priced(v, q, t_f, c_max, params)
+            costs = incidence(six_node).T @ priced(v, q, t_f, c_max, params)
             return max(
                 costs[g][f[g] > 1e-9].max() - costs[g].min() for g in six_node.od_groups
             )
@@ -146,6 +169,7 @@ class TestFlowPass:
         for queued in (0.0, 50.0):
             qa = np.zeros((7, 4))
             qa[i4, [1, 3]] = queued  # the two paths through link 4
+            qa = per_entry(six_node, qa)
             for f in starts:
                 for _ in range(20):
                     frozen = _repair_path_queues(six_node, f, qa)
@@ -167,6 +191,7 @@ class TestFlowPass:
         for ps in (full, cut):
             levels = _group_levels(ps, la)
             assert len(levels) == 10
+            inc = incidence(ps)
             level_of = {}
             for lv, level in enumerate(levels):
                 ods = ps.path_od[level.paths[level.starts]]
@@ -175,7 +200,7 @@ class TestFlowPass:
                 # no two groups of one level share a link
                 assert sum(map(len, links)) == len(set().union(*links)) == len(level.links)
                 np.testing.assert_array_equal(
-                    level.member, ps.incidence[np.ix_(level.links, level.paths)].T
+                    level.member, inc[np.ix_(level.links, level.paths)].T
                 )
                 level_of.update((int(i), lv) for i in ods)
             # groups with fewer than two paths are in no level
