@@ -168,6 +168,7 @@ def _write_result_bundle(out: FsPath, state, report) -> None:
         fh.write(
             f"status: {'converged' if report.converged else report.termination}\n"
             f"iterations: {report.iterations}\n"
+            f"inner_passes: {report.inner_passes}\n"
             f"total_generalized_cost: {_fmt(total_cost)}\n"
             f"congested_links: {len(congested)}\n"
             f"relative_gap: {_fmt(rep.relative_gap)}\n"

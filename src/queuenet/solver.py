@@ -14,6 +14,15 @@ The solver alternates two blocks until neither moves:
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.
 
+Each outer iteration runs GP passes with the queues frozen until a pass
+moves no path flow by more than max(0.1 epsilon, INNER_TOL_SHARE * the
+previous iteration's largest link-queue change): the flow block is solved
+only as exactly as the next queue update warrants, and to 0.1 epsilon once
+the queues settle.  The first iteration, with no queue change yet, uses
+0.1 epsilon.  The GP curvature on a queued link carries the queuing-delay
+slope alpha m (Q/C)^(m-1), evaluated at Q/C >= QUEUE_RATIO_FLOOR so that
+with m < 1 a dissolving queue's rounding residue cannot make it unbounded.
+
 The solver works on the flat path-link entries of `PathSet`: one entry
 per (link, path) pair, path after path in traversal order (`entry_link`,
 `entry_path`, each path's first entry at `path_start`); the queues are one
@@ -79,6 +88,17 @@ GAP_TOL = 1e-4
 #: GP passes per outer iteration, at most
 MAX_INNER_PASSES = 50
 
+#: the GP passes of an outer iteration stop once the flows move by at most
+#: this share of the previous iteration's largest queue change (or by
+#: 0.1 epsilon, whichever is larger): a flow block solved more exactly
+#: than the queues it holds frozen are about to move buys nothing
+INNER_TOL_SHARE = 0.03
+
+#: with m < 1 the queuing-delay slope (Q/C)^(m-1) grows without bound as
+#: Q -> 0+; the GP curvature evaluates it at no less than this Q/C, so a
+#: dissolving queue's rounding residue cannot freeze the steps through it
+QUEUE_RATIO_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -122,6 +142,8 @@ class ConvergenceReport:
     #: "stalled" (steps vanished at a relative gap above GAP_TOL), or
     #: "infeasible" (a queue-carrying state discharges above C(Q))
     termination: str = "tolerance"
+    #: GP flow passes over all outer iterations
+    inner_passes: int = 0
 
 
 @dataclass
@@ -346,7 +368,7 @@ def _gp_flow_pass(
                 queue_slope = (
                     la_l.alpha
                     * la_l.m
-                    * (q_l / c_l) ** (la_l.m - 1.0)
+                    * np.maximum(q_l / c_l, QUEUE_RATIO_FLOOR) ** (la_l.m - 1.0)
                     * (c_l + la_l.gamma * q_l)
                     / (c_l**2 * np.maximum(1.0 - la_l.gamma, 1e-3))
                 )
@@ -666,12 +688,18 @@ def solve(
     od, n_od = path_set.path_od, len(path_set.od_groups)
     damping = np.ones(n_od)
     delta_prev: np.ndarray | None = None
+    inner_passes = 0
     t_start = time.perf_counter()
     for it in range(1, options.max_outer_iterations + 1):
         f_prev = f.copy()
         q_prev = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
+        # the first iteration has no queue change yet (queue_change is inf)
+        inner_tol = 0.1 * options.epsilon
+        if it > 1:
+            inner_tol = max(inner_tol, INNER_TOL_SHARE * queue_change)
 
         for _ in range(MAX_INNER_PASSES):
+            inner_passes += 1
             f_new = _gp_flow_pass(path_set, f, queue_alloc, group_levels, options)
             if smoothed:
                 # queued links take the change in their arrivals into their
@@ -693,7 +721,7 @@ def solve(
             inner_change = float(np.max(np.abs(f_new - f))) if f.size else 0.0
             f = f_new
             queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
-            if inner_change <= 0.1 * options.epsilon:
+            if inner_change <= inner_tol:
                 break
 
         # near-degenerate path sets can sustain a flow<->queue limit cycle:
@@ -752,9 +780,8 @@ def solve(
     if converged:
         # small steps are no equilibrium where they vanish away from it: the
         # smoothed mode stalls where neither half-step lowers the merit, and
-        # with m < 1 a queue's rounding residue makes the GP curvature
-        # through its link unbounded; gate on the gap of the cost this
-        # variant prices paths by
+        # GP steps vanish wherever the curvature dwarfs the cost gap; gate
+        # on the gap of the cost this variant prices paths by
         priced, _ = _cost._priced_cost(v, q, *la, merit_args["system_optimum"])
         if _relative_gap(path_set, f, _path_costs(path_set, priced)) > GAP_TOL:
             converged = False
@@ -785,6 +812,7 @@ def solve(
         wall_time=time.perf_counter() - t_start,
         history=history,
         termination=termination,
+        inner_passes=inner_passes,
     )
     return state, report
 

@@ -48,6 +48,12 @@ class TestSolve:
         costs = [float(r["generalized_cost"]) for r in rows]
         assert max(costs) - min(costs) <= 0.002
 
+    def test_summary_counts_inner_passes(self, cfg, tmp_path):
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        passes = [l for l in lines if l.startswith("inner_passes: ")]
+        assert len(passes) == 1 and int(passes[0].split(": ")[1]) > 0
+
     def test_deterministic_output(self, cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(["solve", "--config", cfg, "--out", str(a)]) == 0

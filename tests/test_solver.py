@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from conftest import _grid20_staircase_path_set, per_entry
 from loop_reference import incidence
 from queuenet import cost as _cost
-from queuenet import fixtures
+from queuenet import fixtures, solver
 from queuenet.analysis import kkt_report
 from queuenet.cost import CostParams, link_travel_time, marginal_link_time
 from queuenet.net import Link, Network, Node, ODPair, PathSet, enumerate_paths
@@ -357,21 +357,33 @@ class TestConvergenceContract:
         assert not report.converged
         assert report.termination == "stalled"
 
-    def test_fixed_point_stall_is_not_converged(self, six_node):
+    def test_fixed_point_stall_is_not_converged(self, six_node, monkeypatch):
+        # with a curvature floor of 1e30 every GP step moves under 1e-28
+        # veh/h, so the flows stay at the all-or-nothing start: the queues
+        # settle after 48 iterations with the steps vanished at relative
+        # gap 4.6
+        monkeypatch.setattr(solver, "CURVATURE_FLOOR", 1e30)
+        state, report = solve(six_node)
+        assert report.iterations == 48
+        assert kkt_report(state).relative_gap > 1.0
+        assert not report.converged
+        assert report.termination == "stalled"
+
+    @pytest.mark.parametrize("relaxation", [None, 0.9999999999999998])
+    def test_dissolving_queue_residue_does_not_stall(self, six_node, relaxation):
         # at gamma = 0.9 and m = 0.5, a queue relaxed almost fully dissolves
-        # to a rounding residue (1e-13 veh on link 4); with m < 1 the GP
-        # curvature through that link is unbounded, so every step through
-        # it vanishes: three iterations, 1308 veh queued on links 1 and 2,
-        # relative gap 0.94
+        # to a rounding residue (1e-13 veh on link 4); the GP curvature
+        # bounds (Q/C)^(m-1) at QUEUE_RATIO_FLOOR, so steps through that
+        # link still move flow
         state, report = solve(
             six_node,
             CostParams(gamma=0.9, m=0.5),
-            SolverOptions(queue_relaxation=0.9999999999999998),
+            SolverOptions(queue_relaxation=relaxation),
         )
-        assert report.iterations == 3
-        assert kkt_report(state).relative_gap > 0.5
-        assert not report.converged
-        assert report.termination == "stalled"
+        eq = kkt_report(state)
+        assert report.converged and report.termination == "tolerance"
+        assert eq.relative_gap <= 1e-4
+        assert eq.max_capacity_residual == 0.0
 
     def test_smoothed_mode_rejects_gamma_one(self, six_node):
         with pytest.raises(ValueError, match="gamma < 1"):
@@ -408,6 +420,52 @@ class TestConvergenceContract:
         for i, group in enumerate(ps.od_groups):
             demand = network.od_pairs[i].demand
             assert state.path_flows[group].sum() == pytest.approx(demand, abs=1e-9)
+
+
+#: the benchmark's six-node demand sweep: OD 1 over 1000:6000:250, OD 2 off
+SWEEP_DEMANDS = [[d, 0.0] for d in np.arange(1000.0, 6001.0, 250.0)]
+
+
+@pytest.fixture(scope="module")
+def inexact_sweep(six_node):
+    return [solve(six_node, demands=d) for d in SWEEP_DEMANDS]
+
+
+def _assert_same_link_state(a, b):
+    assert a.throughflows == pytest.approx(b.throughflows, abs=0.1)
+    assert a.link_queues == pytest.approx(b.link_queues, abs=0.1)
+
+
+def _assert_agrees_with_exact_inner_solves(monkeypatch, *args):
+    state, _ = solve(*args)
+    monkeypatch.setattr(solver, "INNER_TOL_SHARE", 0.0)
+    exact, _ = solve(*args)
+    _assert_same_link_state(state, exact)
+
+
+class TestInexactInnerSolve:
+    """The GP passes stop at INNER_TOL_SHARE of the last queue change."""
+
+    def test_sweep_pass_budget(self, inexact_sweep):
+        # 7,666 passes when every flow block is solved to 0.1 epsilon
+        assert all(report.converged for _, report in inexact_sweep)
+        assert sum(report.inner_passes for _, report in inexact_sweep) <= 2500
+
+    def test_sweep_agrees_with_exact_inner_solves(
+        self, six_node, inexact_sweep, monkeypatch
+    ):
+        monkeypatch.setattr(solver, "INNER_TOL_SHARE", 0.0)
+        for (state, _), d in zip(inexact_sweep, SWEEP_DEMANDS):
+            exact, _ = solve(six_node, demands=d)
+            _assert_same_link_state(state, exact)
+
+    @pytest.mark.parametrize("m", [0.5, 2.0, 4.0])
+    def test_six_node_agrees_with_exact_inner_solves(self, six_node, m, monkeypatch):
+        _assert_agrees_with_exact_inner_solves(monkeypatch, six_node, CostParams(m=m))
+
+    def test_grid15_agrees_with_exact_inner_solves(self, monkeypatch):
+        ps = enumerate_paths(fixtures.grid_network(15, 12, 1100.0), 3)
+        _assert_agrees_with_exact_inner_solves(monkeypatch, ps)
 
 
 class TestVariants:
