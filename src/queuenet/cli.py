@@ -374,7 +374,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="scenario config file")
     common.add_argument("--out", help="output directory (default from config or 'out')")
     common.add_argument("--variant", help=f"model variant: {', '.join(VARIANTS)}")
-    common.add_argument("--mode", help="queue mode: fixed_point | smoothed_gradient")
+    common.add_argument(
+        "--mode",
+        help="queue mode: fixed_point (relaxed queue sweep, default) | "
+        "smoothed_gradient (the sweep under a merit-decrease safeguard)",
+    )
     common.add_argument("--epsilon", type=float, help="convergence tolerance (veh/hr)")
     common.add_argument("--max-iter", type=int, help="outer iteration limit")
     common.add_argument("--seed", type=int, help="seed for randomized elements")

@@ -8,7 +8,8 @@ term evaluated against C(Q) plus an explicit queuing-delay term
 
 Two scalar functions of a state are defined here.  `merit` is a sum of
 squared equilibrium residuals: it is zero exactly at the model's
-equilibrium, and the solver's smoothed-gradient mode descends it.
+equilibrium, and the solver's smoothed-gradient mode takes no step that
+raises it.
 `objective` is the Beckmann potential of the running time with the
 exponent smoothed in the queue, n~ = n * phi**(-Q).  At Q = 0 it is the
 classical Beckmann function, minimised by the capacity-free user

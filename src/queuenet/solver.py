@@ -5,11 +5,13 @@ The solver alternates two blocks until neither moves:
 * a path-based gradient-projection step that shifts flow from costlier
   paths to the cheapest path of each OD pair, scaled by the local cost
   curvature on the non-shared links; and
-* a queue update, either the complementarity fixed point (default) that
-  sets each link's queue so inflow net of held-back traffic matches the
-  queue-reduced capacity, or a projected-gradient step on the equilibrium
-  merit `cost.merit` (the smoothed-gradient mode, whose flow steps descend
-  the same merit).
+* a queue update: the complementarity fixed-point sweep, which sets each
+  link's queue so inflow net of held-back traffic matches the
+  queue-reduced capacity.  The fixed-point mode (default) relaxes it by
+  `_queue_relaxation`.  The smoothed-gradient mode takes it unrelaxed,
+  clipped so no path holds back more than it carries, and halves the step
+  until the equilibrium merit `cost.merit` does not increase, the same
+  accept-or-halve rule its flow steps follow.
 
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.
@@ -106,7 +108,6 @@ class SolverOptions:
     variant: str = "queue_dependent"
     epsilon: float = 1e-3
     max_outer_iterations: int = 2000
-    queue_relaxation: float | None = None  # None = auto from gamma
 
     def __post_init__(self) -> None:
         if self.queue_mode not in ("fixed_point", "smoothed_gradient"):
@@ -117,10 +118,6 @@ class SolverOptions:
             raise ValueError("epsilon must be > 0")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
-        if self.queue_relaxation is not None and not (
-            0 < self.queue_relaxation <= 1
-        ):
-            raise ValueError("queue_relaxation must be in (0, 1]")
 
 
 @dataclass
@@ -532,56 +529,21 @@ def _queue_targets_fixed_point(
 
 
 def _project_queues(
-    path_set: PathSet, f: np.ndarray, queue_alloc: np.ndarray, q_cap: np.ndarray
+    path_set: PathSet, f: np.ndarray, queue_alloc: np.ndarray
 ) -> np.ndarray:
-    """Nearest-feasible queues: >= 0, no path holds back more than it
-    carries (upstream queues first), and link totals under the queue cap."""
+    """Nearest-feasible queues: >= 0, and no path holds back more than it
+    carries (upstream queues first)."""
     held = np.maximum(queue_alloc, 0.0)
     total = np.minimum(_cost._segment_cumsum(held, path_set), f[path_set.entry_path])
     before = np.roll(total, 1)
     before[path_set.path_start] = 0.0
-    held = np.maximum(total - before, 0.0)
-    q = np.bincount(path_set.entry_link, held, path_set.n_links)
-    scale = np.where(q > q_cap, q_cap / np.maximum(q, 1e-300), 1.0)
-    return held * scale[path_set.entry_link]
+    return np.maximum(total - before, 0.0)
 
 
-def _queue_step_smoothed(
-    path_set: PathSet,
-    f: np.ndarray,
-    queue_alloc: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
-    params: CostParams,
-    **merit_args,
-) -> np.ndarray:
-    """Projected, preconditioned gradient step on the merit in the queues.
-
-    The gradient entry of (link a, path p) is scaled by p's share of the
-    arrivals at a over the curvature of a's complementarity and sharing
-    terms.  A unit step then moves a lone queue straight onto v = C(Q) and
-    keeps a shared queue split as the arrivals are.  The step is halved
-    until the merit does not increase.
-    """
-    state = (path_set, f, queue_alloc, t_f, c_max, params)
-    j0 = _cost.merit(*state, **merit_args)
-    _, grad_q = _cost.merit_gradient(*state, **merit_args)
-    link_e = path_set.entry_link
-    _, arriving, y = _cost._path_arrivals(path_set, f, queue_alloc)
-    gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
-    kappa = _cost._merit_weights(t_f, c_max)
-    curvature = kappa * (1.0 - gamma) + 2.0 * kappa * (y / c_max) ** 2
-    share = arriving / np.maximum(y[link_e], 1e-300)
-    direction = -share * grad_q / curvature[link_e]
-    with np.errstate(divide="ignore"):
-        q_cap = np.where(gamma > 0, QUEUE_CAP_FRACTION * c_max / np.where(gamma > 0, gamma, 1.0), np.inf)
-    step = 1.0
-    for _ in range(40):
-        trial = _project_queues(path_set, f, queue_alloc + step * direction, q_cap)
-        if _cost.merit(path_set, f, trial, t_f, c_max, params, **merit_args) <= j0:
-            return trial
-        step /= 2.0
-    return queue_alloc
+def _queue_relaxation(gamma: np.ndarray) -> float:
+    """The fixed-point mode's queue relaxation: slower as queues erode
+    capacity faster, clip(0.5 (1 - max gamma), 0.05, 0.5)."""
+    return float(np.clip(0.5 * (1.0 - gamma.max()), 0.05, 0.5))
 
 
 def _aon_initial_flows(path_set: PathSet) -> np.ndarray:
@@ -665,10 +627,7 @@ def solve(
     group_levels = _group_levels(path_set, la)
     levels = _sweep_levels(path_set)
     gamma_arr = np.broadcast_to(np.asarray(base.gamma, dtype=float), c_max.shape)
-    if options.queue_relaxation is not None:
-        theta = options.queue_relaxation
-    else:
-        theta = float(np.clip(0.5 * (1.0 - gamma_arr.max()), 0.05, 0.5))
+    theta = _queue_relaxation(gamma_arr)
 
     update_queues = options.variant != "traditional_ue"
     smoothed = options.queue_mode == "smoothed_gradient"
@@ -748,9 +707,20 @@ def solve(
 
         if update_queues:
             if smoothed:
-                queue_alloc = _queue_step_smoothed(
-                    path_set, f, queue_alloc, t_f, c_max, base, **merit_args
-                )
+                # the sweep unrelaxed, halved until the merit does not rise
+                # (j_half is the merit at the current queues); clipped per
+                # path, because on a cyclic link precedence the sweep can
+                # hold back more of a path than the path carries
+                step = 1.0
+                for _ in range(40):
+                    trial = _queue_targets_fixed_point(
+                        path_set, f, queue_alloc, c_max, base, step, levels
+                    )
+                    trial = _project_queues(path_set, f, trial)
+                    if merit(f, trial) <= j_half:
+                        queue_alloc = trial
+                        break
+                    step /= 2.0
             else:
                 queue_alloc = _queue_targets_fixed_point(
                     path_set, f, queue_alloc, c_max, base, theta, levels

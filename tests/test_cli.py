@@ -79,6 +79,19 @@ class TestSolve:
         assert rc == 2
         assert "status: infeasible" in (out / "summary.txt").read_text()
 
+    def test_mode_flag(self, cfg, tmp_path):
+        # both queue modes converge to one equilibrium: links.csv agrees
+        # within criterion 9c's 1 veh/h
+        rows = {}
+        for mode in ("fixed_point", "smoothed_gradient"):
+            out = tmp_path / mode
+            assert run(["solve", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
+            rows[mode] = {r["link_id"]: r for r in read_csv(out / "links.csv")}
+        for link_id, fixed in rows["fixed_point"].items():
+            smoothed = rows["smoothed_gradient"][link_id]
+            for column in ("flow", "queue"):
+                assert float(smoothed[column]) == pytest.approx(float(fixed[column]), abs=1.0)
+
     def test_variant_flag(self, cfg, tmp_path):
         rc = run(
             [

@@ -370,16 +370,16 @@ class TestConvergenceContract:
         assert report.termination == "stalled"
 
     @pytest.mark.parametrize("relaxation", [None, 0.9999999999999998])
-    def test_dissolving_queue_residue_does_not_stall(self, six_node, relaxation):
+    def test_dissolving_queue_residue_does_not_stall(
+        self, six_node, relaxation, monkeypatch
+    ):
         # at gamma = 0.9 and m = 0.5, a queue relaxed almost fully dissolves
         # to a rounding residue (1e-13 veh on link 4); the GP curvature
         # bounds (Q/C)^(m-1) at QUEUE_RATIO_FLOOR, so steps through that
-        # link still move flow
-        state, report = solve(
-            six_node,
-            CostParams(gamma=0.9, m=0.5),
-            SolverOptions(queue_relaxation=relaxation),
-        )
+        # link still move flow (None keeps the automatic relaxation)
+        if relaxation is not None:
+            monkeypatch.setattr(solver, "_queue_relaxation", lambda gamma: relaxation)
+        state, report = solve(six_node, CostParams(gamma=0.9, m=0.5))
         eq = kkt_report(state)
         assert report.converged and report.termination == "tolerance"
         assert eq.relative_gap <= 1e-4
@@ -466,6 +466,39 @@ class TestInexactInnerSolve:
     def test_grid15_agrees_with_exact_inner_solves(self, monkeypatch):
         ps = enumerate_paths(fixtures.grid_network(15, 12, 1100.0), 3)
         _assert_agrees_with_exact_inner_solves(monkeypatch, ps)
+
+
+def _assert_smoothed_matches_fixed_point(path_set, params):
+    state, report = solve(path_set, params, SolverOptions(queue_mode="smoothed_gradient"))
+    assert report.termination == "tolerance"
+    assert report.iterations <= 30
+    reference, _ = solve(path_set, params)
+    _assert_same_link_state(state, reference)
+
+
+class TestSmoothedMode:
+    """The smoothed mode's queue step is the fixed-point sweep, unrelaxed
+    and halved until the merit does not increase."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0])
+    def test_six_node_matches_fixed_point(self, six_node, gamma, m):
+        _assert_smoothed_matches_fixed_point(six_node, CostParams(gamma=gamma, m=m))
+
+    def test_grid6_matches_fixed_point(self):
+        ps = enumerate_paths(fixtures.grid_network(6, 8, 1200.0), 3)
+        _assert_smoothed_matches_fixed_point(ps, CostParams())
+
+    def test_cyclic_grid_trial_is_clipped(self):
+        # this grid's link precedence is cyclic, and an unclipped sweep
+        # trial holds back more than some path carries: the merit then
+        # raises on a negative throughflow in the first queue step
+        ps = enumerate_paths(fixtures.grid_network(10, 40, 900.0), 3)
+        state, report = solve(
+            ps, options=SolverOptions(queue_mode="smoothed_gradient", max_outer_iterations=1)
+        )
+        assert report.termination in ("iteration_limit", "infeasible")
+        assert np.all(state.throughflows >= 0.0)
 
 
 class TestVariants:
