@@ -8,10 +8,9 @@ The solver alternates two blocks until neither moves:
 * a queue update: the complementarity fixed-point sweep, which sets each
   link's queue so inflow net of held-back traffic matches the
   queue-reduced capacity.  The fixed-point mode (default) relaxes it by
-  `_queue_relaxation`.  The smoothed-gradient mode takes it unrelaxed,
-  clipped so no path holds back more than it carries, and halves the step
-  until the equilibrium merit `cost.merit` does not increase, the same
-  accept-or-halve rule its flow steps follow.
+  `_queue_relaxation`.  The smoothed-gradient mode takes it unrelaxed and
+  halves the step until the equilibrium merit `cost.merit` does not
+  increase, the same accept-or-halve rule its flow steps follow.
 
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.
@@ -31,10 +30,12 @@ per (link, path) pair, path after path in traversal order (`entry_link`,
 vector over them.  Link totals and path costs are `np.bincount` over the
 entries, and what a path holds upstream of an entry is a running sum
 restarted on every path (`cost._segment_cumsum`).
-The fixed-point sweep visits links by level: a link's level is its depth
-in the precedence of links along the paths (`_sweep_levels`), so the
-links of one level are independent and are swept in one vectorized step.
-The GP step runs level by level too, over OD groups (`_group_levels`): a
+The fixed-point sweep updates every link at once from the arrivals of its
+previous round (Jacobi) until the queues stop moving; a link's queue is
+settled once those upstream of it are, so the sweep needs no link order
+and runs the same on a cyclic link precedence (overlapping paths on a
+cyclic graph) as on an acyclic one.
+The GP step runs level by level, over OD groups (`_group_levels`): a
 group's level is one above the highest level of any earlier group that
 shares a link with it, so the groups of one level use disjoint links and
 each level is one vectorized step.  That is exact Gauss-Seidel in the
@@ -95,6 +96,10 @@ MAX_INNER_PASSES = 50
 #: 0.1 epsilon, whichever is larger): a flow block solved more exactly
 #: than the queues it holds frozen are about to move buys nothing
 INNER_TOL_SHARE = 0.03
+
+#: the queue sweep's rounds stop once no per-entry queue moves by more than
+#: this (veh); exact equality can cycle in the last bit
+SWEEP_TOL = 1e-9
 
 #: with m < 1 the queuing-delay slope (Q/C)^(m-1) grows without bound as
 #: Q -> 0+; the GP curvature evaluates it at no less than this Q/C, so a
@@ -201,52 +206,6 @@ def assemble_link_state(
             f"{path_set.network.links[worst].id}"
         )
     return x, q, q_prime, np.maximum(v, 0.0)
-
-
-class _Level(NamedTuple):
-    """The path entries of one sweep level: entry indices, the level's
-    links, and each entry's position among those links."""
-
-    entries: np.ndarray
-    links: np.ndarray
-    local: np.ndarray
-
-
-def _sweep_levels(path_set: PathSet) -> list[_Level]:
-    """Path entries grouped by their link's depth in the link precedence.
-
-    A link precedes the next link of every path through it; a link's depth
-    is the longest chain of links preceding it, found by relaxing
-    depth[next] >= depth[prev] + 1 over consecutive entries.  Every link
-    upstream of a link on some path then sits at a lower depth,
-    so the links of one level are independent and a path meets at most one
-    of them.  If the relaxation does not settle, the precedence is cyclic
-    (possible with overlapping paths on a cyclic graph); the levels then
-    fall back to one link each, ordered by earliest path position.
-    """
-    link_e, n_links = path_set.entry_link, path_set.n_links
-    same_path = path_set.entry_path[1:] == path_set.entry_path[:-1]
-    prev, nxt = link_e[:-1][same_path], link_e[1:][same_path]
-    depth = np.zeros(n_links, dtype=np.intp)
-    for _ in range(n_links + 1):
-        relaxed = np.zeros_like(depth)
-        np.maximum.at(relaxed, nxt, depth[prev] + 1)
-        if np.array_equal(relaxed, depth):
-            break
-        depth = relaxed
-    else:
-        position = np.arange(len(link_e)) - path_set.path_start[path_set.entry_path]
-        first_pos = np.full(n_links, np.inf)
-        np.minimum.at(first_pos, link_e, position)
-        depth[np.argsort(first_pos, kind="stable")] = np.arange(n_links)
-    entry_depth = depth[link_e]
-    by_depth = np.argsort(entry_depth, kind="stable")
-    _, starts = np.unique(entry_depth[by_depth], return_index=True)
-    levels = []
-    for entries in np.split(by_depth, starts[1:]):
-        links, local = np.unique(link_e[entries], return_inverse=True)
-        levels.append(_Level(entries, links, local))
-    return levels
 
 
 class _LinkArrays(NamedTuple):
@@ -475,69 +434,76 @@ def _queue_targets_fixed_point(
     c_max: np.ndarray,
     params: CostParams,
     relaxation: float,
-    levels: list[_Level] | None = None,
     slack: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complementarity fixed-point queue sweep (returns new per-entry queues).
 
-    Per link, in upstream-first order: the inflow that survives upstream
-    queues is x - Q'; if it exceeds the base capacity, the steady queue
-    solves x - Q' - Q = C_max - gamma*Q, i.e. Q = (x - Q' - C_max)/(1 -
-    gamma); otherwise the queue vanishes.  The link queue is attributed to
-    its paths in proportion to their assigned flow.  The links of one
-    level (`_sweep_levels`) are swept together.
+    Per link: the inflow that survives upstream queues is x - Q'; if it
+    exceeds the base capacity, the steady queue solves x - Q' - Q = C_max -
+    gamma*Q, i.e. Q = (x - Q' - C_max)/(1 - gamma); otherwise the queue
+    vanishes.  The link queue is attributed to its paths in proportion to
+    their arriving flow, relaxed from the input queues, and capped at what
+    arrives.  Each round applies that map to every link at once, with the
+    arrivals of the previous round (Jacobi), until no entry moves by more
+    than SWEEP_TOL, at most n_links + 1 rounds.  A link's queue is right
+    once the links upstream of it are, so on acyclic precedence the rounds
+    reach the fixed point after the deepest link's depth + 1, and on cyclic
+    precedence they need no link order either.  The result is projected so
+    no path holds back more than it carries, whether or not they settled.
 
     With `slack`, each link keeps that capacity slack C(Q) - v instead of
     closing it (a slack of -inf holds no queue).
     """
+    link_e, n_links = path_set.entry_link, path_set.n_links
     gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
-    if levels is None:
-        levels = _sweep_levels(path_set)
-    held = np.array(queue_alloc, dtype=float)
+    start = np.asarray(queue_alloc, dtype=float)
+    held = start
     flow_e = f[path_set.entry_path]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for entries, links, local in levels:
-            # per-path flow still arriving after upstream queues (this sweep)
+    # gamma -> 0+ overflows the capacity cap to inf, which is no cap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(n_links + 1):
+            # per-path flow still arriving after upstream queues (last round)
             upstream = _cost._segment_cumsum(held, path_set) - held
-            arriving = np.maximum(flow_e[entries] - upstream[entries], 0.0)
-            inflow = np.bincount(local, arriving, len(links))  # = x - Q'
-            g, cap = gamma[links], c_max[links]
-            surplus = inflow - cap
+            arriving = np.maximum(flow_e - upstream, 0.0)
+            inflow = np.bincount(link_e, arriving, n_links)  # = x - Q'
+            surplus = inflow - c_max
             if slack is not None:
-                surplus = surplus + slack[links]
+                surplus = surplus + slack
             target = np.where(
-                g >= 1.0,
+                gamma >= 1.0,
                 np.where(surplus > 0, np.inf, 0.0),
-                np.maximum(0.0, surplus / (1.0 - g)),
+                np.maximum(0.0, surplus / (1.0 - gamma)),
             )
             # never hold back more than arrives, nor beyond the capacity cap
             target = np.minimum(target, inflow)
             target = np.where(
-                g > 0, np.minimum(target, QUEUE_CAP_FRACTION * cap / g), target
+                gamma > 0, np.minimum(target, QUEUE_CAP_FRACTION * c_max / gamma), target
             )
             # relax per (link, path): sudden re-attribution between paths is
             # as destabilizing downstream as a sudden change in the link
             # total; a path never holds back more than it brings to the link
             queued = (target > 0) & (inflow > 0)
-            share = np.where(queued[local], arriving / inflow[local], 0.0)
-            old = held[entries]
-            held[entries] = np.minimum(
-                np.maximum(0.0, old + relaxation * (target[local] * share - old)),
+            share = np.where(queued[link_e], arriving / inflow[link_e], 0.0)
+            new = np.minimum(
+                np.maximum(0.0, start + relaxation * (target[link_e] * share - start)),
                 arriving,
             )
-    return held
+            moved = float(np.max(np.abs(new - held), initial=0.0))
+            held = new
+            if moved <= SWEEP_TOL:
+                break
+    return _project_queues(path_set, f, held)
 
 
 def _project_queues(
     path_set: PathSet, f: np.ndarray, queue_alloc: np.ndarray
 ) -> np.ndarray:
-    """Nearest-feasible queues: >= 0, and no path holds back more than it
-    carries (upstream queues first)."""
-    held = np.maximum(queue_alloc, 0.0)
-    total = np.minimum(_cost._segment_cumsum(held, path_set), f[path_set.entry_path])
-    before = np.roll(total, 1)
-    before[path_set.path_start] = 0.0
-    return np.maximum(total - before, 0.0)
+    """Nonnegative queues cut so no path holds back more than it carries,
+    upstream queues first: each entry is capped at what arrives past the
+    path's upstream queues.  Entries within that are kept exactly, so a
+    feasible input comes back unchanged, zeros included."""
+    upstream = _cost._segment_cumsum(queue_alloc, path_set) - queue_alloc
+    return np.minimum(queue_alloc, np.maximum(f[path_set.entry_path] - upstream, 0.0))
 
 
 def _queue_relaxation(gamma: np.ndarray) -> float:
@@ -625,7 +591,6 @@ def solve(
     queue_alloc = np.zeros(len(path_set.entry_link))
     la = _LinkArrays.of(base, t_f, c_max)
     group_levels = _group_levels(path_set, la)
-    levels = _sweep_levels(path_set)
     gamma_arr = np.broadcast_to(np.asarray(base.gamma, dtype=float), c_max.shape)
     theta = _queue_relaxation(gamma_arr)
 
@@ -669,7 +634,7 @@ def solve(
                 j_before = merit(f, queue_alloc)
                 for _bt in range(40):
                     trial_q = _queue_targets_fixed_point(
-                        path_set, f_new, queue_alloc, c_max, base, 1.0, levels, slack
+                        path_set, f_new, queue_alloc, c_max, base, 1.0, slack
                     )
                     if merit(f_new, trial_q) <= j_before:
                         queue_alloc = trial_q
@@ -708,22 +673,19 @@ def solve(
         if update_queues:
             if smoothed:
                 # the sweep unrelaxed, halved until the merit does not rise
-                # (j_half is the merit at the current queues); clipped per
-                # path, because on a cyclic link precedence the sweep can
-                # hold back more of a path than the path carries
+                # (j_half is the merit at the current queues)
                 step = 1.0
                 for _ in range(40):
                     trial = _queue_targets_fixed_point(
-                        path_set, f, queue_alloc, c_max, base, step, levels
+                        path_set, f, queue_alloc, c_max, base, step
                     )
-                    trial = _project_queues(path_set, f, trial)
                     if merit(f, trial) <= j_half:
                         queue_alloc = trial
                         break
                     step /= 2.0
             else:
                 queue_alloc = _queue_targets_fixed_point(
-                    path_set, f, queue_alloc, c_max, base, theta, levels
+                    path_set, f, queue_alloc, c_max, base, theta
                 )
 
         flow_change = float(np.max(np.abs(f - f_prev))) if f.size else 0.0
@@ -742,7 +704,7 @@ def solve(
         # one exact (unrelaxed) sweep so queued links satisfy v = C(Q) to
         # machine precision rather than to the stopping tolerance
         queue_alloc = _queue_targets_fixed_point(
-            path_set, f, queue_alloc, c_max, base, 1.0, levels
+            path_set, f, queue_alloc, c_max, base, 1.0
         )
 
     x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)

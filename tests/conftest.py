@@ -78,8 +78,9 @@ def per_entry(path_set, qa):
     return qa[path_set.entry_link, path_set.entry_path]
 
 
-def feasible_random_state(path_set, rng):
-    """Random feasible (path flows, per-entry queues) for gradient probes."""
+def feasible_random_state(path_set, rng, hold=0.4):
+    """Random feasible (path flows, per-entry queues): each path holds back
+    a random share, at most `hold`, of its flow, split across its links."""
     f = np.zeros(path_set.n_paths)
     for i, group in enumerate(path_set.od_groups):
         if len(group) == 0:
@@ -87,8 +88,7 @@ def feasible_random_state(path_set, rng):
         f[group] = rng.dirichlet(np.ones(len(group))) * path_set.network.od_pairs[i].demand
     queue_alloc = np.zeros((path_set.n_links, path_set.n_paths))
     for j, idx in enumerate(path_set.path_link_idx):
-        # hold back at most 40% of the path's flow, split across its links
-        total = 0.4 * f[j] * rng.uniform(0.0, 1.0)
+        total = hold * f[j] * rng.uniform(0.0, 1.0)
         if len(idx) and total > 0:
             share = rng.dirichlet(np.ones(len(idx)))
             queue_alloc[idx, j] = total * share

@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 
 from queuenet import cost as _cost
-from queuenet.solver import CURVATURE_FLOOR, QUEUE_CAP_FRACTION
+from queuenet.solver import CURVATURE_FLOOR, QUEUE_CAP_FRACTION, SWEEP_TOL
 
 
 def incidence(path_set):
@@ -59,7 +59,8 @@ def link_precedence_graph(path_set):
 
 
 def link_precedence_order(path_set):
-    """Upstream-first link order; earliest path position if cyclic."""
+    """Upstream-first link order; earliest path position if cyclic (the
+    passes then take more than one round to settle)."""
     try:
         return np.array(
             list(nx.topological_sort(link_precedence_graph(path_set))), dtype=np.intp
@@ -75,43 +76,52 @@ def link_precedence_order(path_set):
 def queue_targets_fixed_point(
     path_set, f, queue_alloc, c_max, params, relaxation, slack=None
 ):
+    """Per-link passes in upstream-first order, each relaxed from the input
+    queues and reading the queues set so far, repeated until no entry moves
+    by more than SWEEP_TOL.  On acyclic precedence the first pass is the
+    fixed point; on cyclic precedence later passes settle it."""
     gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
     new_alloc = queue_alloc.copy()
     paths_through = [[] for _ in range(path_set.n_links)]
     for j, idx in enumerate(path_set.path_link_idx):
         for pos, a in enumerate(idx.tolist()):
             paths_through[a].append((j, pos))
-    for a in link_precedence_order(path_set):
-        through = paths_through[a]
-        arriving = np.empty(len(through))
-        for k, (j, pos) in enumerate(through):
-            idx = path_set.path_link_idx[j]
-            arriving[k] = max(f[j] - float(new_alloc[idx[:pos], j].sum()), 0.0)
-        inflow = float(arriving.sum())
-        g = gamma[a]
-        surplus = inflow - c_max[a]
-        if slack is not None:
-            surplus += slack[a]
-        if g >= 1.0:
-            target = np.inf if surplus > 0 else 0.0
-        else:
-            target = max(0.0, surplus / (1.0 - g))
-        target = min(target, inflow)
-        if g > 0:
-            target = min(target, QUEUE_CAP_FRACTION * c_max[a] / g)
-        if target > 0 and inflow > 0:
-            share = arriving / inflow
-        else:
-            share = np.zeros(len(through))
-        for k, (j, _pos) in enumerate(through):
-            new_alloc[a, j] = min(
-                max(
-                    0.0,
-                    new_alloc[a, j]
-                    + relaxation * (target * share[k] - new_alloc[a, j]),
-                ),
-                arriving[k],
-            )
+    order = link_precedence_order(path_set)
+    for _ in range(path_set.n_links + 1):
+        previous = new_alloc.copy()
+        for a in order:
+            through = paths_through[a]
+            arriving = np.empty(len(through))
+            for k, (j, pos) in enumerate(through):
+                idx = path_set.path_link_idx[j]
+                arriving[k] = max(f[j] - float(new_alloc[idx[:pos], j].sum()), 0.0)
+            inflow = float(arriving.sum())
+            g = gamma[a]
+            surplus = inflow - c_max[a]
+            if slack is not None:
+                surplus += slack[a]
+            if g >= 1.0:
+                target = np.inf if surplus > 0 else 0.0
+            else:
+                target = max(0.0, surplus / (1.0 - g))
+            target = min(target, inflow)
+            if g > 0:
+                target = min(target, QUEUE_CAP_FRACTION * c_max[a] / g)
+            if target > 0 and inflow > 0:
+                share = arriving / inflow
+            else:
+                share = np.zeros(len(through))
+            for k, (j, _pos) in enumerate(through):
+                new_alloc[a, j] = min(
+                    max(
+                        0.0,
+                        queue_alloc[a, j]
+                        + relaxation * (target * share[k] - queue_alloc[a, j]),
+                    ),
+                    arriving[k],
+                )
+        if np.max(np.abs(new_alloc - previous)) <= SWEEP_TOL:
+            break
     return new_alloc
 
 

@@ -1,10 +1,14 @@
 """Equilibrium solver: state assembly, flow passes, variants, convergence."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import _grid20_staircase_path_set, per_entry
+from conftest import _grid20_staircase_path_set, feasible_random_state, per_entry
 from loop_reference import incidence
 from queuenet import cost as _cost
 from queuenet import fixtures, solver
@@ -490,15 +494,76 @@ class TestSmoothedMode:
         _assert_smoothed_matches_fixed_point(ps, CostParams())
 
     def test_cyclic_grid_trial_is_clipped(self):
-        # this grid's link precedence is cyclic, and an unclipped sweep
-        # trial holds back more than some path carries: the merit then
-        # raises on a negative throughflow in the first queue step
+        # this grid's link precedence is cyclic; a sweep visiting links in
+        # one order there held back more than some path carries, and the
+        # merit raised on a negative throughflow in the first queue step.
+        # The sweep's rounds need no order, and it ends with a projection
         ps = enumerate_paths(fixtures.grid_network(10, 40, 900.0), 3)
         state, report = solve(
             ps, options=SolverOptions(queue_mode="smoothed_gradient", max_outer_iterations=1)
         )
         assert report.termination in ("iteration_limit", "infeasible")
         assert np.all(state.throughflows >= 0.0)
+
+
+class TestQueueSweep:
+    """The fixed-point sweep's rounds leave a feasible state from any
+    feasible start, settled or not, on cyclic link precedence too."""
+
+    @pytest.mark.parametrize(
+        "grid, iterations",
+        [((10, 40, 900.0), 20), ((6, 40, 1200.0), 20), ((20, 30), 1)],
+        ids=["grid10_40_900", "grid6_40_1200", "grid20_30"],
+    )
+    def test_cyclic_grids_end_in_a_named_state(self, grid, iterations):
+        # overlapping k-shortest paths on two-way grids: the link precedence
+        # has cycles, where a sweep in one link order raised "negative
+        # throughflow" (grid 20/30 is the cheapest grid-20 case that did)
+        ps = enumerate_paths(fixtures.grid_network(*grid), 3)
+        state, report = solve(ps, options=SolverOptions(max_outer_iterations=iterations))
+        assert report.termination in ("tolerance", "iteration_limit", "stalled", "infeasible")
+        assert np.all(state.throughflows >= 0.0)
+        assert np.all(state.completing_flows() >= -1e-9)
+
+    @given(
+        size=st.integers(4, 8),
+        k=st.integers(1, 3),
+        demand=st.floats(300.0, 2000.0),
+        gamma=st.floats(0.0, 0.9),
+        relaxation=st.floats(0.0, 1.0, exclude_min=True),
+        hold=st.floats(0.0, 1.0),
+        keep_slack=st.booleans(),
+        # None: the module's; inf: stop after one round, on the input's
+        # arrivals; -inf: never settle, stop at the round cap
+        tol=st.sampled_from([None, np.inf, -np.inf]),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sweep_leaves_a_feasible_state(
+        self, size, k, demand, gamma, relaxation, hold, keep_slack, tol, seed
+    ):
+        ps = _small_grid_path_set(size, k, demand, seed)
+        params = CostParams(gamma=gamma)
+        c_max = np.array([l.capacity for l in ps.network.links])
+        f, held = feasible_random_state(ps, np.random.default_rng(seed), hold)
+        slack = None
+        if keep_slack:
+            _, q, _, v = assemble_link_state(ps, f, held)
+            slack = np.where(q > 0, c_max - gamma * q - v, -np.inf)
+        with pytest.MonkeyPatch.context() as mp:
+            if tol is not None:
+                mp.setattr(solver, "SWEEP_TOL", tol)
+            new = solver._queue_targets_fixed_point(
+                ps, f, held, c_max, params, relaxation, slack
+            )
+        assert np.all(new >= 0.0)
+        assert np.all(np.bincount(ps.entry_path, new, ps.n_paths) <= f + 1e-9)
+        assemble_link_state(ps, f, new)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_grid_path_set(size, k, demand, seed):
+    return enumerate_paths(fixtures.grid_network(size, 6, demand, seed), k)
 
 
 class TestVariants:
