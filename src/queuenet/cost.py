@@ -71,6 +71,9 @@ class CostParams:
     phi: float | np.ndarray = math.e
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "m", "n", "gamma", "phi"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         for name in ("alpha", "beta", "gamma"):
             if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0")

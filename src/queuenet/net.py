@@ -67,10 +67,13 @@ class Link:
     overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.free_flow_time <= 0:
-            raise NetworkError(f"link {self.id}: free_flow_time must be > 0")
-        if self.capacity <= 0:
-            raise NetworkError(f"link {self.id}: capacity must be > 0")
+        if not 0 < self.free_flow_time < math.inf:
+            raise NetworkError(f"link {self.id}: free_flow_time must be finite and > 0")
+        if not 0 < self.capacity < math.inf:
+            raise NetworkError(f"link {self.id}: capacity must be finite and > 0")
+        for v in (self.length, self.free_speed):
+            if v is not None and not 0 < v < math.inf:
+                raise NetworkError(f"link {self.id}: length and free_speed must be finite and > 0")
         if self.length is not None and self.free_speed is not None:
             implied = self.length / self.free_speed
             if abs(self.free_flow_time - implied) > TIME_CONSISTENCY_TOL:
@@ -90,9 +93,9 @@ class ODPair:
     demand: float  # veh/hr
 
     def __post_init__(self) -> None:
-        if self.demand < 0:
+        if not 0 <= self.demand < math.inf:
             raise NetworkError(
-                f"OD {self.origin}->{self.destination}: demand must be >= 0"
+                f"OD {self.origin}->{self.destination}: demand must be finite and >= 0"
             )
         if self.origin == self.destination:
             raise NetworkError(f"OD pair with origin == destination ({self.origin})")
@@ -268,8 +271,8 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
         nodes.append(
             Node(
                 id=nid,
-                x=_opt_float(row, "x_coord") or _opt_float(row, "x"),
-                y=_opt_float(row, "y_coord") or _opt_float(row, "y"),
+                x=_opt_float(row, "x_coord" if _pick(row, "x_coord") else "x"),
+                y=_opt_float(row, "y_coord" if _pick(row, "y_coord") else "y"),
             )
         )
     if not nodes:

@@ -13,7 +13,10 @@ The solver alternates two blocks until neither moves:
   increase, the same accept-or-halve rule its flow steps follow.
 
 Queues are carried per (link, path) so that a queue at one link shelters
-the links downstream of it on the same path.
+the links downstream of it on the same path.  They hold back part of the
+path's own traffic, so the loop keeps one invariant: after every flow
+change no path holds back more than it carries, and one projection,
+`_project_queues`, keeps it so.
 
 Each outer iteration runs GP passes with the queues frozen until a pass
 moves no path flow by more than max(0.1 epsilon, INNER_TOL_SHARE * the
@@ -119,15 +122,14 @@ class SolverOptions:
             raise ValueError(f"unknown queue_mode: {self.queue_mode}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
 
 
 @dataclass
 class ConvergenceReport:
-    converged: bool
     iterations: int
     flow_change: float
     queue_change: float
@@ -146,6 +148,10 @@ class ConvergenceReport:
     termination: str = "tolerance"
     #: GP flow passes over all outer iterations
     inner_passes: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "tolerance"
 
 
 @dataclass
@@ -301,10 +307,9 @@ def _gp_flow_pass(
     incrementally between the levels of link-disjoint OD groups
     (`_group_levels`), which is the Gauss-Seidel order over groups.  All
     groups of a level step at once through the level's membership matrix,
-    each on its own links only.
+    each on its own links only.  `queue_alloc` is feasible for `f`.
     """
     f = f.copy()
-    queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
     x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
     held = _path_held(path_set, queue_alloc)  # queued traffic, immovable
     system_optimum = options.variant == "system_optimum"
@@ -357,9 +362,7 @@ def _gp_flow_pass(
     return f
 
 
-def _flush_remnants(
-    path_set: PathSet, f: np.ndarray, queue_alloc: np.ndarray, costs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _flush_remnants(path_set: PathSet, f: np.ndarray, costs: np.ndarray) -> np.ndarray:
     """Zero out costlier paths whose flow is noise relative to OD demand.
 
     The curvature-scaled step can leave a geometrically decaying remnant on
@@ -367,7 +370,8 @@ def _flush_remnants(
     attributed to it (flow and held queue then chase each other downward).
     Reassigning the remnant (bounded by 1e-3 of the OD demand) to the
     cheapest path perturbs link flows by less than the solve tolerance.
-    `costs` are the path costs at (f, queue_alloc).
+    `costs` are the path costs at the current state.  The closing sweep of
+    `solve` re-derives every queue, so a flushed path holds none.
     """
     od = path_set.path_od
     best = _cheapest(path_set, costs)[od]
@@ -377,23 +381,7 @@ def _flush_remnants(
     f = f.copy()
     np.add.at(f, best[flush], f[flush])
     f[flush] = 0.0
-    return f, np.where(flush[path_set.entry_path], 0.0, queue_alloc)
-
-
-def _repair_path_queues(
-    path_set: PathSet, f: np.ndarray, queue_alloc: np.ndarray
-) -> np.ndarray:
-    """Scale a path's queues down so they never exceed its (new) flow.
-
-    Keeps the trip-completing flow f_p = f~_p - sum_a Q_ap nonnegative after
-    the flow step moves flow off a path whose queues were sized for more.
-    """
-    held = _path_held(path_set, queue_alloc)
-    over = held > f
-    if not np.any(over):
-        return queue_alloc
-    scale = np.where(over, f / np.maximum(held, 1e-300), 1.0)
-    return queue_alloc * scale[path_set.entry_path]
+    return f
 
 
 def _path_held(path_set: PathSet, queue_alloc: np.ndarray) -> np.ndarray:
@@ -501,7 +489,9 @@ def _project_queues(
     """Nonnegative queues cut so no path holds back more than it carries,
     upstream queues first: each entry is capped at what arrives past the
     path's upstream queues.  Entries within that are kept exactly, so a
-    feasible input comes back unchanged, zeros included."""
+    feasible input (no path holds more than its flow) comes back as it is."""
+    if np.all(_path_held(path_set, queue_alloc) <= f):
+        return queue_alloc
     upstream = _cost._segment_cumsum(queue_alloc, path_set) - queue_alloc
     return np.minimum(queue_alloc, np.maximum(f[path_set.entry_path] - upstream, 0.0))
 
@@ -576,8 +566,8 @@ def solve(
         f = np.asarray(initial_flows, dtype=float).copy()
         if f.shape != (path_set.n_paths,):
             raise ValueError("initial_flows must have one entry per path")
-        if np.any(f < 0):
-            raise ValueError("initial_flows must be >= 0")
+        if not np.all(np.isfinite(f) & (f >= 0)):
+            raise ValueError("initial_flows must be finite and >= 0")
         for i, group in enumerate(path_set.od_groups):
             want = path_set.network.od_pairs[i].demand
             got = float(f[group].sum()) if len(group) else 0.0
@@ -607,7 +597,7 @@ def solve(
 
     history: list[tuple[int, float, float, float, float, float]] = []
     flow_change = queue_change = np.inf
-    converged = False
+    termination = "iteration_limit"
     it = 0
     od, n_od = path_set.path_od, len(path_set.od_groups)
     damping = np.ones(n_od)
@@ -644,7 +634,7 @@ def solve(
                     f_new = f
             inner_change = float(np.max(np.abs(f_new - f))) if f.size else 0.0
             f = f_new
-            queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
+            queue_alloc = _project_queues(path_set, f, queue_alloc)
             if inner_change <= inner_tol:
                 break
 
@@ -664,7 +654,7 @@ def solve(
             damped = damping[od] < 1.0
             if np.any(damped):
                 f = np.where(damped, f_prev + damping[od] * delta, f)
-                queue_alloc = _repair_path_queues(path_set, f, queue_alloc)
+                queue_alloc = _project_queues(path_set, f, queue_alloc)
         delta_prev = f - f_prev
 
         x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)
@@ -696,10 +686,10 @@ def solve(
         gap = _relative_gap(path_set, f, costs)
         history.append((it, j_half, j_full, flow_change, queue_change, gap))
         if max(flow_change, queue_change) <= options.epsilon:
-            converged = True
+            termination = "tolerance"
             break
 
-    f, queue_alloc = _flush_remnants(path_set, f, queue_alloc, costs)
+    f = _flush_remnants(path_set, f, costs)
     if update_queues:
         # one exact (unrelaxed) sweep so queued links satisfy v = C(Q) to
         # machine precision rather than to the stopping tolerance
@@ -708,20 +698,17 @@ def solve(
         )
 
     x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)
-    termination = "tolerance" if converged else "iteration_limit"
-    if converged:
+    if termination == "tolerance":
         # small steps are no equilibrium where they vanish away from it: the
         # smoothed mode stalls where neither half-step lowers the merit, and
         # GP steps vanish wherever the curvature dwarfs the cost gap; gate
         # on the gap of the cost this variant prices paths by
         priced, _ = _cost._priced_cost(v, q, *la, merit_args["system_optimum"])
         if _relative_gap(path_set, f, _path_costs(path_set, priced)) > GAP_TOL:
-            converged = False
             termination = "stalled"
     if update_queues and np.any(v - (c_max - gamma_arr * q) > CAPACITY_RTOL * c_max):
         # a state that discharges above C(Q) is not an equilibrium, however
         # small the last steps were
-        converged = False
         termination = "infeasible"
     times = _cost.link_travel_time(v, q, t_f, c_max, base)
     state = SolutionState(
@@ -737,7 +724,6 @@ def solve(
         link_times=times,
     )
     report = ConvergenceReport(
-        converged=converged,
         iterations=it,
         flow_change=flow_change,
         queue_change=queue_change,

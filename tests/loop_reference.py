@@ -125,15 +125,9 @@ def queue_targets_fixed_point(
     return new_alloc
 
 
-def repair_path_queues(path_set, f, queue_alloc):
-    held = queue_alloc.sum(axis=0)
-    scale = np.where(held > f, f / np.maximum(held, 1e-300), 1.0)
-    return queue_alloc * scale[None, :]
-
-
 def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
+    """Takes queues feasible for `f`: no path holds back more than it carries."""
     f = f.copy()
-    queue_alloc = repair_path_queues(path_set, f, queue_alloc)
     x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
     held = queue_alloc.sum(axis=0)
     system_optimum = options.variant == "system_optimum"

@@ -134,6 +134,15 @@ class TestErrors:
         assert rc == 1
         assert "capacity" in capsys.readouterr().err
 
+    def test_non_finite_cost_parameter(self, scenario_dir, tmp_path, capsys):
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / "scenario.cfg", "a") as fh:
+            fh.write("alpha=nan\n")
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+
     def test_bad_config_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nodes nodes.csv\n")

@@ -55,6 +55,9 @@ class TestDataModel:
             Link("a", "u", "v", free_flow_time=0.0, capacity=100.0)
         with pytest.raises(NetworkError, match="capacity"):
             Link("a", "u", "v", free_flow_time=0.1, capacity=-5.0)
+        # a zero speed divided the implied time by zero
+        with pytest.raises(NetworkError, match="free_speed"):
+            Link("a", "u", "v", 0.1, 100.0, length=1.0, free_speed=0.0)
 
     def test_time_speed_consistency(self):
         # 10 km at 50 km/h is 0.2 h; a declared 0.5 h contradicts it
@@ -88,6 +91,13 @@ class TestLoading:
         )
         net = load_network(nodes, links)
         assert net.link_by_id("a").free_flow_time == 0.25
+
+    def test_load_network_keeps_zero_coordinates(self):
+        # the alias column is read only where the first one is left empty
+        nodes = io.StringIO("node_id,x_coord,y_coord,x,y\na,0,0,5,5\nb,,,3,4\n")
+        links = io.StringIO("link_id,from_node,to_node,capacity,free_flow_time\nl,a,b,1800,0.25\n")
+        net = load_network(nodes, links)
+        assert [(n.x, n.y) for n in net.nodes] == [(0.0, 0.0), (3.0, 4.0)]
 
     def test_load_network_length_speed(self):
         nodes = io.StringIO("node_id\nu\nv\n")

@@ -24,7 +24,7 @@ from queuenet.solver import (
     _apply_variant,
     _gp_flow_pass,
     _group_levels,
-    _repair_path_queues,
+    _project_queues,
     assemble_link_state,
     solve,
     solve_variant,
@@ -131,7 +131,8 @@ class TestFlowPass:
         qa = per_entry(six_node, qa)
         f = np.array([3000.0, 0.0, 3000.0, 0.0])
         for _ in range(200):
-            f_new = _gp_flow_pass(six_node, f, qa, levels, options)
+            # the 50 veh held on paths 1 and 3 fit once flow moves onto them
+            f_new = _gp_flow_pass(six_node, f, _project_queues(six_node, f, qa), levels, options)
             if np.max(np.abs(f_new - f)) < 1e-6:
                 f = f_new
                 break
@@ -176,9 +177,9 @@ class TestFlowPass:
             qa = per_entry(six_node, qa)
             for f in starts:
                 for _ in range(20):
-                    frozen = _repair_path_queues(six_node, f, qa)
+                    frozen = _project_queues(six_node, f, qa)
                     before = spread(f, frozen)
-                    f = _gp_flow_pass(six_node, f, qa, levels, options)
+                    f = _gp_flow_pass(six_node, f, frozen, levels, options)
                     assert spread(f, frozen) <= before + 1e-9
 
     def test_group_levels_keep_the_gauss_seidel_order(self):
@@ -314,6 +315,37 @@ class TestConvergenceContract:
             solve(six_node, initial_flows=np.array([-1.0, 3001.0, 1500.0, 1500.0]))
         with pytest.raises(ValueError, match="conservation"):
             solve(six_node, initial_flows=np.array([1.0, 1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(
+                pytest.param(lambda v, k=k: CostParams(**{k: v}), id=f"CostParams.{k}")
+                for k in ("alpha", "beta", "m", "n", "gamma", "phi")
+            ),
+            pytest.param(lambda v: SolverOptions(epsilon=v), id="SolverOptions.epsilon"),
+            pytest.param(lambda v: Link("a", "u", "v", v, 100.0), id="Link.free_flow_time"),
+            pytest.param(lambda v: Link("a", "u", "v", 0.1, v), id="Link.capacity"),
+            pytest.param(lambda v: Link("a", "u", "v", 0.1, 100.0, length=v), id="Link.length"),
+            pytest.param(
+                lambda v: Link("a", "u", "v", 0.1, 100.0, free_speed=v), id="Link.free_speed"
+            ),
+            pytest.param(lambda v: ODPair("u", "v", v), id="ODPair.demand"),
+            pytest.param(
+                lambda v: solve(
+                    fixtures.six_node_path_set(),
+                    initial_flows=np.array([v, 3000.0, 1500.0, 1500.0]),
+                ),
+                id="solve.initial_flows",
+            ),
+        ],
+    )
+    def test_non_finite_input_rejected(self, build, value):
+        # NaN fails every comparison, so a bare range check lets it through:
+        # alpha=nan solved to "tolerance" with 2400 veh queued on two links
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
 
     def test_demand_override_length(self, six_node):
         with pytest.raises(ValueError, match="demands"):
@@ -559,6 +591,31 @@ class TestQueueSweep:
         assert np.all(new >= 0.0)
         assert np.all(np.bincount(ps.entry_path, new, ps.n_paths) <= f + 1e-9)
         assemble_link_state(ps, f, new)
+
+
+class TestProjectQueues:
+    @given(
+        size=st.integers(4, 8),
+        k=st.integers(1, 3),
+        demand=st.floats(300.0, 2000.0),
+        # above 1, paths may hold back more than they carry: the cut runs
+        hold=st.floats(0.0, 2.0),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_projection_cuts_each_path_to_its_flow(self, size, k, demand, hold, seed):
+        ps = _small_grid_path_set(size, k, demand, seed)
+        f, held = feasible_random_state(ps, np.random.default_rng(seed), hold)
+        new = _project_queues(ps, f, held)
+        assert np.all(new >= 0.0)
+        assert np.all(np.bincount(ps.entry_path, new, ps.n_paths) <= f + 1e-9)
+        upstream = _cost._segment_cumsum(new, ps) - new
+        assert np.all(new <= np.maximum(f[ps.entry_path] - upstream, 0.0) + 1e-9)
+        assemble_link_state(ps, f, new)
+        # a second cut may trim a rounding residue off a path's sum, no more
+        np.testing.assert_allclose(_project_queues(ps, f, new), new, rtol=0, atol=1e-9)
+        if np.all(np.bincount(ps.entry_path, held, ps.n_paths) <= f):
+            np.testing.assert_array_equal(new, held)
 
 
 @functools.lru_cache(maxsize=None)
