@@ -180,7 +180,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     network, path_set = _build_scenario(cfg)
     params = _build_params(cfg)
     options = _build_options(cfg, args)
-    state, report = solve(path_set, params, options)
+    state, report = solve(path_set, params, options, history=True)
     out = _out_dir(cfg, args)
     _write_result_bundle(out, state, report)
     print(

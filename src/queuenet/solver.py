@@ -134,7 +134,8 @@ class ConvergenceReport:
     flow_change: float
     queue_change: float
     wall_time: float = 0.0
-    #: per-iteration rows
+    #: per-iteration rows, filled only when `solve` is called with
+    #: `history=True` (empty otherwise):
     #: (iteration, J after flow step, J after queue step, max |df|, max |dQ|, gap)
     #: J is the function the mode's half-steps descend: `cost.merit` in the
     #: smoothed-gradient mode; the fixed-point mode descends nothing and
@@ -535,11 +536,16 @@ def solve(
     options: SolverOptions | None = None,
     demands: Sequence[float] | None = None,
     initial_flows: np.ndarray | None = None,
+    history: bool = False,
 ) -> tuple[SolutionState, ConvergenceReport]:
     """Solve for equilibrium path flows and residual queues.
 
     `demands` optionally overrides the OD demands (same order as the
-    network's OD pairs) without rebuilding the network.
+    network's OD pairs) without rebuilding the network.  `history` asks for
+    `ConvergenceReport.history`, one row per outer iteration (J after each
+    half-step, the step sizes and the relative gap); it is off by default
+    because pricing those rows is bookkeeping the iteration never reads, and
+    the iterates are the same either way.
     """
     options = options or SolverOptions()
     network = path_set.network
@@ -595,7 +601,11 @@ def solve(
     def merit(f_: np.ndarray, qa_: np.ndarray) -> float:
         return _cost.merit(path_set, f_, qa_, t_f, c_max, base, **merit_args)
 
-    history: list[tuple[int, float, float, float, float, float]] = []
+    def objective(f_: np.ndarray, qa_: np.ndarray) -> float:
+        _, q_, _, v_ = assemble_link_state(path_set, f_, qa_)
+        return _cost.objective(v_, q_, t_f, c_max, base)
+
+    rows: list[tuple[int, float, float, float, float, float]] = []
     flow_change = queue_change = np.inf
     termination = "iteration_limit"
     it = 0
@@ -603,10 +613,14 @@ def solve(
     damping = np.ones(n_od)
     delta_prev: np.ndarray | None = None
     inner_passes = 0
+    link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
+    # the smoothed mode's merit at the current (f, queue_alloc): each state
+    # it moves to is one whose merit its accept-or-halve has just computed
+    j = merit(f, queue_alloc) if smoothed else np.nan
     t_start = time.perf_counter()
     for it in range(1, options.max_outer_iterations + 1):
         f_prev = f.copy()
-        q_prev = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
+        q_prev = link_q
         # the first iteration has no queue change yet (queue_change is inf)
         inner_tol = 0.1 * options.epsilon
         if it > 1:
@@ -621,20 +635,24 @@ def solve(
                 # does; halve the pass until the merit does not increase
                 _, q0, _, v0 = assemble_link_state(path_set, f, queue_alloc)
                 slack = np.where(q0 > 0, c_max - gamma_arr * q0 - v0, -np.inf)
-                j_before = merit(f, queue_alloc)
                 for _bt in range(40):
                     trial_q = _queue_targets_fixed_point(
                         path_set, f_new, queue_alloc, c_max, base, 1.0, slack
                     )
-                    if merit(f_new, trial_q) <= j_before:
-                        queue_alloc = trial_q
+                    j_trial = merit(f_new, trial_q)
+                    if j_trial <= j:
+                        queue_alloc, j = trial_q, j_trial
                         break
                     f_new = f + 0.5 * (f_new - f)
                 else:
                     f_new = f
             inner_change = float(np.max(np.abs(f_new - f))) if f.size else 0.0
             f = f_new
-            queue_alloc = _project_queues(path_set, f, queue_alloc)
+            projected = _project_queues(path_set, f, queue_alloc)
+            if smoothed and projected is not queue_alloc:
+                # a cut, if only by an ulp, leaves the state j was taken at
+                j = merit(f, projected)
+            queue_alloc = projected
             if inner_change <= inner_tol:
                 break
 
@@ -657,20 +675,19 @@ def solve(
                 queue_alloc = _project_queues(path_set, f, queue_alloc)
         delta_prev = f - f_prev
 
-        x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)
-        j_half = merit(f, queue_alloc) if smoothed else _cost.objective(v, q, t_f, c_max, base)
-
+        if history:
+            j_half = j if smoothed else objective(f, queue_alloc)
         if update_queues:
             if smoothed:
                 # the sweep unrelaxed, halved until the merit does not rise
-                # (j_half is the merit at the current queues)
                 step = 1.0
                 for _ in range(40):
                     trial = _queue_targets_fixed_point(
                         path_set, f, queue_alloc, c_max, base, step
                     )
-                    if merit(f, trial) <= j_half:
-                        queue_alloc = trial
+                    j_trial = merit(f, trial)
+                    if j_trial <= j:
+                        queue_alloc, j = trial, j_trial
                         break
                     step /= 2.0
             else:
@@ -679,16 +696,21 @@ def solve(
                 )
 
         flow_change = float(np.max(np.abs(f - f_prev))) if f.size else 0.0
-        x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)
-        queue_change = float(np.max(np.abs(q - q_prev)))
-        j_full = merit(f, queue_alloc) if smoothed else _cost.objective(v, q, t_f, c_max, base)
-        costs = _path_costs(path_set, _cost.link_travel_time(v, q, t_f, c_max, base))
-        gap = _relative_gap(path_set, f, costs)
-        history.append((it, j_half, j_full, flow_change, queue_change, gap))
+        link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
+        queue_change = float(np.max(np.abs(link_q - q_prev)))
+        if history:
+            _, q, _, v = assemble_link_state(path_set, f, queue_alloc)
+            j_full = j if smoothed else _cost.objective(v, q, t_f, c_max, base)
+            costs = _path_costs(path_set, _cost.link_travel_time(v, q, t_f, c_max, base))
+            gap = _relative_gap(path_set, f, costs)
+            rows.append((it, j_half, j_full, flow_change, queue_change, gap))
         if max(flow_change, queue_change) <= options.epsilon:
             termination = "tolerance"
             break
 
+    # the state the last iteration ended at, priced once
+    _, q, _, v = assemble_link_state(path_set, f, queue_alloc)
+    costs = _path_costs(path_set, _cost.link_travel_time(v, q, t_f, c_max, base))
     f = _flush_remnants(path_set, f, costs)
     if update_queues:
         # one exact (unrelaxed) sweep so queued links satisfy v = C(Q) to
@@ -728,7 +750,7 @@ def solve(
         flow_change=flow_change,
         queue_change=queue_change,
         wall_time=time.perf_counter() - t_start,
-        history=history,
+        history=rows,
         termination=termination,
         inner_passes=inner_passes,
     )

@@ -301,7 +301,10 @@ def test_criterion_09a_gradient_check(six_node):
 
 def test_criterion_09b_descent(six_node):
     c = Checker("9b", "merit non-increasing across every smoothed-mode half-step")
-    _, report = solve(six_node, options=SolverOptions(queue_mode="smoothed_gradient"))
+    _, report = solve(
+        six_node, options=SolverOptions(queue_mode="smoothed_gradient"), history=True
+    )
+    c.check(len(report.history) == report.iterations, "no history row per iteration")
     prev_full = np.inf
     for it, j_half, j_full, *_ in report.history:
         c.check(j_half <= prev_full + 1e-9, f"flow half-step raised J at iteration {it}")

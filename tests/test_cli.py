@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
 import csv
+import math
 import shutil
 
 import pytest
@@ -53,6 +54,18 @@ class TestSolve:
         lines = (tmp_path / "summary.txt").read_text().splitlines()
         passes = [l for l in lines if l.startswith("inner_passes: ")]
         assert len(passes) == 1 and int(passes[0].split(": ")[1]) > 0
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    def test_convergence_csv_has_a_row_per_iteration(self, cfg, tmp_path, mode):
+        # solve fills the history only on request; the CLI asks for it
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--mode", mode]) == 0
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        iterations = int(next(l for l in summary if l.startswith("iterations: ")).split(": ")[1])
+        rows = read_csv(tmp_path / "convergence.csv")
+        assert len(rows) == iterations > 0
+        for row in rows:
+            for column in ("objective_half", "objective", "gap"):
+                assert math.isfinite(float(row[column])), (row["iteration"], column)
 
     def test_deterministic_output(self, cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -287,12 +287,13 @@ class TestConvergenceContract:
         cap = QUEUE_CAP_FRACTION * base_state.c_max / np.where(gamma > 0, gamma, 1.0)
         assert np.all(base_state.link_queues <= cap + 1e-9)
 
-    def test_determinism(self, six_node, base_solution):
-        state2, report2 = solve(six_node)
-        state1, report1 = base_solution
+    def test_determinism(self, six_node):
+        state1, report1 = solve(six_node, history=True)
+        state2, report2 = solve(six_node, history=True)
         assert np.array_equal(state1.path_flows, state2.path_flows)
         assert np.array_equal(state1.link_queues, state2.link_queues)
         assert report1.iterations == report2.iterations
+        assert len(report1.history) == report1.iterations
         assert report1.history == report2.history
 
     def test_zero_demand(self, six_node):
@@ -353,8 +354,9 @@ class TestConvergenceContract:
 
     def test_smoothed_mode_descent(self, six_node):
         _, report = solve(
-            six_node, options=SolverOptions(queue_mode="smoothed_gradient")
+            six_node, options=SolverOptions(queue_mode="smoothed_gradient"), history=True
         )
+        assert len(report.history) == report.iterations
         prev_full = np.inf
         for _, j_half, j_full, *_ in report.history:
             assert j_half <= prev_full + 1e-9
@@ -536,6 +538,62 @@ class TestSmoothedMode:
         )
         assert report.termination in ("iteration_limit", "infeasible")
         assert np.all(state.throughflows >= 0.0)
+
+    @pytest.mark.parametrize(
+        "path_set", [fixtures.six_node_path_set, _grid20_staircase_path_set],
+        ids=["six_node", "grid20_staircase"],
+    )
+    def test_carried_merit_matches_a_fresh_one(self, path_set, monkeypatch):
+        # every state the accept-or-halve moves to keeps the merit it was
+        # accepted at, and only a projection that returns a new array is
+        # priced again; a projection that always copies forces a fresh
+        # merit after every GP pass, which must change nothing but the count
+        ps = path_set()
+        options = SolverOptions(queue_mode="smoothed_gradient")
+        calls = []
+        merit = _cost.merit
+        monkeypatch.setattr(_cost, "merit", lambda *a, **k: calls.append(1) or merit(*a, **k))
+        state, report = solve(ps, options=options, history=True)
+        carried = len(calls)
+        project = solver._project_queues
+        monkeypatch.setattr(solver, "_project_queues", lambda *a: project(*a).copy())
+        calls.clear()
+        fresh, fresh_report = solve(ps, options=options, history=True)
+        assert 0 < len(calls) - carried <= report.inner_passes
+        assert len(report.history) == report.iterations
+        assert report.history == fresh_report.history
+        assert np.array_equal(state.path_flows, fresh.path_flows)
+        assert np.array_equal(state.queue_alloc, fresh.queue_alloc)
+        assert (report.iterations, report.inner_passes) == (
+            fresh_report.iterations, fresh_report.inner_passes
+        )
+
+
+@pytest.fixture(scope="module")
+def grid6_k2():
+    """A 6x6 grid whose solve holds queues and converges in both modes."""
+    return enumerate_paths(fixtures.grid_network(6, 6, 1500.0), 2)
+
+
+class TestHistoryOptIn:
+    """`solve` prices the history rows only when asked to; they are
+    bookkeeping that never feeds back into the iterates."""
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    @pytest.mark.parametrize("path_set", ["six_node", "grid6_k2"])
+    def test_history_never_feeds_back(self, request, path_set, mode):
+        ps = request.getfixturevalue(path_set)
+        options = SolverOptions(queue_mode=mode)
+        state, report = solve(ps, options=options)
+        state_h, report_h = solve(ps, options=options, history=True)
+        assert report.converged and np.any(state.link_queues > 1e-6)
+        for name in ("path_flows", "queue_alloc", "throughflows", "link_queues"):
+            assert np.array_equal(getattr(state, name), getattr(state_h, name)), name
+        assert (report.iterations, report.inner_passes, report.termination) == (
+            report_h.iterations, report_h.inner_passes, report_h.termination
+        )
+        assert report.history == []
+        assert len(report_h.history) == report_h.iterations
 
 
 class TestQueueSweep:
