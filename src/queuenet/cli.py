@@ -107,6 +107,23 @@ def _build_options(cfg: dict[str, str], args: argparse.Namespace) -> SolverOptio
         raise ConfigError(str(exc)) from exc
 
 
+def _load(args: argparse.Namespace):
+    """The config, network, path set, cost parameters and solver options."""
+    cfg = _read_config(args.config)
+    network, path_set = _build_scenario(cfg)
+    return cfg, network, path_set, _build_params(cfg), _build_options(cfg, args)
+
+
+def _tracked_links(args: argparse.Namespace, network: Network) -> list[str]:
+    """The link ids named by --track (all links without it), each checked."""
+    track = args.track.split(",") if args.track else [l.id for l in network.links]
+    known = {l.id for l in network.links}
+    for lid in track:
+        if lid not in known:
+            raise ConfigError(f"unknown link id in --track: {lid}")
+    return track
+
+
 def _out_dir(cfg: dict[str, str], args: argparse.Namespace) -> FsPath:
     out = FsPath(args.out or cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -176,10 +193,7 @@ def _write_result_bundle(out: FsPath, state, report) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
-    network, path_set = _build_scenario(cfg)
-    params = _build_params(cfg)
-    options = _build_options(cfg, args)
+    cfg, _, path_set, params, options = _load(args)
     state, report = solve(path_set, params, options, history=True)
     out = _out_dir(cfg, args)
     _write_result_bundle(out, state, report)
@@ -191,15 +205,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
-    network, path_set = _build_scenario(cfg)
-    params = _build_params(cfg)
-    options = _build_options(cfg, args)
-    track = args.track.split(",") if args.track else [l.id for l in network.links]
-    known = {l.id for l in network.links}
-    for lid in track:
-        if lid not in known:
-            raise ConfigError(f"unknown link id in --track: {lid}")
+    cfg, network, path_set, params, options = _load(args)
+    track = _tracked_links(args, network)
     variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
     for v in variants:
         if v not in VARIANTS:
@@ -237,10 +244,7 @@ def _parse_range(spec: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
-    network, path_set = _build_scenario(cfg)
-    params = _build_params(cfg)
-    options = _build_options(cfg, args)
+    cfg, network, path_set, params, options = _load(args)
     if not args.param:
         raise ConfigError("--param is required for sweep")
     if args.values:
@@ -272,14 +276,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = SweepSpec(args.param, values, od_index)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # checked before any point is solved
+    track = _tracked_links(args, network)
 
     point_rows = run_sweep(path_set, spec, params, options)
-
-    track = args.track.split(",") if args.track else [l.id for l in network.links]
-    known = {l.id for l in network.links}
-    for lid in track:
-        if lid not in known:
-            raise ConfigError(f"unknown link id in --track: {lid}")
     idx = {lid: path_set.link_index(lid) for lid in track}
     out = _out_dir(cfg, args)
     with open(out / "sweep.csv", "w") as fh:

@@ -1,16 +1,17 @@
 """Alternating path-flow / queue solver for equilibrium with residual queues.
 
-The solver alternates two blocks until neither moves:
+`solve` is one loop over two half-steps, run until neither moves: with the
+queues frozen, path-based gradient-projection (GP) passes shift flow from
+costlier paths to the cheapest path of each OD pair, scaled by the local
+cost curvature on the non-shared links; with the flows frozen, the
+complementarity fixed-point sweep sets each link's queue so inflow net of
+held-back traffic matches the queue-reduced capacity.
 
-* a path-based gradient-projection step that shifts flow from costlier
-  paths to the cheapest path of each OD pair, scaled by the local cost
-  curvature on the non-shared links; and
-* a queue update: the complementarity fixed-point sweep, which sets each
-  link's queue so inflow net of held-back traffic matches the
-  queue-reduced capacity.  The fixed-point mode (default) relaxes it by
-  `_queue_relaxation`.  The smoothed-gradient mode takes it unrelaxed and
-  halves the step until the equilibrium merit `cost.merit` does not
-  increase, the same accept-or-halve rule its flow steps follow.
+Each queue mode supplies only its step rule: the fixed-point mode (default)
+takes the GP passes as they come, relaxes the sweep by `_queue_relaxation`
+and damps flow<->queue limit cycles; the smoothed-gradient mode puts each
+GP pass and the unrelaxed sweep through one accept-or-halve rule on the
+equilibrium merit `cost.merit` (`_accept_or_halve`).
 
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.  They hold back part of the
@@ -18,14 +19,14 @@ path's own traffic, so the loop keeps one invariant: after every flow
 change no path holds back more than it carries, and one projection,
 `_project_queues`, keeps it so.
 
-Each outer iteration runs GP passes with the queues frozen until a pass
-moves no path flow by more than max(0.1 epsilon, INNER_TOL_SHARE * the
-previous iteration's largest link-queue change): the flow block is solved
-only as exactly as the next queue update warrants, and to 0.1 epsilon once
-the queues settle.  The first iteration, with no queue change yet, uses
-0.1 epsilon.  The GP curvature on a queued link carries the queuing-delay
-slope alpha m (Q/C)^(m-1), evaluated at Q/C >= QUEUE_RATIO_FLOOR so that
-with m < 1 a dissolving queue's rounding residue cannot make it unbounded.
+The flow half-step runs GP passes until one moves no path flow by more
+than max(0.1 epsilon, INNER_TOL_SHARE * the previous iteration's largest
+link-queue change): the flow block is solved only as exactly as the next
+queue update warrants, and to 0.1 epsilon once the queues settle.  The
+first iteration, with no queue change yet, uses 0.1 epsilon.  The GP
+curvature on a queued link carries the queuing-delay slope alpha m
+(Q/C)^(m-1), evaluated at Q/C >= QUEUE_RATIO_FLOOR so that with m < 1 a
+dissolving queue's rounding residue cannot make it unbounded.
 
 The solver works on the flat path-link entries of `PathSet`: one entry
 per (link, path) pair, path after path in traversal order (`entry_link`,
@@ -51,7 +52,7 @@ membership matrix, built from the level's entries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -503,6 +504,18 @@ def _queue_relaxation(gamma: np.ndarray) -> float:
     return float(np.clip(0.5 * (1.0 - gamma.max()), 0.05, 0.5))
 
 
+def _accept_or_halve(trial, step, halve, merit, j, current):
+    """The first (flows, queues, merit) of trial(step), trial(halve(step)),
+    ... (at most 40 trials) whose merit is <= j; else (*current, j)."""
+    for _ in range(40):
+        flows, queues = trial(step)
+        j_trial = merit(flows, queues)
+        if j_trial <= j:
+            return flows, queues, j_trial
+        step = halve(step)
+    return (*current, j)
+
+
 def _aon_initial_flows(path_set: PathSet) -> np.ndarray:
     """All-or-nothing start: full OD demand on its free-flow cheapest path."""
     t_f = np.array([l.free_flow_time for l in path_set.network.links])
@@ -540,8 +553,8 @@ def solve(
 ) -> tuple[SolutionState, ConvergenceReport]:
     """Solve for equilibrium path flows and residual queues.
 
-    `demands` optionally overrides the OD demands (same order as the
-    network's OD pairs) without rebuilding the network.  `history` asks for
+    `demands` optionally overrides the OD demands, in OD pair order, on a
+    copy of the network and a `PathSet` of the same paths.  `history` asks for
     `ConvergenceReport.history`, one row per outer iteration (J after each
     half-step, the step sizes and the relative gap); it is off by default
     because pricing those rows is bookkeeping the iteration never reads, and
@@ -557,16 +570,9 @@ def solve(
     if demands is not None:
         if len(demands) != len(network.od_pairs):
             raise ValueError("demands override must match the OD pair count")
-        network = network.with_demands(
-            [
-                od.__class__(od.origin, od.destination, float(d))
-                for od, d in zip(network.od_pairs, demands)
-            ]
-        )
-        path_set = PathSet(
-            network,
-            [p.__class__(p.od_index, p.links) for p in path_set.paths],
-        )
+        ods = [replace(od, demand=float(d)) for od, d in zip(network.od_pairs, demands)]
+        network = network.with_demands(ods)
+        path_set = PathSet(network, path_set.paths)
 
     if initial_flows is not None:
         f = np.asarray(initial_flows, dtype=float).copy()
@@ -587,26 +593,66 @@ def solve(
     queue_alloc = np.zeros(len(path_set.entry_link))
     la = _LinkArrays.of(base, t_f, c_max)
     group_levels = _group_levels(path_set, la)
-    gamma_arr = np.broadcast_to(np.asarray(base.gamma, dtype=float), c_max.shape)
-    theta = _queue_relaxation(gamma_arr)
+    theta = _queue_relaxation(la.gamma)
 
     update_queues = options.variant != "traditional_ue"
     smoothed = options.queue_mode == "smoothed_gradient"
-
-    merit_args = dict(
-        system_optimum=options.variant == "system_optimum",
-        capacity_bound=update_queues,
-    )
+    system_optimum = options.variant == "system_optimum"
 
     def merit(f_: np.ndarray, qa_: np.ndarray) -> float:
-        return _cost.merit(path_set, f_, qa_, t_f, c_max, base, **merit_args)
+        return _cost.merit(
+            path_set, f_, qa_, t_f, c_max, base,
+            system_optimum=system_optimum, capacity_bound=update_queues,
+        )
+
+    def sweep(f_: np.ndarray, qa_: np.ndarray, step: float, slack=None) -> np.ndarray:
+        return _queue_targets_fixed_point(path_set, f_, qa_, c_max, base, step, slack)
 
     def objective(f_: np.ndarray, qa_: np.ndarray) -> float:
         _, q_, _, v_ = assemble_link_state(path_set, f_, qa_)
         return _cost.objective(v_, q_, t_f, c_max, base)
 
+    def price(f_: np.ndarray, qa_: np.ndarray):
+        """(x, Q, Q', v) at (f_, qa_), and the generalized link times there."""
+        links = assemble_link_state(path_set, f_, qa_)
+        return links, _cost.link_travel_time(links[3], links[1], t_f, c_max, base)
+
+    # each mode's step rule: from (f, queues, j), `flow_step` takes a GP
+    # pass's flows g and `queue_step` sweeps; both return the new (f, queues, j)
+    if smoothed:
+        # both half-steps are accepted or halved on the merit: no damping
+        def flow_step(f_, qa_, j_, g):
+            # queued links queue the change in arrivals, keeping slack C(Q) - v
+            _, q0, _, v0 = assemble_link_state(path_set, f_, qa_)
+            slack = np.where(q0 > 0, c_max - la.gamma * q0 - v0, -np.inf)
+            g, qa_, j_ = _accept_or_halve(
+                lambda g_: (g_, sweep(g_, qa_, 1.0, slack)), g,
+                lambda g_: f_ + 0.5 * (g_ - f_), merit, j_, (f_, qa_),
+            )
+            projected = _project_queues(path_set, g, qa_)
+            # a cut, if only by an ulp, leaves the state j was taken at
+            return g, projected, (j_ if projected is qa_ else merit(g, projected))
+
+        def queue_step(f_, qa_, j_):
+            # the sweep unrelaxed, halved until the merit does not rise
+            return _accept_or_halve(
+                lambda s: (f_, sweep(f_, qa_, s)), 1.0,
+                lambda s: s / 2.0, merit, j_, (f_, qa_),
+            )
+
+        j = merit(f, queue_alloc)
+    else:
+        # plain GP passes, the theta-relaxed sweep and the damping below
+        def flow_step(f_, qa_, j_, g):
+            return g, _project_queues(path_set, g, qa_), j_
+
+        def queue_step(f_, qa_, j_):
+            return f_, sweep(f_, qa_, theta), j_
+
+        j = np.nan
+
     rows: list[tuple[int, float, float, float, float, float]] = []
-    flow_change = queue_change = np.inf
+    flow_change = queue_change = 0.0
     termination = "iteration_limit"
     it = 0
     od, n_od = path_set.path_od, len(path_set.od_groups)
@@ -614,45 +660,20 @@ def solve(
     delta_prev: np.ndarray | None = None
     inner_passes = 0
     link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
-    # the smoothed mode's merit at the current (f, queue_alloc): each state
-    # it moves to is one whose merit its accept-or-halve has just computed
-    j = merit(f, queue_alloc) if smoothed else np.nan
     t_start = time.perf_counter()
     for it in range(1, options.max_outer_iterations + 1):
         f_prev = f.copy()
         q_prev = link_q
-        # the first iteration has no queue change yet (queue_change is inf)
-        inner_tol = 0.1 * options.epsilon
-        if it > 1:
-            inner_tol = max(inner_tol, INNER_TOL_SHARE * queue_change)
+        # the first iteration has no queue change yet (queue_change is 0)
+        inner_tol = max(0.1 * options.epsilon, INNER_TOL_SHARE * queue_change)
 
+        # flow half-step: GP passes with the queues frozen
         for _ in range(MAX_INNER_PASSES):
             inner_passes += 1
-            f_new = _gp_flow_pass(path_set, f, queue_alloc, group_levels, options)
-            if smoothed:
-                # queued links take the change in their arrivals into their
-                # queues, keeping their capacity slack C(Q) - v, as a queue
-                # does; halve the pass until the merit does not increase
-                _, q0, _, v0 = assemble_link_state(path_set, f, queue_alloc)
-                slack = np.where(q0 > 0, c_max - gamma_arr * q0 - v0, -np.inf)
-                for _bt in range(40):
-                    trial_q = _queue_targets_fixed_point(
-                        path_set, f_new, queue_alloc, c_max, base, 1.0, slack
-                    )
-                    j_trial = merit(f_new, trial_q)
-                    if j_trial <= j:
-                        queue_alloc, j = trial_q, j_trial
-                        break
-                    f_new = f + 0.5 * (f_new - f)
-                else:
-                    f_new = f
+            g = _gp_flow_pass(path_set, f, queue_alloc, group_levels, options)
+            f_new, queue_alloc, j = flow_step(f, queue_alloc, j, g)
             inner_change = float(np.max(np.abs(f_new - f))) if f.size else 0.0
             f = f_new
-            projected = _project_queues(path_set, f, queue_alloc)
-            if smoothed and projected is not queue_alloc:
-                # a cut, if only by an ulp, leaves the state j was taken at
-                j = merit(f, projected)
-            queue_alloc = projected
             if inner_change <= inner_tol:
                 break
 
@@ -661,8 +682,7 @@ def solve(
         # Detect the reversal (successive flow deltas pointing in opposite
         # directions) and damp the outer flow update; averaging a two-cycle
         # lands on its fixed point.  Recover the step size once the
-        # iteration behaves monotonically again.  The smoothed mode needs
-        # no damping: every half-step it takes lowers the merit.
+        # iteration behaves monotonically again.
         delta = f - f_prev
         if delta_prev is not None and not smoothed:
             damping = np.where(
@@ -677,62 +697,43 @@ def solve(
 
         if history:
             j_half = j if smoothed else objective(f, queue_alloc)
+        # queue half-step, with the flows frozen
         if update_queues:
-            if smoothed:
-                # the sweep unrelaxed, halved until the merit does not rise
-                step = 1.0
-                for _ in range(40):
-                    trial = _queue_targets_fixed_point(
-                        path_set, f, queue_alloc, c_max, base, step
-                    )
-                    j_trial = merit(f, trial)
-                    if j_trial <= j:
-                        queue_alloc, j = trial, j_trial
-                        break
-                    step /= 2.0
-            else:
-                queue_alloc = _queue_targets_fixed_point(
-                    path_set, f, queue_alloc, c_max, base, theta
-                )
+            f, queue_alloc, j = queue_step(f, queue_alloc, j)
 
         flow_change = float(np.max(np.abs(f - f_prev))) if f.size else 0.0
         link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
         queue_change = float(np.max(np.abs(link_q - q_prev)))
         if history:
-            _, q, _, v = assemble_link_state(path_set, f, queue_alloc)
+            (_, q, _, v), times = price(f, queue_alloc)
             j_full = j if smoothed else _cost.objective(v, q, t_f, c_max, base)
-            costs = _path_costs(path_set, _cost.link_travel_time(v, q, t_f, c_max, base))
-            gap = _relative_gap(path_set, f, costs)
+            gap = _relative_gap(path_set, f, _path_costs(path_set, times))
             rows.append((it, j_half, j_full, flow_change, queue_change, gap))
         if max(flow_change, queue_change) <= options.epsilon:
             termination = "tolerance"
             break
 
     # the state the last iteration ended at, priced once
-    _, q, _, v = assemble_link_state(path_set, f, queue_alloc)
-    costs = _path_costs(path_set, _cost.link_travel_time(v, q, t_f, c_max, base))
-    f = _flush_remnants(path_set, f, costs)
+    _, times = price(f, queue_alloc)
+    f = _flush_remnants(path_set, f, _path_costs(path_set, times))
     if update_queues:
         # one exact (unrelaxed) sweep so queued links satisfy v = C(Q) to
         # machine precision rather than to the stopping tolerance
-        queue_alloc = _queue_targets_fixed_point(
-            path_set, f, queue_alloc, c_max, base, 1.0
-        )
+        queue_alloc = sweep(f, queue_alloc, 1.0)
 
-    x, q, q_prime, v = assemble_link_state(path_set, f, queue_alloc)
+    (x, q, q_prime, v), times = price(f, queue_alloc)
     if termination == "tolerance":
         # small steps are no equilibrium where they vanish away from it: the
         # smoothed mode stalls where neither half-step lowers the merit, and
         # GP steps vanish wherever the curvature dwarfs the cost gap; gate
         # on the gap of the cost this variant prices paths by
-        priced, _ = _cost._priced_cost(v, q, *la, merit_args["system_optimum"])
+        priced = _cost._priced_cost(v, q, *la, True)[0] if system_optimum else times
         if _relative_gap(path_set, f, _path_costs(path_set, priced)) > GAP_TOL:
             termination = "stalled"
-    if update_queues and np.any(v - (c_max - gamma_arr * q) > CAPACITY_RTOL * c_max):
+    if update_queues and np.any(v - (c_max - la.gamma * q) > CAPACITY_RTOL * c_max):
         # a state that discharges above C(Q) is not an equilibrium, however
         # small the last steps were
         termination = "infeasible"
-    times = _cost.link_travel_time(v, q, t_f, c_max, base)
     state = SolutionState(
         path_set=path_set,
         params=base,
@@ -765,7 +766,5 @@ def solve_variant(
     **kwargs,
 ) -> tuple[SolutionState, ConvergenceReport]:
     """`solve` with the variant swapped into the options."""
-    options = options or SolverOptions()
-    from dataclasses import replace as _replace
-
-    return solve(path_set, params, _replace(options, variant=variant), **kwargs)
+    options = replace(options or SolverOptions(), variant=variant)
+    return solve(path_set, params, options, **kwargs)

@@ -9,7 +9,7 @@ import numpy as np
 from . import cost as _cost
 from .cost import CostParams
 from .net import PathSet
-from .solver import SolverOptions, solve
+from .solver import SolverOptions, _cheapest, solve
 
 __all__ = [
     "SweepSpec",
@@ -58,12 +58,9 @@ class SweepRow:
 
 def _row(value: float, state, report, path_set: PathSet) -> SweepRow:
     costs = state.path_costs()
-    mins = np.array(
-        [
-            float(costs[g].min()) if len(g) else np.nan
-            for g in path_set.od_groups
-        ]
-    )
+    best = _cheapest(path_set, costs)
+    mins = np.full(len(best), np.nan)
+    mins[best >= 0] = costs[best[best >= 0]]
     return SweepRow(
         value=float(value),
         converged=report.converged,

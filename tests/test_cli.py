@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from queuenet import cli
 from queuenet.cli import main
 
 
@@ -305,6 +306,18 @@ class TestSweep:
         assert (serial / "sweep.csv").read_bytes() == (
             parallel / "sweep.csv"
         ).read_bytes()
+
+    def test_unknown_track_link_fails_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_solve)
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "m"]
+        assert run(argv + ["--values", "1,2", "--track", "nosuchlink"]) == 1
+        assert "unknown link id in --track: nosuchlink" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_argument_errors(self, cfg, capsys):
         assert run(["sweep", "--config", cfg, "--values", "1,2"]) == 1

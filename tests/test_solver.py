@@ -20,6 +20,7 @@ from queuenet.solver import (
     SolverOptions,
     VARIANTS,
     _LinkArrays,
+    _accept_or_halve,
     _aon_initial_flows,
     _apply_variant,
     _gp_flow_pass,
@@ -352,6 +353,14 @@ class TestConvergenceContract:
         with pytest.raises(ValueError, match="demands"):
             solve(six_node, demands=[100.0])
 
+    def test_demand_override_keeps_the_paths(self, six_node):
+        # the override copies the network with the new demands; the paths
+        # are handed over as they are
+        state, _ = solve(six_node, demands=[2000.0, 500.0])
+        assert [od.demand for od in state.path_set.network.od_pairs] == [2000.0, 500.0]
+        assert all(a is b for a, b in zip(state.path_set.paths, six_node.paths))
+        assert [od.demand for od in six_node.network.od_pairs] == [3000.0, 3000.0]
+
     def test_smoothed_mode_descent(self, six_node):
         _, report = solve(
             six_node, options=SolverOptions(queue_mode="smoothed_gradient"), history=True
@@ -401,7 +410,7 @@ class TestConvergenceContract:
         # settle after 48 iterations with the steps vanished at relative
         # gap 4.6
         monkeypatch.setattr(solver, "CURVATURE_FLOOR", 1e30)
-        state, report = solve(six_node)
+        state, report = solve(six_node, options=SolverOptions(queue_mode="fixed_point"))
         assert report.iterations == 48
         assert kkt_report(state).relative_gap > 1.0
         assert not report.converged
@@ -527,6 +536,14 @@ class TestSmoothedMode:
         ps = enumerate_paths(fixtures.grid_network(6, 8, 1200.0), 3)
         _assert_smoothed_matches_fixed_point(ps, CostParams())
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.9])
+    def test_grid20_staircase_matches_fixed_point(self, gamma):
+        # the largest path set the two modes are compared on: they agree
+        # within 0.0015 (gamma 0.5) and 0.0099 veh/h (gamma 0.9)
+        _assert_smoothed_matches_fixed_point(
+            _grid20_staircase_path_set(), CostParams(gamma=gamma)
+        )
+
     def test_cyclic_grid_trial_is_clipped(self):
         # this grid's link precedence is cyclic; a sweep visiting links in
         # one order there held back more than some path carries, and the
@@ -567,6 +584,49 @@ class TestSmoothedMode:
         assert (report.iterations, report.inner_passes) == (
             fresh_report.iterations, fresh_report.inner_passes
         )
+
+
+class TestAcceptOrHalve:
+    """The smoothed mode's one safeguard, on the flow and the queue trial."""
+
+    @staticmethod
+    def _run(merits, j, halve=lambda s: s / 2.0):
+        steps, values = [], iter(merits)
+
+        def trial(step):
+            steps.append(step)
+            return np.array([step]), np.array([2.0 * step])
+
+        current = (np.array([0.0]), np.array([0.0]))
+        def merit(flows, queues):
+            return next(values)
+
+        return _accept_or_halve(trial, 1.0, halve, merit, j, current), steps, current
+
+    def test_takes_the_first_trial_at_or_below_j(self):
+        (flows, queues, j), steps, _ = self._run([5.0, 4.0, 3.0, 1.0], 3.0)
+        # a tie is accepted, and the later, lower trial is never tried
+        assert steps == [1.0, 0.5, 0.25]
+        assert (flows[0], queues[0], j) == (0.25, 0.5, 3.0)
+        (_, _, j), steps, _ = self._run([5.0, 2.0], 3.0)
+        assert (steps, j) == ([1.0, 0.5], 2.0)
+
+    def test_forty_rising_trials_keep_the_current_state(self):
+        (flows, queues, j), steps, current = self._run([7.0 + k for k in range(40)], 3.0)
+        assert len(steps) == 40
+        assert flows is current[0] and queues is current[1] and j == 3.0
+
+    def test_halves_the_previous_trial(self):
+        # each trial is halve() of the one before, as the flow trial's
+        # f + (g - f) / 2 needs: trial(s), trial(halve(s)), ...
+        f = 0.1
+        _, steps, _ = self._run(
+            [9.0, 9.0, 9.0, 0.0], 1.0, halve=lambda g: f + 0.5 * (g - f)
+        )
+        expected = [1.0]
+        for _ in range(3):
+            expected.append(f + 0.5 * (expected[-1] - f))
+        assert steps == expected
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
 """Parameter and demand sweeps with trend auditing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from queuenet.net import PathSet
 from queuenet.sweep import SweepSpec, demand_sweep, run_sweep, trend, trend_check
 
 # Published sensitivity results for the bottleneck link of the six-node
@@ -141,3 +144,14 @@ class TestTrendHelpers:
             {"a": [1.0, 1.0 + 1e-9]}, {"a": "flat"}, tolerance=1e-6
         )
         assert report.passed
+
+
+def test_min_od_costs_are_the_cheapest_path_costs(six_node):
+    # one entry per OD pair, NaN for a (zero-demand) pair without a path
+    od0, od1 = six_node.network.od_pairs
+    network = six_node.network.with_demands([od0, replace(od1, demand=0.0)])
+    cut = PathSet(network, [p for p in six_node.paths if p.od_index == 0])
+    (row,) = demand_sweep(cut, [2500.0])
+    loop = [row.path_costs[g].min() if len(g) else np.nan for g in cut.od_groups]
+    np.testing.assert_array_equal(row.min_od_costs, loop)
+    assert np.isnan(row.min_od_costs[1])
