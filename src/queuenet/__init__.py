@@ -29,8 +29,6 @@ from .cost import (
     merit,
     merit_gradient,
     objective,
-    objective_gradient,
-    queue_delay_marginal,
     queuing_delay,
     smoothed_link_time,
 )

@@ -13,7 +13,9 @@ from .solver import (
     ConvergenceReport,
     SolutionState,
     SolverOptions,
-    _cheapest,
+    _min_od_costs,
+    _path_costs,
+    _random_split,
     _relative_gap,
     solve,
     solve_variant,
@@ -55,24 +57,28 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
     """Equilibrium-condition audit of a solution.
 
     The relative gap is total excess path cost over the cheapest path of
-    each OD pair, normalized by total demand-weighted minimum cost; zero at
-    exact user equilibrium.  The complementarity residual per link is
+    each OD pair, normalized by total demand-weighted minimum cost, with
+    paths priced as the variant prices them: by generalized times, or for
+    the system optimum by marginal times.  It is zero at an exact
+    equilibrium of that cost.  `min_od_costs` are generalized costs in
+    every variant.  The complementarity residual per link is
     |Q * ((C_max - v)/gamma - Q)| (|Q * (C_max - v)| for gamma = 0): a
     queue may persist only when it has choked capacity down to the
     throughflow.  The capacity residual is max(0, v - C(Q)).
     """
     ps = state.path_set
-    costs = state.path_costs()
-    best = _cheapest(ps, costs)
-    min_costs = np.full(len(best), np.nan)
-    min_costs[best >= 0] = costs[best[best >= 0]]
-    relative_gap = _relative_gap(ps, state.path_flows, costs)
-
     c_max = state.c_max
+    q, v = state.link_queues, state.throughflows
+    costs = state.path_costs()
+    priced = costs
+    if state.variant == "system_optimum":
+        marginal = _cost.marginal_link_time(v, q, state.t_f, c_max, state.params)
+        priced = _path_costs(ps, marginal)
+    relative_gap = _relative_gap(ps, state.path_flows, priced)
+
     gamma = np.broadcast_to(
         np.asarray(state.params.gamma, dtype=float), c_max.shape
     )
-    q, v = state.link_queues, state.throughflows
     with np.errstate(divide="ignore", invalid="ignore"):
         slack = np.where(
             gamma > 0,
@@ -88,7 +94,7 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
     )
     return EquilibriumReport(
         relative_gap=relative_gap,
-        min_od_costs=min_costs,
+        min_od_costs=_min_od_costs(ps, costs),
         max_complementarity_residual=float(comp.max()) if comp.size else 0.0,
         max_capacity_residual=float(cap.max()) if cap.size else 0.0,
         congested_links=congested,
@@ -158,12 +164,7 @@ def uniqueness_probe(
     rng = np.random.default_rng(seed)
     states: list[SolutionState] = []
     for _ in range(n_starts):
-        f0 = np.zeros(path_set.n_paths)
-        for i, group in enumerate(path_set.od_groups):
-            if len(group) == 0:
-                continue
-            share = rng.dirichlet(np.ones(len(group)))
-            f0[group] = share * path_set.network.od_pairs[i].demand
+        f0 = _random_split(path_set, rng)
         state, _ = solve(path_set, params, options, initial_flows=f0)
         states.append(state)
     link_spread = 0.0

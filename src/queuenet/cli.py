@@ -22,12 +22,10 @@ import numpy as np
 
 from . import cost as _cost
 from .analysis import compare_models, gradient_check, kkt_report
-from .cost import CostParams
+from .cost import PARAM_NAMES, CostParams
 from .net import Network, NetworkError, PathSet, enumerate_paths, load_demands, load_network, load_path_set
-from .solver import VARIANTS, SolverOptions, solve
+from .solver import VARIANTS, SolverOptions, _random_split, solve
 from .sweep import SweepSpec, run_sweep, trend_check
-
-_COST_KEYS = ("alpha", "beta", "m", "n", "gamma", "phi")
 
 
 def _fmt(value: float) -> str:
@@ -82,7 +80,7 @@ def _build_scenario(cfg: dict[str, str]) -> tuple[Network, PathSet]:
 
 def _build_params(cfg: dict[str, str]) -> CostParams:
     kwargs = {}
-    for key in _COST_KEYS:
+    for key in PARAM_NAMES:
         if key in cfg:
             try:
                 kwargs[key] = float(cfg[key])
@@ -336,10 +334,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     c_max = np.array([l.capacity for l in network.links])
     rng = np.random.default_rng(args.seed if args.seed is not None else 42)
 
-    f = np.zeros(path_set.n_paths)
-    for i, group in enumerate(path_set.od_groups):
-        if len(group):
-            f[group] = rng.dirichlet(np.ones(len(group))) * network.od_pairs[i].demand
+    f = _random_split(path_set, rng)
     q_ap = _scale_feasible(path_set, f, rng.uniform(0.0, 1.0, len(path_set.entry_link)))
 
     # the merit is the function the smoothed-gradient queue mode descends
@@ -388,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--track", help="comma-separated link ids (default: all)")
     p_cmp.add_argument("--variants", help="comma-separated variant subset")
     p_sw = sub.add_parser("sweep", parents=[common], help="parameter/demand sweep")
-    p_sw.add_argument("--param", help="alpha|beta|m|n|gamma|phi|demand")
+    p_sw.add_argument("--param", help="|".join(PARAM_NAMES + ("demand",)))
     p_sw.add_argument("--values", help="comma-separated sweep values")
     p_sw.add_argument("--range", help="lo:hi:step (alternative to --values)")
     p_sw.add_argument("--od", help="origin,destination for demand sweeps")

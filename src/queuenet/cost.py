@@ -6,17 +6,18 @@ term evaluated against C(Q) plus an explicit queuing-delay term
 
     t(v, Q) = t_f * (1 + beta * (v / C(Q))**n) + alpha * (Q / C(Q))**m.
 
+`CostParams` holds its six parameters, and `PARAM_NAMES` their names.
 Two scalar functions of a state are defined here.  `merit` is a sum of
 squared equilibrium residuals: it is zero exactly at the model's
 equilibrium, and the solver's smoothed-gradient mode takes no step that
-raises it.
+raises it (`merit_gradient` is its gradient).
 `objective` is the Beckmann potential of the running time with the
-exponent smoothed in the queue, n~ = n * phi**(-Q).  At Q = 0 it is the
-classical Beckmann function, minimised by the capacity-free user
-equilibrium; with queues it is neither convex in the queues nor stationary
-at the queue-dependent equilibrium, and no solver mode minimises it.  No
-function can serve as an exact potential for this model: `merit` explains
-why.
+exponent smoothed in the queue, n~ = n * phi**(-Q); `smoothed_link_time` is
+its flow derivative.  At Q = 0 it is the classical Beckmann function,
+minimised by the capacity-free user equilibrium; with queues it is neither
+convex in the queues nor stationary at the queue-dependent equilibrium, and
+no solver mode minimises it.  No function can serve as an exact potential
+for this model: `merit` explains why.
 
 Per-(link, path) queues Q_ap, and gradients in them, are vectors over the
 path set's flat path-link entries (`PathSet.entry_link`, `entry_path`).
@@ -24,8 +25,8 @@ path set's flat path-link entries (`PathSet.entry_link`, `entry_path`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -39,11 +40,9 @@ __all__ = [
     "link_travel_time",
     "queuing_delay",
     "smoothed_link_time",
-    "queue_delay_marginal",
     "running_time_slope",
     "marginal_link_time",
     "objective",
-    "objective_gradient",
     "merit",
     "merit_gradient",
 ]
@@ -71,7 +70,7 @@ class CostParams:
     phi: float | np.ndarray = math.e
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "m", "n", "gamma", "phi"):
+        for name in PARAM_NAMES:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         for name in ("alpha", "beta", "gamma"):
@@ -87,17 +86,17 @@ class CostParams:
 
     def for_links(self, links: Sequence["Link"]) -> "CostParams":
         """Expand to per-link arrays, applying any per-link overrides."""
-        fields = {}
-        for name in ("alpha", "beta", "m", "n", "gamma", "phi"):
-            base = np.broadcast_to(
-                np.asarray(getattr(self, name), dtype=float), (len(links),)
-            ).copy()
-            for i, link in enumerate(links):
-                ov = link.override_map()
-                if name in ov:
-                    base[i] = ov[name]
-            fields[name] = base
-        return CostParams(**fields)
+        arrays = {
+            name: np.full(len(links), getattr(self, name), float) for name in PARAM_NAMES
+        }
+        for i, link in enumerate(links):
+            for name, value in link.overrides:
+                arrays[name][i] = value
+        return CostParams(**arrays)
+
+
+#: config keys, link-table override columns and sweep parameters
+PARAM_NAMES = tuple(f.name for f in fields(CostParams))
 
 
 def gamma_of_flow(v: ArrayLike, c_max: ArrayLike, params: CostParams) -> np.ndarray:
@@ -247,21 +246,6 @@ def smoothed_link_time(
     return t_f * (1.0 + np.asarray(params.beta) * pow_term)
 
 
-def queue_delay_marginal(
-    q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams
-) -> np.ndarray:
-    """Queue derivative of the objective's queue term.
-
-    t_f*(1+beta) is the congested-branch running time at v = C_max with the
-    smoothed exponent flushed; alpha*(Q/C(Q))**m is the queuing delay.
-    """
-    q = np.asarray(q, dtype=float)
-    t_f = np.asarray(t_f, dtype=float)
-    return t_f * (1.0 + np.asarray(params.beta)) + np.asarray(params.alpha) * (
-        q / capacity(q, c_max, params)
-    ) ** np.asarray(params.m)
-
-
 def _queue_integral(q: np.ndarray, c_max: np.ndarray, params: CostParams) -> np.ndarray:
     """integral_0^Q (y / (C_max - gamma*y))**m dy, per link.
 
@@ -351,63 +335,6 @@ def objective(
         params.alpha
     ) * _queue_integral(q, c_max, params)
     return float(np.sum(running + queue))
-
-
-def _exponent_sensitivity(
-    v: np.ndarray, q: np.ndarray, t_f: np.ndarray, c_max: np.ndarray, params: CostParams
-) -> np.ndarray:
-    """dF/dQ through the smoothed exponent n~(Q), per link.
-
-    dF/dn~ = t_f*beta*C_max * r**(n~+1) * (ln r/(n~+1) - 1/(n~+1)**2),
-    dn~/dQ = -n * ln(phi) * phi**(-Q); zero where v = 0 or phi = 1.
-    """
-    n_t = _smoothed_exponent(q, params)
-    log_phi = np.log(np.asarray(params.phi, dtype=float))
-    r = v / c_max
-    with np.errstate(divide="ignore", invalid="ignore"):
-        df_dn = (
-            np.asarray(t_f)
-            * np.asarray(params.beta)
-            * c_max
-            * r ** (n_t + 1.0)
-            * (np.log(r) / (n_t + 1.0) - 1.0 / (n_t + 1.0) ** 2)
-        )
-    df_dn = np.where(r > 0, df_dn, 0.0)
-    dn_dq = -np.asarray(params.n) * log_phi * np.exp(-q * log_phi)
-    return df_dn * dn_dq
-
-
-def objective_gradient(
-    path_set: "PathSet",
-    v: np.ndarray,
-    q: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
-    params: CostParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the objective in (path flows, per-path link queues).
-
-    Returns (grad_f, grad_q) with grad_f of shape (n_paths,) and grad_q of
-    shape (n_entries,), one value per path-link entry.
-
-    A unit of path flow adds flow to every link of the path, so grad_f is
-    the path sum of smoothed link times.  A unit of queue Q_ap removes a
-    unit of flow from link a and from every link downstream of a on path p
-    (held back traffic never reaches them), and adds the queue-term
-    marginal plus the exponent-smoothing sensitivity on link a.
-    """
-    v = np.asarray(v, dtype=float)
-    q = np.asarray(q, dtype=float)
-    t_e = smoothed_link_time(v, q, t_f, c_max, params)[path_set.entry_link]
-    grad_f = np.bincount(path_set.entry_path, t_e, path_set.n_paths)
-
-    g_q = queue_delay_marginal(q, t_f, c_max, params) + _exponent_sensitivity(
-        v, q, np.asarray(t_f, dtype=float), np.asarray(c_max, dtype=float), params
-    )
-    # suffix sums of smoothed times along the path: link a plus all links
-    # after it lose the unit of flow held in the queue at a
-    suffix = grad_f[path_set.entry_path] - _segment_cumsum(t_e, path_set) + t_e
-    return grad_f, g_q[path_set.entry_link] - suffix
 
 
 def _path_cost_terms(

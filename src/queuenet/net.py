@@ -17,6 +17,8 @@ from typing import IO, Iterable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
+from .cost import PARAM_NAMES
+
 __all__ = [
     "NetworkError",
     "PathError",
@@ -35,9 +37,6 @@ __all__ = [
 
 #: maximum tolerated |t_f - length/free_speed| when both are given (hours)
 TIME_CONSISTENCY_TOL = 1e-3
-
-# CostParams override columns accepted in the link table
-_OVERRIDE_KEYS = ("alpha", "beta", "m", "n", "gamma", "phi")
 
 
 class NetworkError(ValueError):
@@ -81,9 +80,6 @@ class Link:
                     f"link {self.id}: free_flow_time {self.free_flow_time} "
                     f"inconsistent with length/free_speed {implied:.4f}"
                 )
-
-    def override_map(self) -> dict[str, float]:
-        return dict(self.overrides)
 
 
 @dataclass(frozen=True)
@@ -261,7 +257,7 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
     from_node, to_node, capacity, and free_flow_time or length+free_speed.
     Missing free_speed is derived from length/free_flow_time; missing
     free_flow_time from length/free_speed.  Extra columns are ignored,
-    except per-link cost-parameter overrides (alpha, beta, m, n, gamma, phi).
+    except per-link overrides, one column per `CostParams` field.
     """
     nodes: list[Node] = []
     for row_no, row in enumerate(csv.DictReader(node_source), start=2):
@@ -305,7 +301,7 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
         if free_speed is None and length is not None:
             free_speed = length / t_f
         overrides = tuple(
-            (k, v) for k in _OVERRIDE_KEYS if (v := _opt_float(row, k)) is not None
+            (k, v) for k in PARAM_NAMES if (v := _opt_float(row, k)) is not None
         )
         links.append(
             Link(

@@ -407,6 +407,14 @@ def _cheapest(path_set: PathSet, costs: np.ndarray) -> np.ndarray:
     return best
 
 
+def _min_od_costs(path_set: PathSet, costs: np.ndarray) -> np.ndarray:
+    """Each OD pair's cheapest path cost (NaN if it has no path)."""
+    best = _cheapest(path_set, costs)
+    mins = np.full(len(best), np.nan)
+    mins[best >= 0] = costs[best[best >= 0]]
+    return mins
+
+
 def _relative_gap(
     path_set: PathSet, f: np.ndarray, costs: np.ndarray
 ) -> float:
@@ -532,6 +540,16 @@ def _aon_initial_flows(path_set: PathSet) -> np.ndarray:
     return f
 
 
+def _random_split(path_set: PathSet, rng: np.random.Generator) -> np.ndarray:
+    """Path flows that split each OD demand by a uniform Dirichlet draw,
+    one draw per OD pair that has a path, in OD pair order."""
+    f = np.zeros(path_set.n_paths)
+    for group, od in zip(path_set.od_groups, path_set.network.od_pairs):
+        if len(group):
+            f[group] = rng.dirichlet(np.ones(len(group))) * od.demand
+    return f
+
+
 def _apply_variant(params: CostParams, variant: str) -> CostParams:
     if variant == "fixed_capacity_queue":
         # capacity never degrades, and the smoothing base collapses so the
@@ -616,6 +634,13 @@ def solve(
         """(x, Q, Q', v) at (f_, qa_), and the generalized link times there."""
         links = assemble_link_state(path_set, f_, qa_)
         return links, _cost.link_travel_time(links[3], links[1], t_f, c_max, base)
+
+    def gap(f_: np.ndarray, links, times: np.ndarray) -> float:
+        """The relative gap of the cost this variant prices paths by, from
+        `price`'s (links, times) at flows f_."""
+        _, q_, _, v_ = links
+        priced = _cost._priced_cost(v_, q_, *la, True)[0] if system_optimum else times
+        return _relative_gap(path_set, f_, _path_costs(path_set, priced))
 
     # each mode's step rule: from (f, queues, j), `flow_step` takes a GP
     # pass's flows g and `queue_step` sweeps; both return the new (f, queues, j)
@@ -705,10 +730,12 @@ def solve(
         link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
         queue_change = float(np.max(np.abs(link_q - q_prev)))
         if history:
-            (_, q, _, v), times = price(f, queue_alloc)
+            links, times = price(f, queue_alloc)
+            _, q, _, v = links
             j_full = j if smoothed else _cost.objective(v, q, t_f, c_max, base)
-            gap = _relative_gap(path_set, f, _path_costs(path_set, times))
-            rows.append((it, j_half, j_full, flow_change, queue_change, gap))
+            rows.append(
+                (it, j_half, j_full, flow_change, queue_change, gap(f, links, times))
+            )
         if max(flow_change, queue_change) <= options.epsilon:
             termination = "tolerance"
             break
@@ -721,15 +748,13 @@ def solve(
         # machine precision rather than to the stopping tolerance
         queue_alloc = sweep(f, queue_alloc, 1.0)
 
-    (x, q, q_prime, v), times = price(f, queue_alloc)
-    if termination == "tolerance":
-        # small steps are no equilibrium where they vanish away from it: the
-        # smoothed mode stalls where neither half-step lowers the merit, and
-        # GP steps vanish wherever the curvature dwarfs the cost gap; gate
-        # on the gap of the cost this variant prices paths by
-        priced = _cost._priced_cost(v, q, *la, True)[0] if system_optimum else times
-        if _relative_gap(path_set, f, _path_costs(path_set, priced)) > GAP_TOL:
-            termination = "stalled"
+    links, times = price(f, queue_alloc)
+    x, q, q_prime, v = links
+    # small steps are no equilibrium where they vanish away from it: the
+    # smoothed mode stalls where neither half-step lowers the merit, and GP
+    # steps vanish wherever the curvature dwarfs the cost gap
+    if termination == "tolerance" and gap(f, links, times) > GAP_TOL:
+        termination = "stalled"
     if update_queues and np.any(v - (c_max - la.gamma * q) > CAPACITY_RTOL * c_max):
         # a state that discharges above C(Q) is not an equilibrium, however
         # small the last steps were

@@ -7,9 +7,9 @@ from typing import Sequence
 import numpy as np
 
 from . import cost as _cost
-from .cost import CostParams
+from .cost import PARAM_NAMES, CostParams
 from .net import PathSet
-from .solver import SolverOptions, _cheapest, solve
+from .solver import SolverOptions, _min_od_costs, solve
 
 __all__ = [
     "SweepSpec",
@@ -21,8 +21,6 @@ __all__ = [
     "TrendReport",
 ]
 
-_COST_FIELDS = ("alpha", "beta", "m", "n", "gamma", "phi")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -33,9 +31,9 @@ class SweepSpec:
     od_index: int = 0  # only used when parameter == 'demand'
 
     def __post_init__(self) -> None:
-        if self.parameter != "demand" and self.parameter not in _COST_FIELDS:
+        if self.parameter != "demand" and self.parameter not in PARAM_NAMES:
             raise ValueError(
-                f"parameter must be 'demand' or one of {_COST_FIELDS}"
+                f"parameter must be 'demand' or one of {PARAM_NAMES}"
             )
         if not self.values:
             raise ValueError("sweep needs at least one value")
@@ -58,9 +56,6 @@ class SweepRow:
 
 def _row(value: float, state, report, path_set: PathSet) -> SweepRow:
     costs = state.path_costs()
-    best = _cheapest(path_set, costs)
-    mins = np.full(len(best), np.nan)
-    mins[best >= 0] = costs[best[best >= 0]]
     return SweepRow(
         value=float(value),
         converged=report.converged,
@@ -74,7 +69,7 @@ def _row(value: float, state, report, path_set: PathSet) -> SweepRow:
         ),
         path_flows=state.path_flows,
         path_costs=costs,
-        min_od_costs=mins,
+        min_od_costs=_min_od_costs(path_set, costs),
     )
 
 

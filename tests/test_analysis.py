@@ -12,7 +12,14 @@ from queuenet.analysis import (
     uniqueness_probe,
 )
 from queuenet.cost import CostParams, link_travel_time
-from queuenet.solver import SolutionState, assemble_link_state, solve
+from queuenet.solver import (
+    GAP_TOL,
+    SolutionState,
+    SolverOptions,
+    assemble_link_state,
+    solve,
+    solve_variant,
+)
 
 
 class TestKKTReport:
@@ -54,6 +61,17 @@ class TestKKTReport:
         )
         report = kkt_report(state)
         assert report.relative_gap > 0.01
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    def test_system_optimum_gap_prices_marginal_times(self, six_node, mode):
+        # the system optimum equalizes marginal, not generalized, path costs:
+        # a converged solve's audit and last history row say so
+        state, report = solve_variant(
+            six_node, "system_optimum", options=SolverOptions(queue_mode=mode), history=True
+        )
+        assert report.converged
+        assert kkt_report(state).relative_gap <= GAP_TOL
+        assert report.history[-1][5] <= GAP_TOL
 
     def test_path_cost_accessor(self, six_node, base_state):
         idx = six_node.path_link_idx[1]

@@ -1,6 +1,7 @@
 """Link cost model: capacity response, travel times, objective, gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,16 +19,13 @@ from queuenet.cost import (
     merit,
     merit_gradient,
     objective,
-    objective_gradient,
-    queue_delay_marginal,
     queuing_delay,
     running_time_slope,
     smoothed_link_time,
 )
-from queuenet.solver import assemble_link_state
 
 from conftest import feasible_random_state, per_entry
-from loop_reference import dense_queues, incidence
+from loop_reference import dense_queues
 
 P = CostParams()  # alpha=0.5, beta=0.5, m=1, n=4, gamma=0.5, phi=e
 
@@ -53,6 +51,12 @@ class TestParams:
         expanded = P.for_links(net.links)
         assert expanded.gamma.shape == (7,)
         assert np.all(expanded.gamma == 0.5)
+        links = list(net.links)
+        links[2] = replace(links[2], overrides=(("gamma", 0.2), ("m", 2.0)))
+        expanded = P.replace(alpha=np.linspace(0.1, 0.7, 7)).for_links(links)
+        assert expanded.gamma.tolist() == [0.5, 0.5, 0.2, 0.5, 0.5, 0.5, 0.5]
+        assert expanded.m.tolist() == [1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0]
+        assert np.array_equal(expanded.alpha, np.linspace(0.1, 0.7, 7))
 
 
 class TestCapacityResponse:
@@ -206,20 +210,23 @@ class TestObjective:
         expected = 0.2 * 1.5 * 400.0 + 0.5 * 400.0**3 / (3 * 1800.0**2)
         assert got == pytest.approx(expected, rel=1e-9)
 
-    def test_queue_delay_marginal_formula(self):
-        q, tf, cm = 100.0, 0.2, 1800.0
-        expected = tf * 1.5 + 0.5 * (q / (cm - 0.5 * q))
-        assert queue_delay_marginal(q, tf, cm, P) == pytest.approx(expected)
-
-
-def _objective_of_state(path_set, f, queue_alloc, t_f, c_max, params):
-    _, q, _, v = assemble_link_state(path_set, f, queue_alloc)
-    return objective(v, q, t_f, c_max, params)
-
-
-def _objective_gradient_of_state(path_set, f, queue_alloc, t_f, c_max, params):
-    _, q, _, v = assemble_link_state(path_set, f, queue_alloc)
-    return objective_gradient(path_set, v, q, t_f, c_max, params)
+    @pytest.mark.parametrize("q", [0.0, 0.5, 40.0])
+    def test_flow_derivative_is_smoothed_time(self, q):
+        # dJ/dv_a, by central differences, is link a's smoothed running time
+        p = CostParams(gamma=0.5, m=2.0)
+        tf = np.array([0.1, 0.2, 0.3])
+        cm = np.array([1000.0, 1500.0, 2000.0])
+        v = np.array([400.0, 1200.0, 1900.0])
+        qs = np.full(3, q)
+        h = 1e-3
+        expected = smoothed_link_time(v, qs, tf, cm, p)
+        for a in range(3):
+            step = np.zeros(3)
+            step[a] = h
+            fd = (objective(v + step, qs, tf, cm, p) - objective(v - step, qs, tf, cm, p)) / (
+                2 * h
+            )
+            assert fd == pytest.approx(expected[a], rel=1e-6)
 
 
 class TestMerit:
@@ -257,36 +264,15 @@ class TestMerit:
 
 
 class TestGradient:
-    def _check_point(
-        self, path_set, f, queue_alloc, la, value=merit, gradient=merit_gradient, rel=1e-5
-    ):
-        assert gradient_check(value, gradient, path_set, f, queue_alloc, *la) <= rel
-
-    def _check_random_points(self, path_set, **fns):
-        params = CostParams().for_links(path_set.network.links)
-        t_f = np.array([l.free_flow_time for l in path_set.network.links])
-        c_max = np.array([l.capacity for l in path_set.network.links])
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            f, qa = feasible_random_state(path_set, rng)
-            self._check_point(path_set, f, qa, (t_f, c_max, params), **fns)
-
     def test_matches_finite_differences(self, six_node):
         # the merit is the function the smoothed-gradient mode descends
-        self._check_random_points(six_node)
-
-    def test_objective_matches_finite_differences(self, six_node):
-        self._check_random_points(
-            six_node, value=_objective_of_state, gradient=_objective_gradient_of_state
-        )
-
-    def test_gradient_zero_queue_is_path_time_sum(self, six_node):
         params = CostParams().for_links(six_node.network.links)
         t_f = np.array([l.free_flow_time for l in six_node.network.links])
         c_max = np.array([l.capacity for l in six_node.network.links])
-        f = np.array([1500.0, 1500.0, 1500.0, 1500.0])
-        qa = np.zeros((7, 4))
-        x, q, _, v = assemble_link_state(six_node, f, per_entry(six_node, qa))
-        grad_f, _ = objective_gradient(six_node, v, q, t_f, c_max, params)
-        t_s = smoothed_link_time(v, q, t_f, c_max, params)
-        assert grad_f == pytest.approx(incidence(six_node).T @ t_s)
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            f, qa = feasible_random_state(six_node, rng)
+            assert gradient_check(
+                merit, merit_gradient, six_node, f, qa, t_f, c_max, params
+            ) <= 1e-5
+

@@ -113,7 +113,7 @@ class TestLoading:
             "link_id,from_node,to_node,capacity,free_flow_time,gamma\na,u,v,1800,0.25,0.2\n"
         )
         net = load_network(nodes, links)
-        assert net.link_by_id("a").override_map() == {"gamma": 0.2}
+        assert net.link_by_id("a").overrides == (("gamma", 0.2),)
 
     def test_load_network_bad_value(self):
         nodes = io.StringIO("node_id\nu\nv\n")
