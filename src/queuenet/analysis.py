@@ -1,22 +1,25 @@
-"""Solution quality diagnostics and model comparison utilities."""
+"""Solution quality diagnostics and model comparison utilities.
+
+The equilibrium audit, `kkt_report` with its `EquilibriumReport`, lives in
+`solver`, whose verdict on a solve is that audit of the returned state; it
+is re-exported here with the other diagnostics.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import cost as _cost
 from .net import PathSet
 from .solver import (
     VARIANTS,
     ConvergenceReport,
+    EquilibriumReport,
     SolutionState,
     SolverOptions,
-    _min_od_costs,
-    _path_costs,
     _random_split,
-    _relative_gap,
+    kkt_report,
     solve,
     solve_variant,
 )
@@ -32,75 +35,11 @@ __all__ = [
     "gradient_check",
 ]
 
-#: a link counts as congested when its queue exceeds this share of capacity
-CONGESTION_THRESHOLD = 1e-6
-
 
 def path_generalized_cost(state: SolutionState, path_index: int) -> float:
     """Generalized cost of one path: sum of its link times at (v, Q)."""
     idx = state.path_set.path_link_idx[path_index]
     return float(state.link_times[idx].sum())
-
-
-@dataclass
-class EquilibriumReport:
-    relative_gap: float
-    min_od_costs: np.ndarray  # cheapest used-or-not path cost per OD pair
-    max_complementarity_residual: float
-    max_capacity_residual: float
-    congested_links: tuple[str, ...]
-    complementarity_residuals: np.ndarray = field(repr=False, default=None)
-    capacity_residuals: np.ndarray = field(repr=False, default=None)
-
-
-def kkt_report(state: SolutionState) -> EquilibriumReport:
-    """Equilibrium-condition audit of a solution.
-
-    The relative gap is total excess path cost over the cheapest path of
-    each OD pair, normalized by total demand-weighted minimum cost, with
-    paths priced as the variant prices them: by generalized times, or for
-    the system optimum by marginal times.  It is zero at an exact
-    equilibrium of that cost.  `min_od_costs` are generalized costs in
-    every variant.  The complementarity residual per link is
-    |Q * ((C_max - v)/gamma - Q)| (|Q * (C_max - v)| for gamma = 0): a
-    queue may persist only when it has choked capacity down to the
-    throughflow.  The capacity residual is max(0, v - C(Q)).
-    """
-    ps = state.path_set
-    c_max = state.c_max
-    q, v = state.link_queues, state.throughflows
-    costs = state.path_costs()
-    priced = costs
-    if state.variant == "system_optimum":
-        marginal = _cost.marginal_link_time(v, q, state.t_f, c_max, state.params)
-        priced = _path_costs(ps, marginal)
-    relative_gap = _relative_gap(ps, state.path_flows, priced)
-
-    gamma = np.broadcast_to(
-        np.asarray(state.params.gamma, dtype=float), c_max.shape
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slack = np.where(
-            gamma > 0,
-            (c_max - v) / np.where(gamma > 0, gamma, 1.0) - q,
-            c_max - v,
-        )
-    comp = np.abs(q * slack)
-    cap = np.maximum(0.0, v - _cost.capacity(q, c_max, state.params))
-    congested = tuple(
-        link.id
-        for link, qa, cm in zip(ps.network.links, q, c_max)
-        if qa > CONGESTION_THRESHOLD * cm
-    )
-    return EquilibriumReport(
-        relative_gap=relative_gap,
-        min_od_costs=_min_od_costs(ps, costs),
-        max_complementarity_residual=float(comp.max()) if comp.size else 0.0,
-        max_capacity_residual=float(cap.max()) if cap.size else 0.0,
-        congested_links=congested,
-        complementarity_residuals=comp,
-        capacity_residuals=cap,
-    )
 
 
 @dataclass

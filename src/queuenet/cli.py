@@ -187,6 +187,8 @@ def _write_result_bundle(out: FsPath, state, report) -> None:
             f"total_generalized_cost: {_fmt(total_cost)}\n"
             f"congested_links: {len(congested)}\n"
             f"relative_gap: {_fmt(rep.relative_gap)}\n"
+            f"max_capacity_residual: {_fmt(rep.max_capacity_residual)}\n"
+            f"max_complementarity_residual: {_fmt(rep.max_complementarity_residual)}\n"
         )
 
 

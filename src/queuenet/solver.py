@@ -19,6 +19,12 @@ path's own traffic, so the loop keeps one invariant: after every flow
 change no path holds back more than it carries, and one projection,
 `_project_queues`, keeps it so.
 
+The loop stops when the steps vanish; the verdict comes from `kkt_report`,
+the one audit that prices the variant's relative gap and the capacity
+residual.  The returned state is `stalled` if its gap exceeds GAP_TOL and,
+when the variant carries queues, `infeasible` if a link discharges above
+C(Q) + CAPACITY_RTOL C_max.  The history rows take their gap from it too.
+
 The flow half-step runs GP passes until one moves no path flow by more
 than max(0.1 epsilon, INNER_TOL_SHARE * the previous iteration's largest
 link-queue change): the flow block is solved only as exactly as the next
@@ -65,7 +71,9 @@ __all__ = [
     "SolverOptions",
     "SolutionState",
     "ConvergenceReport",
+    "EquilibriumReport",
     "assemble_link_state",
+    "kkt_report",
     "solve",
     "solve_variant",
     "VARIANTS",
@@ -91,6 +99,9 @@ CAPACITY_RTOL = 1e-6
 #: a solve counts as converged only if the relative gap of the cost its
 #: variant prices paths by is at most this (criterion 7)
 GAP_TOL = 1e-4
+
+#: a link counts as congested when its queue exceeds this share of capacity
+CONGESTION_THRESHOLD = 1e-6
 
 #: GP passes per outer iteration, at most
 MAX_INNER_PASSES = 50
@@ -415,14 +426,69 @@ def _min_od_costs(path_set: PathSet, costs: np.ndarray) -> np.ndarray:
     return mins
 
 
-def _relative_gap(
-    path_set: PathSet, f: np.ndarray, costs: np.ndarray
-) -> float:
-    best = _cheapest(path_set, costs)
-    demand = np.array([od.demand for od in path_set.network.od_pairs])
-    num = float(f @ (costs - costs[best[path_set.path_od]]))
-    den = float(demand[best >= 0] @ costs[best[best >= 0]])
-    return num / den if den > 0 else 0.0
+@dataclass
+class EquilibriumReport:
+    relative_gap: float
+    min_od_costs: np.ndarray  # cheapest used-or-not path cost per OD pair
+    max_complementarity_residual: float
+    max_capacity_residual: float
+    congested_links: tuple[str, ...]
+    complementarity_residuals: np.ndarray = field(repr=False, default=None)
+    capacity_residuals: np.ndarray = field(repr=False, default=None)
+
+
+def kkt_report(state: SolutionState) -> EquilibriumReport:
+    """Equilibrium-condition audit of a solution; `solve` decides whether
+    its answer converged, stalled or is infeasible from this audit.
+
+    The relative gap is total excess path cost over the cheapest path of
+    each OD pair, normalized by total demand-weighted minimum cost, with
+    paths priced as the variant prices them: by generalized times, or for
+    the system optimum by marginal times.  It is zero at an exact
+    equilibrium of that cost.  `min_od_costs` are generalized costs in
+    every variant.  The complementarity residual per link is
+    |Q * ((C_max - v)/gamma - Q)| (|Q * (C_max - v)| for gamma = 0): a
+    queue may persist only when it has choked capacity down to the
+    throughflow.  The capacity residual is max(0, v - C(Q)).  Only the path
+    flows, the link-level fields, the link times, the parameters and the
+    variant are read, never the per-entry queues.
+    """
+    ps = state.path_set
+    c_max = state.c_max
+    q, v = state.link_queues, state.throughflows
+    costs = state.path_costs()
+    priced = costs
+    if state.variant == "system_optimum":
+        marginal = _cost.marginal_link_time(v, q, state.t_f, c_max, state.params)
+        priced = _path_costs(ps, marginal)
+    best = _cheapest(ps, priced)
+    demand = np.array([od.demand for od in ps.network.od_pairs])
+    excess = float(state.path_flows @ (priced - priced[best[ps.path_od]]))
+    total = float(demand[best >= 0] @ priced[best[best >= 0]])
+
+    gamma = np.broadcast_to(np.asarray(state.params.gamma, dtype=float), c_max.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = np.where(
+            gamma > 0,
+            (c_max - v) / np.where(gamma > 0, gamma, 1.0) - q,
+            c_max - v,
+        )
+    comp = np.abs(q * slack)
+    cap = np.maximum(0.0, v - _cost.capacity(q, c_max, state.params))
+    congested = tuple(
+        link.id
+        for link, qa, cm in zip(ps.network.links, q, c_max)
+        if qa > CONGESTION_THRESHOLD * cm
+    )
+    return EquilibriumReport(
+        relative_gap=excess / total if total > 0 else 0.0,
+        min_od_costs=_min_od_costs(ps, costs),
+        max_complementarity_residual=float(comp.max()) if comp.size else 0.0,
+        max_capacity_residual=float(cap.max()) if cap.size else 0.0,
+        congested_links=congested,
+        complementarity_residuals=comp,
+        capacity_residuals=cap,
+    )
 
 
 def _queue_targets_fixed_point(
@@ -615,32 +681,24 @@ def solve(
 
     update_queues = options.variant != "traditional_ue"
     smoothed = options.queue_mode == "smoothed_gradient"
-    system_optimum = options.variant == "system_optimum"
 
     def merit(f_: np.ndarray, qa_: np.ndarray) -> float:
         return _cost.merit(
             path_set, f_, qa_, t_f, c_max, base,
-            system_optimum=system_optimum, capacity_bound=update_queues,
+            system_optimum=options.variant == "system_optimum",
+            capacity_bound=update_queues,
         )
 
     def sweep(f_: np.ndarray, qa_: np.ndarray, step: float, slack=None) -> np.ndarray:
         return _queue_targets_fixed_point(path_set, f_, qa_, c_max, base, step, slack)
 
-    def objective(f_: np.ndarray, qa_: np.ndarray) -> float:
-        _, q_, _, v_ = assemble_link_state(path_set, f_, qa_)
-        return _cost.objective(v_, q_, t_f, c_max, base)
-
-    def price(f_: np.ndarray, qa_: np.ndarray):
-        """(x, Q, Q', v) at (f_, qa_), and the generalized link times there."""
-        links = assemble_link_state(path_set, f_, qa_)
-        return links, _cost.link_travel_time(links[3], links[1], t_f, c_max, base)
-
-    def gap(f_: np.ndarray, links, times: np.ndarray) -> float:
-        """The relative gap of the cost this variant prices paths by, from
-        `price`'s (links, times) at flows f_."""
-        _, q_, _, v_ = links
-        priced = _cost._priced_cost(v_, q_, *la, True)[0] if system_optimum else times
-        return _relative_gap(path_set, f_, _path_costs(path_set, priced))
+    def state_at(f_: np.ndarray, qa_: np.ndarray) -> SolutionState:
+        """Path flows f_ and per-entry queues qa_ as a priced state."""
+        x, q, q_prime, v = assemble_link_state(path_set, f_, qa_)
+        times = _cost.link_travel_time(v, q, t_f, c_max, base)
+        return SolutionState(
+            path_set, base, options.variant, f_, qa_, x, q, q_prime, v, times
+        )
 
     # each mode's step rule: from (f, queues, j), `flow_step` takes a GP
     # pass's flows g and `queue_step` sweeps; both return the new (f, queues, j)
@@ -721,7 +779,7 @@ def solve(
         delta_prev = f - f_prev
 
         if history:
-            j_half = j if smoothed else objective(f, queue_alloc)
+            j_half = j if smoothed else state_at(f, queue_alloc).objective()
         # queue half-step, with the flows frozen
         if update_queues:
             f, queue_alloc, j = queue_step(f, queue_alloc, j)
@@ -730,47 +788,29 @@ def solve(
         link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
         queue_change = float(np.max(np.abs(link_q - q_prev)))
         if history:
-            links, times = price(f, queue_alloc)
-            _, q, _, v = links
-            j_full = j if smoothed else _cost.objective(v, q, t_f, c_max, base)
-            rows.append(
-                (it, j_half, j_full, flow_change, queue_change, gap(f, links, times))
-            )
+            state = state_at(f, queue_alloc)
+            j_full = j if smoothed else state.objective()
+            gap = kkt_report(state).relative_gap
+            rows.append((it, j_half, j_full, flow_change, queue_change, gap))
         if max(flow_change, queue_change) <= options.epsilon:
             termination = "tolerance"
             break
 
-    # the state the last iteration ended at, priced once
-    _, times = price(f, queue_alloc)
-    f = _flush_remnants(path_set, f, _path_costs(path_set, times))
+    f = _flush_remnants(path_set, f, state_at(f, queue_alloc).path_costs())
     if update_queues:
         # one exact (unrelaxed) sweep so queued links satisfy v = C(Q) to
         # machine precision rather than to the stopping tolerance
         queue_alloc = sweep(f, queue_alloc, 1.0)
 
-    links, times = price(f, queue_alloc)
-    x, q, q_prime, v = links
-    # small steps are no equilibrium where they vanish away from it: the
-    # smoothed mode stalls where neither half-step lowers the merit, and GP
-    # steps vanish wherever the curvature dwarfs the cost gap
-    if termination == "tolerance" and gap(f, links, times) > GAP_TOL:
+    # vanished steps are no equilibrium where the audit finds a gap (the
+    # smoothed mode stalls where neither half-step lowers the merit, GP steps
+    # vanish where the curvature dwarfs the cost gap) or a link above C(Q)
+    state = state_at(f, queue_alloc)
+    audit = kkt_report(state)
+    if termination == "tolerance" and audit.relative_gap > GAP_TOL:
         termination = "stalled"
-    if update_queues and np.any(v - (c_max - la.gamma * q) > CAPACITY_RTOL * c_max):
-        # a state that discharges above C(Q) is not an equilibrium, however
-        # small the last steps were
+    if update_queues and np.any(audit.capacity_residuals > CAPACITY_RTOL * c_max):
         termination = "infeasible"
-    state = SolutionState(
-        path_set=path_set,
-        params=base,
-        variant=options.variant,
-        path_flows=f,
-        queue_alloc=queue_alloc,
-        link_flows=x,
-        link_queues=q,
-        upstream_queues=q_prime,
-        throughflows=v,
-        link_times=times,
-    )
     report = ConvergenceReport(
         iterations=it,
         flow_change=flow_change,

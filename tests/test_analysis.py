@@ -12,8 +12,11 @@ from queuenet.analysis import (
     uniqueness_probe,
 )
 from queuenet.cost import CostParams, link_travel_time
+from queuenet.net import enumerate_paths
 from queuenet.solver import (
+    CAPACITY_RTOL,
     GAP_TOL,
+    VARIANTS,
     SolutionState,
     SolverOptions,
     assemble_link_state,
@@ -72,6 +75,28 @@ class TestKKTReport:
         assert report.converged
         assert kkt_report(state).relative_gap <= GAP_TOL
         assert report.history[-1][5] <= GAP_TOL
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    @pytest.mark.parametrize("case", [*VARIANTS, "cyclic_grid10_40_900"])
+    def test_verdict_is_the_audit(self, six_node, case, mode):
+        # solve's verdict is kkt_report of the state it returns: converged
+        # means the audit's gap is within GAP_TOL, and a queue-carrying
+        # solve is infeasible exactly when the audit finds a link above
+        # C(Q).  The cyclic grid still has a link above C(Q) after 30
+        # iterations and ends infeasible; the six-node solves converge
+        if case in VARIANTS:
+            path_set, options = six_node, SolverOptions(queue_mode=mode, variant=case)
+        else:
+            path_set = enumerate_paths(fixtures.grid_network(10, 40, 900.0), 3)
+            options = SolverOptions(queue_mode=mode, max_outer_iterations=30)
+        state, report = solve(path_set, options=options)
+        eq = kkt_report(state)
+        assert report.termination == ("tolerance" if case in VARIANTS else "infeasible")
+        if report.converged:
+            assert eq.relative_gap <= GAP_TOL
+        if options.variant != "traditional_ue":
+            overloaded = bool(np.any(eq.capacity_residuals > CAPACITY_RTOL * state.c_max))
+            assert (report.termination == "infeasible") == overloaded
 
     def test_path_cost_accessor(self, six_node, base_state):
         idx = six_node.path_link_idx[1]
