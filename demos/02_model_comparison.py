@@ -39,6 +39,8 @@ def main() -> None:
     print(" * system_optimum charges each route its marginal cost, which")
     print("   pushes flow off the bottleneck (to ~2200 veh/hr) and parks the")
     print("   unserved excess in a much longer residual queue.")
+    print(" * total cost sums (flow + queue) x generalized time over the links,")
+    print("   the total_generalized_cost of the CLI's summary.txt.")
 
 
 if __name__ == "__main__":

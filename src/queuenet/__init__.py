@@ -45,7 +45,6 @@ from .analysis import (
     EquilibriumReport,
     compare_models,
     kkt_report,
-    path_generalized_cost,
     uniqueness_probe,
 )
 from .sweep import (

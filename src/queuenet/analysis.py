@@ -28,7 +28,6 @@ from .cost import CostParams
 __all__ = [
     "EquilibriumReport",
     "ComparisonRow",
-    "path_generalized_cost",
     "kkt_report",
     "compare_models",
     "uniqueness_probe",
@@ -36,31 +35,13 @@ __all__ = [
 ]
 
 
-def path_generalized_cost(state: SolutionState, path_index: int) -> float:
-    """Generalized cost of one path: sum of its link times at (v, Q)."""
-    idx = state.path_set.path_link_idx[path_index]
-    return float(state.link_times[idx].sum())
-
-
 @dataclass
 class ComparisonRow:
     variant: str
     state: SolutionState
     report: ConvergenceReport
-    total_generalized_cost: float  # sum over paths of flow * path cost
+    total_generalized_cost: float  # state.total_cost()
     total_queue: float
-
-    @property
-    def link_flows(self) -> np.ndarray:
-        return self.state.link_flows
-
-    @property
-    def link_queues(self) -> np.ndarray:
-        return self.state.link_queues
-
-    @property
-    def link_times(self) -> np.ndarray:
-        return self.state.link_times
 
 
 def compare_models(
@@ -73,13 +54,12 @@ def compare_models(
     rows = []
     for variant in variants:
         state, report = solve_variant(path_set, variant, params, options)
-        costs = state.path_costs()
         rows.append(
             ComparisonRow(
                 variant=variant,
                 state=state,
                 report=report,
-                total_generalized_cost=float(state.path_flows @ costs),
+                total_generalized_cost=state.total_cost(),
                 total_queue=float(state.link_queues.sum()),
             )
         )

@@ -176,15 +176,12 @@ def _write_result_bundle(out: FsPath, state, report) -> None:
                 f"{it},{_fmt(j_half)},{_fmt(j_full)},{_fmt(df)},{_fmt(dq)},"
                 f"{_fmt(gap)}\n"
             )
-    total_cost = float(
-        np.sum((state.throughflows + state.link_queues) * state.link_times)
-    )
     with open(out / "summary.txt", "w") as fh:
         fh.write(
             f"status: {'converged' if report.converged else report.termination}\n"
             f"iterations: {report.iterations}\n"
             f"inner_passes: {report.inner_passes}\n"
-            f"total_generalized_cost: {_fmt(total_cost)}\n"
+            f"total_generalized_cost: {_fmt(state.total_cost())}\n"
             f"congested_links: {len(congested)}\n"
             f"relative_gap: {_fmt(rep.relative_gap)}\n"
             f"max_capacity_residual: {_fmt(rep.max_capacity_residual)}\n"
@@ -332,16 +329,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _read_config(args.config)
     network, path_set = _build_scenario(cfg)
     params = _build_params(cfg).for_links(network.links)
-    t_f = np.array([l.free_flow_time for l in network.links])
-    c_max = np.array([l.capacity for l in network.links])
-    rng = np.random.default_rng(args.seed if args.seed is not None else 42)
+    rng = np.random.default_rng(args.seed)
 
     f = _random_split(path_set, rng)
     q_ap = _scale_feasible(path_set, f, rng.uniform(0.0, 1.0, len(path_set.entry_link)))
 
     # the merit is the function the smoothed-gradient queue mode descends
     max_rel = gradient_check(
-        _cost.merit, _cost.merit_gradient, path_set, f, q_ap, t_f, c_max, params
+        _cost.merit, _cost.merit_gradient, path_set, f, q_ap,
+        path_set.t_f, path_set.c_max, params,
     )
 
     ok = max_rel <= 1e-5
@@ -378,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--epsilon", type=float, help="convergence tolerance (veh/hr)")
     common.add_argument("--max-iter", type=int, help="outer iteration limit")
-    common.add_argument("--seed", type=int, help="seed for randomized elements")
 
     sub.add_parser("solve", parents=[common], help="solve one scenario")
     p_cmp = sub.add_parser("compare", parents=[common], help="compare model variants")
@@ -395,7 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="declared trends for the first tracked link, e.g. "
         "'flow:decreasing,queue:increasing'",
     )
-    sub.add_parser("validate", parents=[common], help="input + gradient checks")
+    p_val = sub.add_parser("validate", parents=[common], help="input + gradient checks")
+    p_val.add_argument(
+        "--seed", type=int, default=42, help="seed of the random test state (default 42)"
+    )
     return parser
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "six_node_path_set",
     "write_six_node_scenario",
     "two_route_network",
-    "toy_network",
     "shared_corridor_path_set",
     "grid_network",
 ]
@@ -69,24 +68,6 @@ def two_route_network(
         Link("l2", "b", "d", free_flow_time / 2, capacity),
     )
     return Network(nodes, links, (ODPair("o", "d", demand),))
-
-
-def toy_network(demand: float = 1000.0) -> Network:
-    """Four-link toy corridor: routes {1,2,4} and {1,3,4} share links 1, 4.
-
-    Link 3 carries the documented attributes (C_max = 600 with a queue of 54
-    at a throughflow of 573 under gamma = 0.5); the other links use
-    placeholder capacities wide enough never to queue, so only link-3
-    arithmetic should be asserted against this fixture.
-    """
-    nodes = tuple(Node(i) for i in ("1", "2", "3", "4"))
-    links = (
-        Link("1", "1", "2", 0.10, 4000.0),
-        Link("2", "2", "3", 0.15, 1200.0),
-        Link("3", "2", "3", 0.12, 600.0),
-        Link("4", "3", "4", 0.10, 4000.0),
-    )
-    return Network(nodes, links, (ODPair("1", "4", demand),))
 
 
 def shared_corridor_path_set(demand: float = 2400.0) -> PathSet:

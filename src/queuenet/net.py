@@ -4,7 +4,9 @@ Links carry free-flow time (hours) and physical capacity (veh/hr).  Paths
 are fixed, enumerated link chains per OD pair; the path set records which
 links a path uses only as flat (link, path) entries in traversal order,
 over which per-(link, path) data such as queues are vectors, and holds per
-OD pair its paths and the links they use.
+OD pair its paths and the links they use.  The path set is also where the
+inputs become arrays: free-flow times and capacities per link, demands per
+OD pair, read once and read-only.
 """
 from __future__ import annotations
 
@@ -139,7 +141,8 @@ class Path:
 
 
 class PathSet:
-    """Fixed path set with its flat path-link entries and OD groups.
+    """Fixed path set with its flat path-link entries and OD groups, and
+    the inputs as arrays: `t_f` and `c_max` per link, `demand` per OD pair.
 
     Immutable after construction; safe to share across concurrent solves.
     """
@@ -185,7 +188,10 @@ class PathSet:
                     f"OD {od.origin}->{od.destination} has positive demand but no path"
                 )
 
-        # numeric structure used by the solver
+        # numeric structure used by the solver; the inputs are read-only
+        self.t_f = _read_only([l.free_flow_time for l in network.links])
+        self.c_max = _read_only([l.capacity for l in network.links])
+        self.demand = _read_only([od.demand for od in network.od_pairs])
         self.path_link_idx: list[np.ndarray] = [
             np.array([self._link_index[lid] for lid in p.links], dtype=np.intp)
             for p in self.paths
@@ -226,6 +232,12 @@ class PathSet:
         if link_id not in links:
             raise PathError(f"link {link_id} not on path {path_index}")
         return links[: links.index(link_id)]
+
+
+def _read_only(values: list[float]) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def _parse_float(row: Mapping[str, str], key: str, row_no: int) -> float:

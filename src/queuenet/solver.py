@@ -184,11 +184,11 @@ class SolutionState:
 
     @property
     def t_f(self) -> np.ndarray:
-        return np.array([l.free_flow_time for l in self.path_set.network.links])
+        return self.path_set.t_f
 
     @property
     def c_max(self) -> np.ndarray:
-        return np.array([l.capacity for l in self.path_set.network.links])
+        return self.path_set.c_max
 
     def path_costs(self) -> np.ndarray:
         return _path_costs(self.path_set, self.link_times)
@@ -201,6 +201,11 @@ class SolutionState:
         return _cost.objective(
             self.throughflows, self.link_queues, self.t_f, self.c_max, self.params
         )
+
+    def total_cost(self) -> float:
+        """Total generalized cost sum_a (v_a + Q_a) t_a, running and queued
+        traffic alike; its derivative in v is the marginal time t + (v+Q) t_v."""
+        return float(np.sum((self.throughflows + self.link_queues) * self.link_times))
 
 
 def assemble_link_state(
@@ -462,9 +467,8 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
         marginal = _cost.marginal_link_time(v, q, state.t_f, c_max, state.params)
         priced = _path_costs(ps, marginal)
     best = _cheapest(ps, priced)
-    demand = np.array([od.demand for od in ps.network.od_pairs])
     excess = float(state.path_flows @ (priced - priced[best[ps.path_od]]))
-    total = float(demand[best >= 0] @ priced[best[best >= 0]])
+    total = float(ps.demand[best >= 0] @ priced[best[best >= 0]])
 
     gamma = np.broadcast_to(np.asarray(state.params.gamma, dtype=float), c_max.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -476,9 +480,7 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
     comp = np.abs(q * slack)
     cap = np.maximum(0.0, v - _cost.capacity(q, c_max, state.params))
     congested = tuple(
-        link.id
-        for link, qa, cm in zip(ps.network.links, q, c_max)
-        if qa > CONGESTION_THRESHOLD * cm
+        ps.network.links[i].id for i in np.flatnonzero(q > CONGESTION_THRESHOLD * c_max)
     )
     return EquilibriumReport(
         relative_gap=excess / total if total > 0 else 0.0,
@@ -592,7 +594,7 @@ def _accept_or_halve(trial, step, halve, merit, j, current):
 
 def _aon_initial_flows(path_set: PathSet) -> np.ndarray:
     """All-or-nothing start: full OD demand on its free-flow cheapest path."""
-    t_f = np.array([l.free_flow_time for l in path_set.network.links])
+    t_f = path_set.t_f
     f = np.zeros(path_set.n_paths)
     for i, group in enumerate(path_set.od_groups):
         if len(group) == 0:
@@ -602,7 +604,7 @@ def _aon_initial_flows(path_set: PathSet) -> np.ndarray:
             for j in group
         ]
         _, _, best = min(ff_costs)
-        f[best] = path_set.network.od_pairs[i].demand
+        f[best] = path_set.demand[i]
     return f
 
 
@@ -610,9 +612,9 @@ def _random_split(path_set: PathSet, rng: np.random.Generator) -> np.ndarray:
     """Path flows that split each OD demand by a uniform Dirichlet draw,
     one draw per OD pair that has a path, in OD pair order."""
     f = np.zeros(path_set.n_paths)
-    for group, od in zip(path_set.od_groups, path_set.network.od_pairs):
+    for group, demand in zip(path_set.od_groups, path_set.demand):
         if len(group):
-            f[group] = rng.dirichlet(np.ones(len(group))) * od.demand
+            f[group] = rng.dirichlet(np.ones(len(group))) * demand
     return f
 
 
@@ -648,8 +650,7 @@ def solve(
     network = path_set.network
     base = (params or CostParams()).for_links(network.links)
     base = _apply_variant(base, options.variant)
-    t_f = np.array([l.free_flow_time for l in network.links])
-    c_max = np.array([l.capacity for l in network.links])
+    t_f, c_max = path_set.t_f, path_set.c_max
 
     if demands is not None:
         if len(demands) != len(network.od_pairs):
@@ -664,13 +665,13 @@ def solve(
             raise ValueError("initial_flows must have one entry per path")
         if not np.all(np.isfinite(f) & (f >= 0)):
             raise ValueError("initial_flows must be finite and >= 0")
-        for i, group in enumerate(path_set.od_groups):
-            want = path_set.network.od_pairs[i].demand
-            got = float(f[group].sum()) if len(group) else 0.0
-            if abs(got - want) > 1e-6 * max(1.0, want):
-                raise ValueError(
-                    f"initial_flows violate demand conservation for OD {i}"
-                )
+        want = path_set.demand
+        got = np.bincount(path_set.path_od, f, len(want))
+        bad = np.flatnonzero(np.abs(got - want) > 1e-6 * np.maximum(1.0, want))
+        if bad.size:
+            raise ValueError(
+                f"initial_flows violate demand conservation for OD {bad[0]}"
+            )
     else:
         f = _aon_initial_flows(path_set)
 

@@ -82,13 +82,12 @@ def run_sweep(
     """Solve once per sweep value and collect the solution summaries."""
     params = params or CostParams()
     rows: list[SweepRow] = []
-    base_demands = [od.demand for od in path_set.network.od_pairs]
     for value in spec.values:
         if spec.parameter == "demand":
-            if not 0 <= spec.od_index < len(base_demands):
+            if not 0 <= spec.od_index < len(path_set.demand):
                 raise ValueError("od_index out of range")
-            demands = list(base_demands)
-            demands[spec.od_index] = float(value)
+            demands = path_set.demand.copy()
+            demands[spec.od_index] = value
             state, report = solve(path_set, params, options, demands=demands)
         else:
             state, report = solve(

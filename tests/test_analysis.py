@@ -8,7 +8,6 @@ from queuenet import fixtures
 from queuenet.analysis import (
     compare_models,
     kkt_report,
-    path_generalized_cost,
     uniqueness_probe,
 )
 from queuenet.cost import CostParams, link_travel_time
@@ -32,6 +31,17 @@ class TestKKTReport:
         assert report.max_complementarity_residual <= 1e-3
         assert report.max_capacity_residual <= 1e-6
         assert report.congested_links == ("4",)
+
+    def test_congested_links_on_a_grid(self):
+        # several queued links, listed in network order
+        state, _ = solve(enumerate_paths(fixtures.grid_network(8, 12, 1200.0), 3))
+        per_link = tuple(
+            link.id
+            for link, q in zip(state.path_set.network.links, state.link_queues)
+            if q > 1e-6 * link.capacity
+        )
+        assert kkt_report(state).congested_links == per_link
+        assert per_link == ("l38", "l42", "l139", "l183")
 
     def test_min_od_costs(self, base_state):
         report = kkt_report(base_state)
@@ -100,7 +110,7 @@ class TestKKTReport:
 
     def test_path_cost_accessor(self, six_node, base_state):
         idx = six_node.path_link_idx[1]
-        assert path_generalized_cost(base_state, 1) == pytest.approx(
+        assert base_state.path_costs()[1] == pytest.approx(
             float(base_state.link_times[idx].sum())
         )
 
@@ -127,6 +137,15 @@ class TestCompareModels:
         assert v_q <= v_fixed + 1e-6 <= v_ue + 2e-6
         assert v_q == pytest.approx(2350.0, abs=5.0)
         assert v_fixed == pytest.approx(2400.0, abs=5.0)
+
+    def test_total_cost_is_the_state_total(self, rows):
+        # the total the CLI's summary.txt reports: sum_a (v_a + Q_a) t_a
+        for row in rows.values():
+            assert row.total_generalized_cost == row.state.total_cost()
+            st = row.state
+            assert st.total_cost() == pytest.approx(
+                float((st.throughflows + st.link_queues) @ st.link_times)
+            )
 
     def test_traditional_has_no_queue(self, rows):
         assert rows["traditional_ue"].total_queue == 0.0

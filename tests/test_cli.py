@@ -364,6 +364,13 @@ class TestValidate:
         assert rc == 0
         assert "ok" in capsys.readouterr().out
 
+    def test_seed_is_validate_only(self, cfg, capsys):
+        # only validate draws random numbers, so only validate takes a seed
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--config", cfg, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_seeded(self, cfg, capsys):
         assert run(["validate", "--config", cfg, "--seed", "7"]) == 0
         first = capsys.readouterr().out

@@ -188,6 +188,18 @@ class TestPathSet:
         with pytest.raises(PathError, match="unknown link"):
             PathSet(net, [Path(0, ("zz",))])
 
+    def test_inputs_read_once_and_read_only(self, six_node, base_state):
+        net = six_node.network
+        assert six_node.t_f.tolist() == [l.free_flow_time for l in net.links]
+        assert six_node.c_max.tolist() == [l.capacity for l in net.links]
+        assert six_node.demand.tolist() == [od.demand for od in net.od_pairs]
+        # a state reads the path set's arrays rather than copies
+        assert base_state.t_f is base_state.path_set.t_f
+        assert base_state.c_max is base_state.path_set.c_max
+        for name in ("t_f", "c_max", "demand"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(six_node, name)[0] = 1.0
+
     def test_positive_demand_needs_path(self, six_node):
         net = six_node.network
         with pytest.raises(PathError, match="no path"):

@@ -317,6 +317,9 @@ class TestConvergenceContract:
             solve(six_node, initial_flows=np.array([-1.0, 3001.0, 1500.0, 1500.0]))
         with pytest.raises(ValueError, match="conservation"):
             solve(six_node, initial_flows=np.array([1.0, 1.0, 1.0, 1.0]))
+        # OD 0 (paths 0, 1) conserves its 3000 veh/h, OD 1 (paths 2, 3) does not
+        with pytest.raises(ValueError, match="OD 1"):
+            solve(six_node, initial_flows=np.array([1000.0, 2000.0, 1000.0, 1000.0]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
