@@ -280,7 +280,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     idx = {lid: path_set.link_index(lid) for lid in track}
     out = _out_dir(cfg, args)
     with open(out / "sweep.csv", "w") as fh:
-        cols = [args.param, "converged"]
+        cols = [args.param, "converged", "termination"]
         for lid in track:
             cols += [
                 f"flow_{lid}",
@@ -291,7 +291,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ]
         fh.write(",".join(cols) + "\n")
         for row in point_rows:
-            cells = [_fmt(row.value), "1" if row.converged else "0"]
+            cells = [_fmt(row.value), "1" if row.converged else "0", row.termination]
             for lid in track:
                 i = idx[lid]
                 cells += [

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,6 +139,59 @@ def _link_arrays(params: CostParams) -> tuple[np.ndarray, ...]:
     )
 
 
+class _QueuePart(NamedTuple):
+    """What a link's priced cost reads of its queue Q and its parameters:
+    the terms that stay fixed while Q does."""
+
+    q: np.ndarray
+    c: np.ndarray  # C(Q) = C_max - gamma*Q
+    t_f: np.ndarray
+    beta: np.ndarray
+    n: np.ndarray
+    n_1: np.ndarray  # n - 1
+    tbn: np.ndarray  # t_f * beta * n
+    delay: np.ndarray  # alpha * (Q / C(Q))**m
+    zero_slope: np.ndarray  # dt/dv at v = 0
+
+
+def _queue_part(
+    q: np.ndarray,
+    t_f: np.ndarray,
+    c_max: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    m: np.ndarray,
+    n: np.ndarray,
+    gamma: np.ndarray,
+) -> _QueuePart:
+    """The queue half of `_priced_cost`, for queues Q."""
+    c = c_max - gamma * q
+    return _QueuePart(
+        q, c, t_f, beta, n, n - 1.0, t_f * beta * n,
+        alpha * (q / c) ** m,
+        np.where(n == 1.0, t_f * beta / c, 0.0),
+    )
+
+
+def _flow_part(
+    v: np.ndarray, qp: _QueuePart, system_optimum: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flow half of `_priced_cost`, at throughflows v.
+
+    At v = 0 the slope's discarded branch divides by zero (n < 1, or n < 2
+    for the system optimum's curvature), so callers run it with numpy's
+    divide and invalid warnings off.
+    """
+    r = v / qp.c
+    t = qp.t_f * (1.0 + qp.beta * r**qp.n) + qp.delay
+    t_v = np.where(v > 0, qp.tbn * r**qp.n_1 / qp.c, qp.zero_slope)
+    if not system_optimum:
+        return t, t_v
+    t_vv = np.where(v > 0, qp.tbn * qp.n_1 * r ** (qp.n - 2.0) / qp.c**2, 0.0)
+    load = v + qp.q
+    return t + load * t_v, 2.0 * t_v + load * t_vv
+
+
 def _priced_cost(
     v: np.ndarray,
     q: np.ndarray,
@@ -157,21 +210,19 @@ def _priced_cost(
     optimum the marginal time and its slope,
         (t + (v + Q) * t_v,  2 * t_v + (v + Q) * t_vv).
     Slopes whose power of v would be negative at v = 0 are flushed to 0
-    there (to t_f * beta / C(Q) for n = 1).  The solver's hot path calls
-    this with per-link arrays of a feasible state; the public functions
-    validate the queue through `capacity` first.
+    there (to t_f * beta / C(Q) for n = 1).  The public functions validate
+    the queue through `capacity` first.
+
+    It is two halves: `_queue_part` computes everything that depends on
+    the queue alone (C(Q), the delay term, t_f*beta*n and the slope at
+    v = 0), and `_flow_part` the rest (v/C(Q), the running time and the
+    slopes).  The solver's GP passes hold the queues fixed while the flows
+    move, so they call the halves apart and compute the queue half once.
     """
-    c = c_max - gamma * q
-    r = v / c
-    t = t_f * (1.0 + beta * r**n) + alpha * (q / c) ** m
     with np.errstate(invalid="ignore", divide="ignore"):
-        slope = t_f * beta * n * r ** (n - 1.0) / c
-        t_v = np.where(v > 0, slope, np.where(n == 1.0, t_f * beta / c, 0.0))
-        if not system_optimum:
-            return t, t_v
-        t_vv = np.where(v > 0, t_f * beta * n * (n - 1.0) * r ** (n - 2.0) / c**2, 0.0)
-    load = v + q
-    return t + load * t_v, 2.0 * t_v + load * t_vv
+        return _flow_part(
+            v, _queue_part(q, t_f, c_max, alpha, beta, m, n, gamma), system_optimum
+        )
 
 
 def _checked_cost(
@@ -345,26 +396,28 @@ def _path_cost_terms(
     params: CostParams,
     system_optimum: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_priced_cost` and, third, the priced cost's queue slope.
+    """`_priced_cost`, through its two halves, and, third, the priced
+    cost's queue slope.
 
     Slopes whose power of v or Q would be negative at v = 0 or Q = 0 are
     flushed to 0 there.
     """
     alpha, beta, m, n, gamma = arrays = _link_arrays(params)
-    t, t_v = _priced_cost(v, q, t_f, c_max, *arrays, False)
-    c = c_max - gamma * q
+    qp = _queue_part(q, t_f, c_max, *arrays)
+    c = qp.c
     r = v / c
     with np.errstate(divide="ignore", invalid="ignore"):
+        t, t_v = _flow_part(v, qp, False)
         delay_q = np.where(
             q > 0,
             alpha * m * (q / c) ** (m - 1.0) * c_max / c**2,
             np.where(m == 1.0, alpha * c_max / c**2, 0.0),
         )
-        t_q = t_f * beta * n * r**n * gamma / c + delay_q
+        t_q = qp.tbn * r**n * gamma / c + delay_q
         if not system_optimum:
             return t, t_v, t_q
         t_vq = np.where(v > 0, t_f * beta * n**2 * gamma * r ** (n - 1.0) / c**2, 0.0)
-    cost, cost_v = _priced_cost(v, q, t_f, c_max, *arrays, True)
+        cost, cost_v = _flow_part(v, qp, True)
     return cost, cost_v, t_q + t_v + (v + q) * t_vq
 
 

@@ -10,10 +10,11 @@ OD pair, read once and read-only.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -182,16 +183,9 @@ class PathSet:
                         f"path {p.links}: links {a.id} and {b.id} do not chain"
                     )
 
-        for i, od in enumerate(network.od_pairs):
-            if od.demand > 0 and not any(p.od_index == i for p in self.paths):
-                raise PathError(
-                    f"OD {od.origin}->{od.destination} has positive demand but no path"
-                )
-
         # numeric structure used by the solver; the inputs are read-only
         self.t_f = _read_only([l.free_flow_time for l in network.links])
         self.c_max = _read_only([l.capacity for l in network.links])
-        self.demand = _read_only([od.demand for od in network.od_pairs])
         self.path_link_idx: list[np.ndarray] = [
             np.array([self._link_index[lid] for lid in p.links], dtype=np.intp)
             for p in self.paths
@@ -215,6 +209,32 @@ class PathSet:
             np.flatnonzero(np.bincount(self.entry_link[od_e == i], minlength=self.n_links))
             for i in range(len(network.od_pairs))
         ]
+        self._set_demands(network.od_pairs)
+
+    def _set_demands(self, od_pairs: Sequence[ODPair]) -> None:
+        for od, group in zip(od_pairs, self.od_groups):
+            if od.demand > 0 and not len(group):
+                raise PathError(
+                    f"OD {od.origin}->{od.destination} has positive demand but no path"
+                )
+        self.demand = _read_only([od.demand for od in od_pairs])
+
+    def with_demands(self, demands: Sequence[float]) -> "PathSet":
+        """The same paths under other OD demands, in OD pair order.
+
+        The copy shares every array and OD group with this path set and
+        checks only the demands: each as `ODPair` does, and that no OD
+        pair without a path gets a positive one.
+        """
+        if len(demands) != len(self.network.od_pairs):
+            raise ValueError("demands override must match the OD pair count")
+        od_pairs = tuple(
+            replace(od, demand=float(d)) for od, d in zip(self.network.od_pairs, demands)
+        )
+        new = copy.copy(self)
+        new._set_demands(od_pairs)
+        new.network = self.network.with_demands(od_pairs)
+        return new
 
     def link_index(self, link_id: str) -> int:
         return self._link_index[link_id]

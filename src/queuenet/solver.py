@@ -29,7 +29,18 @@ The flow half-step runs GP passes until one moves no path flow by more
 than max(0.1 epsilon, INNER_TOL_SHARE * the previous iteration's largest
 link-queue change): the flow block is solved only as exactly as the next
 queue update warrants, and to 0.1 epsilon once the queues settle.  The
-first iteration, with no queue change yet, uses 0.1 epsilon.  The GP
+first iteration, with no queue change yet, uses 0.1 epsilon.  The passes
+hold the per-entry queues frozen, so everything the pricing reads of them
+is computed once, by `_frozen_queues`: per link Q and Q', per path its
+queued traffic, and per level of OD groups the queue half of the priced
+cost (C(Q), the delay term, t_f beta n and the slope at zero flow,
+`cost._queue_part`) and the queue-slope curvature.  Each pass computes
+only the flow half: x, v and the running time with its slope
+(`cost._flow_part`).  The frozen terms are computed again only when the
+queues are a different array: `_project_queues` returns its input when it
+cuts nothing, so in the fixed-point mode that is once per outer iteration
+(after the queue sweep, or after a cut); the smoothed mode sweeps the
+queues in every flow trial, so it computes them on every pass.  The GP
 curvature on a queued link carries the queuing-delay slope alpha m
 (Q/C)^(m-1), evaluated at Q/C >= QUEUE_RATIO_FLOOR so that with m < 1 a
 dissolving queue's rounding residue cannot make it unbounded.
@@ -217,11 +228,32 @@ def assemble_link_state(
     queues upstream of the link on each of its paths, and v = x - Q - Q'
     the flow that actually traverses the link.
     """
-    link_e, path_e, n_links = path_set.entry_link, path_set.entry_path, path_set.n_links
+    x = _link_inflow(path_set, path_flows)
+    q, q_prime = _link_queues(path_set, queue_alloc)
+    return x, q, q_prime, _throughflow(path_set, x, q, q_prime)
+
+
+def _link_inflow(path_set: PathSet, path_flows: np.ndarray) -> np.ndarray:
+    """x: the path flows assigned to each link."""
+    flows = np.asarray(path_flows, dtype=float)[path_set.entry_path]
+    return np.bincount(path_set.entry_link, flows, path_set.n_links)
+
+
+def _link_queues(
+    path_set: PathSet, queue_alloc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, Q') per link: its own queue, and what its paths hold upstream."""
+    link_e, n_links = path_set.entry_link, path_set.n_links
     held = np.asarray(queue_alloc, dtype=float)
-    x = np.bincount(link_e, np.asarray(path_flows, dtype=float)[path_e], n_links)
     q = np.bincount(link_e, held, n_links)
     q_prime = np.bincount(link_e, _cost._segment_cumsum(held, path_set) - held, n_links)
+    return q, q_prime
+
+
+def _throughflow(
+    path_set: PathSet, x: np.ndarray, q: np.ndarray, q_prime: np.ndarray
+) -> np.ndarray:
+    """v = x - Q - Q', refusing a state that discharges a negative flow."""
     v = x - q - q_prime
     if np.any(v < -1e-9):
         worst = int(np.argmin(v))
@@ -229,7 +261,7 @@ def assemble_link_state(
             f"infeasible state: negative throughflow {v[worst]:.3g} on link "
             f"{path_set.network.links[worst].id}"
         )
-    return x, q, q_prime, np.maximum(v, 0.0)
+    return np.maximum(v, 0.0)
 
 
 class _LinkArrays(NamedTuple):
@@ -258,7 +290,8 @@ class _GroupLevel(NamedTuple):
     """One level of link-disjoint OD groups for the GP pass: its paths,
     group after group; its links; the block-diagonal 0/1 paths x links
     membership matrix; each path's group within the level; each group's
-    first row; and the link arrays on the level's links."""
+    first row; the link arrays on the level's links; and the queue half
+    of their priced cost with no queue, which `_frozen_queues` reuses."""
 
     paths: np.ndarray
     links: np.ndarray
@@ -266,6 +299,7 @@ class _GroupLevel(NamedTuple):
     group: np.ndarray
     starts: np.ndarray
     la: _LinkArrays
+    unqueued: _cost._QueuePart
 
 
 def _group_levels(path_set: PathSet, la: _LinkArrays) -> list[_GroupLevel]:
@@ -301,14 +335,64 @@ def _group_levels(path_set: PathSet, la: _LinkArrays) -> list[_GroupLevel]:
         member[row[path_set.entry_path[inside]], col[path_set.entry_link[inside]]] = 1.0
         group = np.repeat(np.arange(len(gis)), sizes)
         starts = np.cumsum(sizes) - sizes
-        levels.append(_GroupLevel(paths, links, member, group, starts, la.sub(links)))
+        la_l = la.sub(links)
+        unqueued = _cost._queue_part(np.zeros(len(links)), *la_l)
+        levels.append(_GroupLevel(paths, links, member, group, starts, la_l, unqueued))
     return levels
+
+
+class _FrozenQueues(NamedTuple):
+    """The queue part of the GP pass's pricing (`_frozen_queues`): all it
+    reads of the per-entry queues it holds frozen.  Per link Q and Q'; per
+    path its queued traffic; per level of `_group_levels`, Q' on the
+    level's links, the queue half of their priced cost and the curvature
+    their queues add (None on a level without queues)."""
+
+    queue_alloc: np.ndarray  # the queues these terms were priced from
+    q: np.ndarray
+    q_prime: np.ndarray
+    held: np.ndarray
+    levels: list[tuple[np.ndarray, _cost._QueuePart, np.ndarray | None]]
+
+
+def _frozen_queues(
+    path_set: PathSet, queue_alloc: np.ndarray, levels: list[_GroupLevel]
+) -> _FrozenQueues:
+    """Price what the GP pass needs of `queue_alloc`, once for every pass
+    that holds these queues frozen."""
+    q, q_prime = _link_queues(path_set, queue_alloc)
+    frozen_levels = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for level in levels:
+            q_prime_l, q_l = q_prime[level.links], q[level.links]
+            if not np.count_nonzero(q_l):
+                frozen_levels.append((q_prime_l, level.unqueued, None))
+                continue
+            la_l = level.la
+            qp = _cost._queue_part(q_l, *la_l)
+            # on queued links extra inflow feeds the queue (amplified by
+            # 1/(1-gamma)), so the equilibrium cost responds through the
+            # queuing-delay term as well; fold that into the curvature so
+            # steps stay small where the queue, not the running time, reacts
+            queue_slope = np.where(
+                q_l > 0,
+                la_l.alpha
+                * la_l.m
+                * np.maximum(q_l / qp.c, QUEUE_RATIO_FLOOR) ** (la_l.m - 1.0)
+                * (qp.c + la_l.gamma * q_l)
+                / (qp.c**2 * np.maximum(1.0 - la_l.gamma, 1e-3)),
+                0.0,
+            )
+            frozen_levels.append((q_prime_l, qp, queue_slope))
+    return _FrozenQueues(
+        queue_alloc, q, q_prime, _path_held(path_set, queue_alloc), frozen_levels
+    )
 
 
 def _gp_flow_pass(
     path_set: PathSet,
     f: np.ndarray,
-    queue_alloc: np.ndarray,
+    frozen: _FrozenQueues,
     levels: list[_GroupLevel],
     options: SolverOptions,
 ) -> np.ndarray:
@@ -321,37 +405,27 @@ def _gp_flow_pass(
     optimum.  On queued links the slope also carries the queuing delay's
     response.  A step never moves queued traffic.
 
-    Queues are frozen for the whole pass; link flows are updated
-    incrementally between the levels of link-disjoint OD groups
-    (`_group_levels`), which is the Gauss-Seidel order over groups.  All
-    groups of a level step at once through the level's membership matrix,
-    each on its own links only.  `queue_alloc` is feasible for `f`.
+    The queues are `frozen`'s, priced once for every pass that holds them
+    (`_frozen_queues`); a pass prices only the flow part of the cost.  Link
+    flows are updated incrementally between the levels of link-disjoint OD
+    groups (`_group_levels`), which is the Gauss-Seidel order over groups.
+    All groups of a level step at once through the level's membership
+    matrix, each on its own links only.  The frozen queues are feasible
+    for `f`.
     """
     f = f.copy()
-    x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
-    held = _path_held(path_set, queue_alloc)  # queued traffic, immovable
+    x = _link_inflow(path_set, f)
+    _throughflow(path_set, x, frozen.q, frozen.q_prime)  # raises if v < 0 anywhere
+    held = frozen.held  # queued traffic, immovable
     system_optimum = options.variant == "system_optimum"
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for paths, links, member, group, starts, la_l in levels:
-            q_l = q[links]
-            v_l = np.maximum(x[links] - q_l - q_prime[links], 0.0)
-            cost, slope = _cost._priced_cost(v_l, q_l, *la_l, system_optimum)
-            if np.count_nonzero(q_l):
-                # on queued links extra inflow feeds the queue (amplified by
-                # 1/(1-gamma)), so the equilibrium cost responds through the
-                # queuing-delay term as well; fold that into the curvature
-                # so steps stay small where the queue, not the running
-                # time, reacts
-                c_l = la_l.c_max - la_l.gamma * q_l
-                queue_slope = (
-                    la_l.alpha
-                    * la_l.m
-                    * np.maximum(q_l / c_l, QUEUE_RATIO_FLOOR) ** (la_l.m - 1.0)
-                    * (c_l + la_l.gamma * q_l)
-                    / (c_l**2 * np.maximum(1.0 - la_l.gamma, 1e-3))
-                )
-                slope = slope + np.where(q_l > 0, queue_slope, 0.0)
+        for level, (q_prime_l, qp, queue_slope) in zip(levels, frozen.levels):
+            paths, links, member, group, starts = level[:5]
+            v_l = np.maximum(x[links] - qp.q - q_prime_l, 0.0)
+            cost, slope = _cost._flow_part(v_l, qp, system_optimum)
+            if queue_slope is not None:
+                slope = slope + queue_slope
             costs = member @ cost
             # each group's first cheapest path, as argmin picks it: a stable
             # sort by group, then cost
@@ -639,8 +713,8 @@ def solve(
 ) -> tuple[SolutionState, ConvergenceReport]:
     """Solve for equilibrium path flows and residual queues.
 
-    `demands` optionally overrides the OD demands, in OD pair order, on a
-    copy of the network and a `PathSet` of the same paths.  `history` asks for
+    `demands` optionally overrides the OD demands, in OD pair order
+    (`PathSet.with_demands`).  `history` asks for
     `ConvergenceReport.history`, one row per outer iteration (J after each
     half-step, the step sizes and the relative gap); it is off by default
     because pricing those rows is bookkeeping the iteration never reads, and
@@ -653,11 +727,7 @@ def solve(
     t_f, c_max = path_set.t_f, path_set.c_max
 
     if demands is not None:
-        if len(demands) != len(network.od_pairs):
-            raise ValueError("demands override must match the OD pair count")
-        ods = [replace(od, demand=float(d)) for od, d in zip(network.od_pairs, demands)]
-        network = network.with_demands(ods)
-        path_set = PathSet(network, path_set.paths)
+        path_set = path_set.with_demands(demands)
 
     if initial_flows is not None:
         f = np.asarray(initial_flows, dtype=float).copy()
@@ -679,6 +749,7 @@ def solve(
     la = _LinkArrays.of(base, t_f, c_max)
     group_levels = _group_levels(path_set, la)
     theta = _queue_relaxation(la.gamma)
+    frozen = _frozen_queues(path_set, queue_alloc, group_levels)
 
     update_queues = options.variant != "traditional_ue"
     smoothed = options.queue_mode == "smoothed_gradient"
@@ -751,10 +822,13 @@ def solve(
         # the first iteration has no queue change yet (queue_change is 0)
         inner_tol = max(0.1 * options.epsilon, INNER_TOL_SHARE * queue_change)
 
-        # flow half-step: GP passes with the queues frozen
+        # flow half-step: GP passes with the queues frozen, priced again
+        # only when a step replaced them
         for _ in range(MAX_INNER_PASSES):
             inner_passes += 1
-            g = _gp_flow_pass(path_set, f, queue_alloc, group_levels, options)
+            if frozen.queue_alloc is not queue_alloc:
+                frozen = _frozen_queues(path_set, queue_alloc, group_levels)
+            g = _gp_flow_pass(path_set, f, frozen, group_levels, options)
             f_new, queue_alloc, j = flow_step(f, queue_alloc, j, g)
             inner_change = float(np.max(np.abs(f_new - f))) if f.size else 0.0
             f = f_new

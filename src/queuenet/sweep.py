@@ -43,6 +43,7 @@ class SweepSpec:
 class SweepRow:
     value: float
     converged: bool
+    termination: str  # as `ConvergenceReport.termination`
     iterations: int
     link_flows: np.ndarray
     link_queues: np.ndarray
@@ -59,6 +60,7 @@ def _row(value: float, state, report, path_set: PathSet) -> SweepRow:
     return SweepRow(
         value=float(value),
         converged=report.converged,
+        termination=report.termination,
         iterations=report.iterations,
         link_flows=state.link_flows,
         link_queues=state.link_queues,

@@ -15,7 +15,12 @@ import networkx as nx
 import numpy as np
 
 from queuenet import cost as _cost
-from queuenet.solver import CURVATURE_FLOOR, QUEUE_CAP_FRACTION, SWEEP_TOL
+from queuenet.solver import (
+    CURVATURE_FLOOR,
+    QUEUE_CAP_FRACTION,
+    QUEUE_RATIO_FLOOR,
+    SWEEP_TOL,
+)
 
 
 def incidence(path_set):
@@ -145,15 +150,15 @@ def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
         local_best = int(np.argmin(costs))
         best_pos = set(positions[local_best].tolist())
         c_g = la_g.c_max - la_g.gamma * q_g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            queue_slope = (
-                la_g.alpha
-                * la_g.m
-                * (q_g / c_g) ** (la_g.m - 1.0)
-                * (c_g + la_g.gamma * q_g)
-                / (c_g**2 * np.maximum(1.0 - la_g.gamma, 1e-3))
-            )
-        slope = slope + np.where(q_g > 0, np.nan_to_num(queue_slope), 0.0)
+        # the delay slope is taken at Q/C >= QUEUE_RATIO_FLOOR, as the solver does
+        queue_slope = (
+            la_g.alpha
+            * la_g.m
+            * np.maximum(q_g / c_g, QUEUE_RATIO_FLOOR) ** (la_g.m - 1.0)
+            * (c_g + la_g.gamma * q_g)
+            / (c_g**2 * np.maximum(1.0 - la_g.gamma, 1e-3))
+        )
+        slope = slope + np.where(q_g > 0, queue_slope, 0.0)
         c_min = float(costs.min())
         delta = np.zeros(len(group))
         for local, j in enumerate(group):

@@ -304,6 +304,20 @@ class TestSweep:
         rows = read_csv(tmp_path / "sweep.csv")
         assert [float(r["demand"]) for r in rows] == [1000.0, 2000.0, 3000.0]
 
+    def test_termination_column(self, cfg, tmp_path):
+        argv = ["sweep", "--config", cfg, "--param", "demand", "--od", "1,3"]
+        argv += ["--values", "1000,3000,5000", "--track", "4"]
+        assert run(argv + ["--out", str(tmp_path / "full")]) == 0
+        rows = read_csv(tmp_path / "full" / "sweep.csv")
+        assert list(rows[0])[:3] == ["demand", "converged", "termination"]
+        assert [r["termination"] for r in rows] == ["tolerance"] * 3
+        # one outer iteration cannot converge: the column names the limit
+        assert run(argv + ["--out", str(tmp_path / "capped"), "--max-iter", "1"]) == 2
+        rows = read_csv(tmp_path / "capped" / "sweep.csv")
+        assert [(r["converged"], r["termination"]) for r in rows] == [
+            ("0", "iteration_limit")
+        ] * 3
+
     def test_sweep_output_is_deterministic(self, cfg, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         args = [

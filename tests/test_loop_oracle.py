@@ -2,8 +2,11 @@
 
 `loop_reference` holds the loops that state assembly, the fixed-point
 queue sweep and the GP flow pass replaced; on the same inputs both must
-give the same numbers to rounding.  The cases are per-entry queues; the
-loops get them as a dense array (`loop_reference.dense_queues`).
+give the same numbers to rounding.  The cases are per-entry queues and
+the cost parameters; the loops get the queues as a dense array
+(`loop_reference.dense_queues`).  The vectorized GP pass runs as the
+solver runs it: its queue part priced once (`_frozen_queues`), then the
+pass itself.
 """
 
 import numpy as np
@@ -15,11 +18,13 @@ from queuenet import fixtures
 from queuenet.cost import CostParams
 from queuenet.net import ODPair, enumerate_paths
 from queuenet.solver import (
+    QUEUE_RATIO_FLOOR,
     VARIANTS,
     SolverOptions,
     _LinkArrays,
     _aon_initial_flows,
     _apply_variant,
+    _frozen_queues,
     _gp_flow_pass,
     _group_levels,
     _queue_targets_fixed_point,
@@ -31,11 +36,11 @@ RTOL = 1e-9
 ATOL = 1e-9  # veh/h, for entries that are zero in one version
 
 
-def _link_arrays(path_set):
+def _link_arrays(path_set, params=CostParams()):
     links = path_set.network.links
     t_f = np.array([l.free_flow_time for l in links])
     c_max = np.array([l.capacity for l in links])
-    return t_f, c_max, CostParams().for_links(links)
+    return t_f, c_max, params.for_links(links)
 
 
 def _six_node_queued():
@@ -43,6 +48,24 @@ def _six_node_queued():
     qa = np.zeros((ps.n_links, ps.n_paths))
     qa[ps.link_index("4"), [1, 3]] = 50.0
     return ps, np.array([1775.0, 1225.0, 1775.0, 1225.0]), per_entry(ps, qa)
+
+
+def _six_node_sub_linear_delay():
+    # m < 1: the delay slope (Q/C)^(m-1) grows without bound as Q -> 0+.
+    # Link 4's queue is a residue of 1e-3 veh, far below QUEUE_RATIO_FLOOR
+    # of its capacity, so the curvature takes the floor there; link 3 holds
+    # a real queue, above the floor
+    ps, f, _ = _six_node_queued()
+    qa = np.zeros((ps.n_links, ps.n_paths))
+    qa[ps.link_index("4"), [1, 3]] = 5e-4
+    qa[ps.link_index("3"), 1] = 20.0
+    return ps, f, per_entry(ps, qa), CostParams(m=0.5)
+
+
+def _six_node_fixed_capacity():
+    # gamma = 0 under the queue-dependent variant: queues take no capacity
+    ps, f, qa = _six_node_queued()
+    return ps, f, qa, CostParams(gamma=0.0)
 
 
 def _grid10_after_five_iterations():
@@ -86,6 +109,8 @@ def _six_node_one_od_off():
 
 CASES = {
     "six_node": _six_node_queued,
+    "six_node_m_below_1": _six_node_sub_linear_delay,
+    "six_node_gamma_0": _six_node_fixed_capacity,
     "six_node_one_od_off": _six_node_one_od_off,
     "grid10": _grid10_after_five_iterations,
     "grid20_staircase": _grid20_after_five_iterations,
@@ -95,9 +120,18 @@ CASES = {
 
 @pytest.fixture(scope="module", params=list(CASES))
 def case(request):
-    ps, f, qa = CASES[request.param]()
+    ps, f, qa, *params = CASES[request.param]()
     assert np.any(qa > 0)
-    return ps, f, qa
+    return ps, f, qa, *(params or [CostParams()])
+
+
+def test_sub_linear_delay_case_reaches_the_ratio_floor():
+    ps, f, qa, params = _six_node_sub_linear_delay()
+    _, c_max, params = _link_arrays(ps, params)
+    _, q, _, _ = assemble_link_state(ps, f, qa)
+    ratio = q / (c_max - params.gamma * q)
+    assert np.any((q > 0) & (ratio < QUEUE_RATIO_FLOOR))
+    assert np.any(ratio > QUEUE_RATIO_FLOOR)
 
 
 def _close(actual, expected):
@@ -105,7 +139,7 @@ def _close(actual, expected):
 
 
 def test_assemble_link_state_matches_loop(case):
-    ps, f, qa = case
+    ps, f, qa, _ = case
     dense = ref.dense_queues(ps, qa)
     for new, old in zip(assemble_link_state(ps, f, qa), ref.assemble_link_state(ps, f, dense)):
         _close(new, old)
@@ -113,8 +147,8 @@ def test_assemble_link_state_matches_loop(case):
 
 @pytest.mark.parametrize("relaxation", [0.5, 1.0])
 def test_queue_sweep_matches_loop(case, relaxation):
-    ps, f, qa = case
-    _, c_max, params = _link_arrays(ps)
+    ps, f, qa, params = case
+    _, c_max, params = _link_arrays(ps, params)
     dense = ref.dense_queues(ps, qa)
     _close(
         _queue_targets_fixed_point(ps, f, qa, c_max, params, relaxation),
@@ -123,8 +157,8 @@ def test_queue_sweep_matches_loop(case, relaxation):
 
 
 def test_slack_keeping_sweep_matches_loop(case):
-    ps, f, qa = case
-    _, c_max, params = _link_arrays(ps)
+    ps, f, qa, params = case
+    _, c_max, params = _link_arrays(ps, params)
     dense = ref.dense_queues(ps, qa)
     _, q, _, v = ref.assemble_link_state(ps, f, dense)
     slack = np.where(q > 0, c_max - np.asarray(params.gamma) * q - v, -np.inf)
@@ -138,11 +172,12 @@ def test_slack_keeping_sweep_matches_loop(case):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_gp_flow_pass_matches_loop(case, variant):
-    ps, f, qa = case
-    t_f, c_max, params = _link_arrays(ps)
+    ps, f, qa, params = case
+    t_f, c_max, params = _link_arrays(ps, params)
     la = _LinkArrays.of(_apply_variant(params, variant), t_f, c_max)
     la_subs = [la.sub(g) for g in ps.od_group_links]
     options = SolverOptions(variant=variant)
-    new = _gp_flow_pass(ps, f, qa, _group_levels(ps, la), options)
+    levels = _group_levels(ps, la)
+    new = _gp_flow_pass(ps, f, _frozen_queues(ps, qa, levels), levels, options)
     assert np.max(np.abs(new - f)) > 0.0  # the pass moves flow
     _close(new, ref.gp_flow_pass(ps, f, ref.dense_queues(ps, qa), la_subs, options))

@@ -21,7 +21,7 @@ from queuenet.net import (
     load_path_set,
     write_path_set,
 )
-from queuenet.solver import _LinkArrays, _group_levels
+from queuenet.solver import SolverOptions, _LinkArrays, _group_levels, solve
 
 
 def _net(nodes, links, ods=()):
@@ -204,6 +204,53 @@ class TestPathSet:
         net = six_node.network
         with pytest.raises(PathError, match="no path"):
             PathSet(net, [Path(0, ("1",))])  # second OD left uncovered
+
+
+class TestWithDemands:
+    @pytest.mark.parametrize("demands", [[2000.0, 500.0], [0.0, 3500.0]])
+    def test_solves_as_a_fresh_path_set(self, six_node, demands):
+        ods = [
+            ODPair(od.origin, od.destination, d)
+            for od, d in zip(six_node.network.od_pairs, demands)
+        ]
+        fresh = PathSet(six_node.network.with_demands(ods), six_node.paths)
+        shared = six_node.with_demands(demands)
+        assert shared.network == fresh.network
+        for options in (SolverOptions(), SolverOptions(queue_mode="smoothed_gradient")):
+            a, ra = solve(shared, options=options, history=True)
+            b, rb = solve(fresh, options=options, history=True)
+            for name in ("path_flows", "queue_alloc", "link_flows", "link_queues", "link_times"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert (ra.iterations, ra.inner_passes, ra.history) == (
+                rb.iterations, rb.inner_passes, rb.history
+            )
+
+    def test_shares_everything_but_the_demands(self, six_node):
+        shared = six_node.with_demands([2000.0, 500.0])
+        for name in ("entry_link", "entry_path", "path_start", "path_od", "t_f", "c_max"):
+            assert getattr(shared, name) is getattr(six_node, name)
+        assert shared.od_groups is six_node.od_groups
+        assert shared.od_group_links is six_node.od_group_links
+        assert shared.paths is six_node.paths
+        assert shared.demand.tolist() == [2000.0, 500.0]
+        assert six_node.demand.tolist() == [3000.0, 3000.0]
+        with pytest.raises(ValueError, match="read-only"):
+            shared.demand[0] = 1.0
+
+    def test_checks_the_demands(self, six_node):
+        # OD 1 has no path here, so it may only keep a zero demand
+        od0, od1 = six_node.network.od_pairs
+        network = six_node.network.with_demands([od0, ODPair(od1.origin, od1.destination, 0.0)])
+        cut = PathSet(network, [p for p in six_node.paths if p.od_index == 0])
+        assert cut.with_demands([2500.0, 0.0]).demand.tolist() == [2500.0, 0.0]
+        with pytest.raises(PathError, match="positive demand but no path"):
+            cut.with_demands([2500.0, 10.0])
+        with pytest.raises(NetworkError, match="finite and >= 0"):
+            six_node.with_demands([-1.0, 3000.0])
+        with pytest.raises(NetworkError, match="finite and >= 0"):
+            six_node.with_demands([np.nan, 3000.0])
+        with pytest.raises(ValueError, match="OD pair count"):
+            six_node.with_demands([3000.0])
 
 
 class TestEnumeration:

@@ -23,6 +23,7 @@ from queuenet.solver import (
     _accept_or_halve,
     _aon_initial_flows,
     _apply_variant,
+    _frozen_queues,
     _gp_flow_pass,
     _group_levels,
     _project_queues,
@@ -133,7 +134,8 @@ class TestFlowPass:
         f = np.array([3000.0, 0.0, 3000.0, 0.0])
         for _ in range(200):
             # the 50 veh held on paths 1 and 3 fit once flow moves onto them
-            f_new = _gp_flow_pass(six_node, f, _project_queues(six_node, f, qa), levels, options)
+            frozen = _frozen_queues(six_node, _project_queues(six_node, f, qa), levels)
+            f_new = _gp_flow_pass(six_node, f, frozen, levels, options)
             if np.max(np.abs(f_new - f)) < 1e-6:
                 f = f_new
                 break
@@ -180,7 +182,9 @@ class TestFlowPass:
                 for _ in range(20):
                     frozen = _project_queues(six_node, f, qa)
                     before = spread(f, frozen)
-                    f = _gp_flow_pass(six_node, f, frozen, levels, options)
+                    f = _gp_flow_pass(
+                        six_node, f, _frozen_queues(six_node, frozen, levels), levels, options
+                    )
                     assert spread(f, frozen) <= before + 1e-9
 
     def test_group_levels_keep_the_gauss_seidel_order(self):
@@ -217,6 +221,64 @@ class TestFlowPass:
                     if j < i and np.intersect1d(ps.od_group_links[i], ps.od_group_links[j]).size:
                         assert level_of[j] < level_of[i]
         assert 0 not in level_of
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_queue_part_priced_once_per_set_of_queues(
+        self, six_node, variant, mode, monkeypatch
+    ):
+        # the passes of a flow half-step hold the queues frozen: the
+        # fixed-point mode prices their queue part at the start and after
+        # every queue sweep but the last (no pass here cuts a queue), once
+        # per outer iteration, and for traditional UE, which sweeps no
+        # queue, once.  The smoothed mode sweeps the queues in every flow
+        # trial, so it prices them on nearly every pass
+        calls = []
+        frozen_queues = solver._frozen_queues
+        monkeypatch.setattr(
+            solver, "_frozen_queues", lambda *a: calls.append(1) or frozen_queues(*a)
+        )
+        _, report = solve(six_node, options=SolverOptions(queue_mode=mode, variant=variant))
+        if mode == "fixed_point":
+            assert len(calls) == (1 if variant == "traditional_ue" else report.iterations)
+        else:
+            assert report.iterations < len(calls) <= report.inner_passes
+
+    def test_a_cut_inside_the_flow_half_step_prices_the_queues_again(
+        self, six_node, monkeypatch
+    ):
+        # a GP pass never moves queued traffic, so in a solve only rounding
+        # can leave a path below the queue it holds.  Here one pass hands
+        # back flows below the held queues on purpose: path 1 (3-4-6) keeps
+        # 1 veh/h less than it holds, and `_project_queues` cuts its queue.
+        # The next pass must be priced from the cut queues, exactly as from
+        # queue data computed afresh
+        gp_flow_pass = solver._gp_flow_pass
+        passes, forced = [], []
+
+        def short_pass(ps, f, frozen, levels, options):
+            passes.append((f, frozen, levels, options))
+            g = gp_flow_pass(ps, f, frozen, levels, options)
+            if not forced and frozen.held[1] > 1.0:
+                moved = g[1] - (frozen.held[1] - 1.0)
+                g = g + moved * np.array([1.0, -1.0, 0.0, 0.0])
+                forced.append(len(passes))
+            return g
+
+        monkeypatch.setattr(solver, "_gp_flow_pass", short_pass)
+        solve(six_node)
+        assert forced
+        before = passes[forced[0] - 1][1]
+        f, frozen, levels, options = passes[forced[0]]
+        cut = _project_queues(six_node, f, before.queue_alloc)
+        assert cut is not before.queue_alloc
+        np.testing.assert_array_equal(frozen.queue_alloc, cut)
+        assert frozen.held[1] == pytest.approx(f[1]) and frozen.held[1] < before.held[1]
+        fresh = _frozen_queues(six_node, cut, levels)
+        np.testing.assert_array_equal(
+            gp_flow_pass(six_node, f, frozen, levels, options),
+            gp_flow_pass(six_node, f, fresh, levels, options),
+        )
 
     def test_single_path_od_unchanged(self):
         net = Network(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from queuenet.net import PathSet
+from queuenet.solver import SolverOptions
 from queuenet.sweep import SweepSpec, demand_sweep, run_sweep, trend, trend_check
 
 # Published sensitivity results for the bottleneck link of the six-node
@@ -122,6 +123,15 @@ class TestDemandSweep:
         g2 = six_node.od_groups[1]
         for r in demand_rows:
             assert r.path_flows[g2].sum() == pytest.approx(3000.0, abs=1e-6)
+
+    def test_rows_carry_the_termination(self, six_node, demand_rows):
+        assert all(r.termination == "tolerance" for r in demand_rows)
+        capped = demand_sweep(
+            six_node, [2500.0, 3500.0], options=SolverOptions(max_outer_iterations=1)
+        )
+        assert [(r.converged, r.termination) for r in capped] == [
+            (False, "iteration_limit")
+        ] * 2
 
 
 class TestTrendHelpers:
