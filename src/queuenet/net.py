@@ -119,11 +119,7 @@ class Network:
         for l in self.links:
             if l.tail not in known or l.head not in known:
                 raise NetworkError(f"link {l.id} references undeclared node")
-        for od in self.od_pairs:
-            if od.origin not in known or od.destination not in known:
-                raise NetworkError(
-                    f"OD {od.origin}->{od.destination} references undeclared node"
-                )
+        _check_od_nodes(self.od_pairs, known)
 
     def link_by_id(self, link_id: str) -> Link:
         for l in self.links:
@@ -132,7 +128,21 @@ class Network:
         raise NetworkError(f"unknown link id: {link_id}")
 
     def with_demands(self, od_pairs: Iterable[ODPair]) -> "Network":
-        return Network(self.nodes, self.links, tuple(od_pairs))
+        """This network with other OD pairs.  It shares the node and link
+        tuples, already checked, and checks only the new OD pairs' nodes."""
+        od_pairs = tuple(od_pairs)
+        _check_od_nodes(od_pairs, {n.id for n in self.nodes})
+        new = copy.copy(self)
+        object.__setattr__(new, "od_pairs", od_pairs)
+        return new
+
+
+def _check_od_nodes(od_pairs: Iterable[ODPair], known: set[str]) -> None:
+    for od in od_pairs:
+        if od.origin not in known or od.destination not in known:
+            raise NetworkError(
+                f"OD {od.origin}->{od.destination} references undeclared node"
+            )
 
 
 @dataclass(frozen=True)

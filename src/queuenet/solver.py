@@ -40,10 +40,12 @@ only the flow half: x, v and the running time with its slope
 queues are a different array: `_project_queues` returns its input when it
 cuts nothing, so in the fixed-point mode that is once per outer iteration
 (after the queue sweep, or after a cut); the smoothed mode sweeps the
-queues in every flow trial, so it computes them on every pass.  The GP
-curvature on a queued link carries the queuing-delay slope alpha m
-(Q/C)^(m-1), evaluated at Q/C >= QUEUE_RATIO_FLOOR so that with m < 1 a
-dissolving queue's rounding residue cannot make it unbounded.
+queues in every flow trial, so it computes them on every pass.  A variant
+without queues keeps the ones it starts with in every trial too, and
+computes them once per solve in either mode.  The GP curvature on a queued
+link carries the queuing-delay slope alpha m (Q/C)^(m-1), evaluated at
+Q/C >= QUEUE_RATIO_FLOOR so that with m < 1 a dissolving queue's rounding
+residue cannot make it unbounded.
 
 The solver works on the flat path-link entries of `PathSet`: one entry
 per (link, path) pair, path after path in traversal order (`entry_link`,
@@ -307,13 +309,15 @@ def _group_levels(path_set: PathSet, la: _LinkArrays) -> list[_GroupLevel]:
 
     Taken in path-set order, a group's level is one above the highest level
     of any earlier group that shares a link with it; `last` holds each
-    link's latest level.  Groups with fewer than two paths never move flow
-    and are in no level.
+    link's latest level.  Groups that can never move flow are in no level:
+    those with fewer than two paths, and those of OD pairs with zero demand
+    (`path_set` carries the demands solved for, so a swept OD pair drops
+    out only where its demand is 0), whose paths all carry nothing.
     """
     last = np.full(path_set.n_links, -1, dtype=np.intp)
     by_level: list[list[int]] = []
     for gi, group in enumerate(path_set.od_groups):
-        if len(group) < 2:
+        if len(group) < 2 or path_set.demand[gi] == 0:
             continue
         links = path_set.od_group_links[gi]
         level = int(last[links].max()) + 1
@@ -410,8 +414,10 @@ def _gp_flow_pass(
     flows are updated incrementally between the levels of link-disjoint OD
     groups (`_group_levels`), which is the Gauss-Seidel order over groups.
     All groups of a level step at once through the level's membership
-    matrix, each on its own links only.  The frozen queues are feasible
-    for `f`.
+    matrix, each on its own links only.  A level in which no path both
+    costs more than its group's cheapest and carries flow stops once
+    priced: it takes no curvature, step or update.  The frozen queues are
+    feasible for `f`.
     """
     f = f.copy()
     x = _link_inflow(path_set, f)
@@ -432,17 +438,16 @@ def _gp_flow_pass(
             best = np.lexsort((costs, group))[starts]
             best_row = best[group]
             gap = costs - costs[best_row]
+            f_l = f[paths]
+            shifts = (gap > 0) & (f_l > 0)
+            if not np.count_nonzero(shifts):
+                continue
             # summed slope on the links either path uses but not both
             curvature = np.maximum(
                 np.abs(member - member.take(best_row, axis=0)) @ slope, CURVATURE_FLOOR
             )
-            f_l = f[paths]
             movable = np.maximum(f_l - held[paths], 0.0)
-            delta = np.where(
-                (gap > 0) & (f_l > 0),
-                np.minimum(movable, gap / curvature),
-                0.0,
-            )
+            delta = np.where(shifts, np.minimum(movable, gap / curvature), 0.0)
             if not np.count_nonzero(delta):
                 continue
             # the flow change of each path: -delta, and what its group
@@ -601,6 +606,9 @@ def _queue_targets_fixed_point(
     flow_e = f[path_set.entry_path]
     # gamma -> 0+ overflows the capacity cap to inf, which is no cap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the per-link constants of the map, the same in every round
+        saturates, eroding, one_minus_gamma = gamma >= 1.0, gamma > 0, 1.0 - gamma
+        cap = QUEUE_CAP_FRACTION * c_max / gamma
         for _ in range(n_links + 1):
             # per-path flow still arriving after upstream queues (last round)
             upstream = _cost._segment_cumsum(held, path_set) - held
@@ -610,15 +618,13 @@ def _queue_targets_fixed_point(
             if slack is not None:
                 surplus = surplus + slack
             target = np.where(
-                gamma >= 1.0,
+                saturates,
                 np.where(surplus > 0, np.inf, 0.0),
-                np.maximum(0.0, surplus / (1.0 - gamma)),
+                np.maximum(0.0, surplus / one_minus_gamma),
             )
             # never hold back more than arrives, nor beyond the capacity cap
             target = np.minimum(target, inflow)
-            target = np.where(
-                gamma > 0, np.minimum(target, QUEUE_CAP_FRACTION * c_max / gamma), target
-            )
+            target = np.where(eroding, np.minimum(target, cap), target)
             # relax per (link, path): sudden re-attribution between paths is
             # as destabilizing downstream as a sudden change in the link
             # total; a path never holds back more than it brings to the link
@@ -777,12 +783,16 @@ def solve(
     if smoothed:
         # both half-steps are accepted or halved on the merit: no damping
         def flow_step(f_, qa_, j_, g):
-            # queued links queue the change in arrivals, keeping slack C(Q) - v
-            _, q0, _, v0 = assemble_link_state(path_set, f_, qa_)
-            slack = np.where(q0 > 0, c_max - la.gamma * q0 - v0, -np.inf)
+            if update_queues:
+                # queued links queue the change in arrivals, keeping slack C(Q) - v
+                _, q0, _, v0 = assemble_link_state(path_set, f_, qa_)
+                slack = np.where(q0 > 0, c_max - la.gamma * q0 - v0, -np.inf)
+                trial = lambda g_: (g_, sweep(g_, qa_, 1.0, slack))
+            else:
+                # a variant without queues keeps the (empty) ones it has
+                trial = lambda g_: (g_, qa_)
             g, qa_, j_ = _accept_or_halve(
-                lambda g_: (g_, sweep(g_, qa_, 1.0, slack)), g,
-                lambda g_: f_ + 0.5 * (g_ - f_), merit, j_, (f_, qa_),
+                trial, g, lambda g_: f_ + 0.5 * (g_ - f_), merit, j_, (f_, qa_),
             )
             projected = _project_queues(path_set, g, qa_)
             # a cut, if only by an ulp, leaves the state j was taken at

@@ -18,6 +18,7 @@ from queuenet import fixtures
 from queuenet.cost import CostParams
 from queuenet.net import ODPair, enumerate_paths
 from queuenet.solver import (
+    QUEUE_CAP_FRACTION,
     QUEUE_RATIO_FLOOR,
     VARIANTS,
     SolverOptions,
@@ -68,6 +69,20 @@ def _six_node_fixed_capacity():
     return ps, f, qa, CostParams(gamma=0.0)
 
 
+def _six_node_mixed_gamma():
+    # per-link gamma 0, 0.5 and 1.0, with demands above the network's
+    # capacity so that a link of each kind overflows: link 1 (gamma 0.5)
+    # and link 2 (gamma 0) by 50 veh/h, the bottleneck link 4 (gamma 1.0,
+    # where any surplus queues up to the capacity cap) by 500 veh/h
+    ps = fixtures.six_node_path_set().with_demands([3300.0, 3300.0])
+    gamma = np.array([0.5, 0.0, 0.5, 1.0, 0.0, 0.5, 0.0])
+    qa = np.zeros((ps.n_links, ps.n_paths))
+    qa[ps.link_index("4"), [1, 3]] = 50.0
+    qa[ps.link_index("1"), 0] = 20.0
+    f = np.array([1850.0, 1450.0, 1850.0, 1450.0])
+    return ps, f, per_entry(ps, qa), CostParams(gamma=gamma)
+
+
 def _grid10_after_five_iterations():
     ps = enumerate_paths(fixtures.grid_network(size=10, n_od=20, demand=1200.0), 3)
     state, _ = solve(ps, options=SolverOptions(max_outer_iterations=5))
@@ -111,6 +126,7 @@ CASES = {
     "six_node": _six_node_queued,
     "six_node_m_below_1": _six_node_sub_linear_delay,
     "six_node_gamma_0": _six_node_fixed_capacity,
+    "six_node_mixed_gamma": _six_node_mixed_gamma,
     "six_node_one_od_off": _six_node_one_od_off,
     "grid10": _grid10_after_five_iterations,
     "grid20_staircase": _grid20_after_five_iterations,
@@ -132,6 +148,17 @@ def test_sub_linear_delay_case_reaches_the_ratio_floor():
     ratio = q / (c_max - params.gamma * q)
     assert np.any((q > 0) & (ratio < QUEUE_RATIO_FLOOR))
     assert np.any(ratio > QUEUE_RATIO_FLOOR)
+
+
+def test_mixed_gamma_case_queues_a_link_of_each_kind():
+    # gamma 0.5 queues surplus / (1 - gamma), gamma 0 the surplus, and
+    # gamma 1.0 all that arrives, down to the capacity cap
+    ps, f, qa, params = _six_node_mixed_gamma()
+    _, c_max, params = _link_arrays(ps, params)
+    swept = _queue_targets_fixed_point(ps, f, qa, c_max, params, 1.0)
+    _, q, _, _ = assemble_link_state(ps, f, swept)
+    links = [ps.link_index(i) for i in ("1", "2", "4")]
+    np.testing.assert_allclose(q[links], [100.0, 50.0, QUEUE_CAP_FRACTION * 2400.0])
 
 
 def _close(actual, expected):

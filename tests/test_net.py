@@ -237,6 +237,20 @@ class TestWithDemands:
         with pytest.raises(ValueError, match="read-only"):
             shared.demand[0] = 1.0
 
+    def test_network_checks_only_the_od_pairs(self, six_node):
+        # the nodes and links were checked when the network was built; the
+        # copy shares them and checks the new OD pairs against the nodes
+        network = six_node.network
+        other = network.with_demands([ODPair("1", "4", 100.0)])
+        assert other.nodes is network.nodes and other.links is network.links
+        assert other.od_pairs == (ODPair("1", "4", 100.0),)
+        assert len(network.od_pairs) == 2
+        shared = six_node.with_demands([2000.0, 500.0]).network
+        assert shared.nodes is network.nodes and shared.links is network.links
+        for od in (ODPair("1", "9", 100.0), ODPair("9", "3", 0.0)):
+            with pytest.raises(NetworkError, match="undeclared node"):
+                network.with_demands([od])
+
     def test_checks_the_demands(self, six_node):
         # OD 1 has no path here, so it may only keep a zero demand
         od0, od1 = six_node.network.od_pairs

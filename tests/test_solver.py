@@ -1,6 +1,7 @@
 """Equilibrium solver: state assembly, flow passes, variants, convergence."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,6 +223,40 @@ class TestFlowPass:
                         assert level_of[j] < level_of[i]
         assert 0 not in level_of
 
+    @pytest.mark.parametrize("demand_2_4, n_levels", [(0.0, 1), (3000.0, 2)])
+    def test_zero_demand_group_is_in_no_level(self, six_node, demand_2_4, n_levels):
+        # OD 2->4 shares link 4 with OD 1->3, so with demand it has a level
+        # of its own; at zero demand its paths carry nothing and it has none
+        ps = six_node.with_demands([3000.0, demand_2_4])
+        net = ps.network
+        la = _LinkArrays.of(CostParams().for_links(net.links), ps.t_f, ps.c_max)
+        levels = _group_levels(ps, la)
+        assert [level.paths.tolist() for level in levels] == [
+            group.tolist() for group in ps.od_groups[:n_levels]
+        ]
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    def test_zero_demand_group_solves_as_if_absent(self, six_node, mode):
+        # OD 2->4 at zero demand, with and without its paths: OD 1->3's
+        # solve is the same to the last bit
+        without = PathSet(
+            six_node.network.with_demands(
+                [replace(od, demand=0.0) if i == 1 else od
+                 for i, od in enumerate(six_node.network.od_pairs)]
+            ),
+            [p for p in six_node.paths if p.od_index == 0],
+        )
+        options = SolverOptions(queue_mode=mode)
+        state, report = solve(six_node, options=options, demands=[4000.0, 0.0])
+        alone, alone_report = solve(without, options=options, demands=[4000.0, 0.0])
+        np.testing.assert_array_equal(state.path_flows[six_node.od_groups[0]], alone.path_flows)
+        assert not state.path_flows[six_node.od_groups[1]].any()
+        np.testing.assert_array_equal(state.throughflows, alone.throughflows)
+        np.testing.assert_array_equal(state.link_queues, alone.link_queues)
+        assert state.link_queues.any()
+        assert report.iterations == alone_report.iterations
+        assert report.inner_passes == alone_report.inner_passes
+
     @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_queue_part_priced_once_per_set_of_queues(
@@ -230,17 +265,20 @@ class TestFlowPass:
         # the passes of a flow half-step hold the queues frozen: the
         # fixed-point mode prices their queue part at the start and after
         # every queue sweep but the last (no pass here cuts a queue), once
-        # per outer iteration, and for traditional UE, which sweeps no
-        # queue, once.  The smoothed mode sweeps the queues in every flow
-        # trial, so it prices them on nearly every pass
+        # per outer iteration.  The smoothed mode sweeps the queues in every
+        # flow trial, so it prices them on nearly every pass.  Traditional
+        # UE carries no queue: its trials keep the queues they are given,
+        # so either mode prices them once
         calls = []
         frozen_queues = solver._frozen_queues
         monkeypatch.setattr(
             solver, "_frozen_queues", lambda *a: calls.append(1) or frozen_queues(*a)
         )
         _, report = solve(six_node, options=SolverOptions(queue_mode=mode, variant=variant))
-        if mode == "fixed_point":
-            assert len(calls) == (1 if variant == "traditional_ue" else report.iterations)
+        if variant == "traditional_ue":
+            assert len(calls) == 1
+        elif mode == "fixed_point":
+            assert len(calls) == report.iterations
         else:
             assert report.iterations < len(calls) <= report.inner_passes
 
