@@ -38,7 +38,6 @@ from .solver import (
     SolverOptions,
     assemble_link_state,
     solve,
-    solve_variant,
 )
 from .analysis import (
     ComparisonRow,
@@ -53,7 +52,6 @@ from .sweep import (
     TrendReport,
     demand_sweep,
     run_sweep,
-    trend,
     trend_check,
 )
 

@@ -6,7 +6,7 @@ is re-exported here with the other diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,6 @@ from .solver import (
     _random_split,
     kkt_report,
     solve,
-    solve_variant,
 )
 from .cost import CostParams
 
@@ -51,9 +50,10 @@ def compare_models(
     variants: tuple[str, ...] = VARIANTS,
 ) -> list[ComparisonRow]:
     """Solve the same scenario under several model variants."""
+    options = options or SolverOptions()
     rows = []
     for variant in variants:
-        state, report = solve_variant(path_set, variant, params, options)
+        state, report = solve(path_set, params, replace(options, variant=variant))
         rows.append(
             ComparisonRow(
                 variant=variant,

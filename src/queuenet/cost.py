@@ -132,7 +132,7 @@ def queuing_delay(q: ArrayLike, c_max: ArrayLike, params: CostParams) -> np.ndar
 
 
 def _link_arrays(params: CostParams) -> tuple[np.ndarray, ...]:
-    """(alpha, beta, m, n, gamma) as float arrays, in `_priced_cost` order."""
+    """(alpha, beta, m, n, gamma) as float arrays, in `_queue_part` order."""
     return tuple(
         np.asarray(getattr(params, k), dtype=float)
         for k in ("alpha", "beta", "m", "n", "gamma")
@@ -164,7 +164,10 @@ def _queue_part(
     n: np.ndarray,
     gamma: np.ndarray,
 ) -> _QueuePart:
-    """The queue half of `_priced_cost`, for queues Q."""
+    """The queue half of a link's priced cost, unvalidated: everything
+    that depends on the queue Q alone (C(Q), the delay term, t_f*beta*n
+    and the slope at v = 0).  The solver's GP passes hold the queues fixed
+    while the flows move, so they compute it once per set of queues."""
     c = c_max - gamma * q
     return _QueuePart(
         q, c, t_f, beta, n, n - 1.0, t_f * beta * n,
@@ -176,11 +179,17 @@ def _queue_part(
 def _flow_part(
     v: np.ndarray, qp: _QueuePart, system_optimum: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The flow half of `_priced_cost`, at throughflows v.
+    """The flow half of a link's priced cost, at throughflows v: the link
+    cost priced by path choice and its own flow slope.
 
-    At v = 0 the slope's discarded branch divides by zero (n < 1, or n < 2
-    for the system optimum's curvature), so callers run it with numpy's
-    divide and invalid warnings off.
+    Returns (t, dt/dv) with t the generalized time, or for the system
+    optimum the marginal time and its slope,
+        (t + (v + Q) * t_v,  2 * t_v + (v + Q) * t_vv).
+    Slopes whose power of v would be negative at v = 0 are flushed to 0
+    there (to t_f * beta / C(Q) for n = 1).  At v = 0 the slope's discarded
+    branch divides by zero (n < 1, or n < 2 for the system optimum's
+    curvature), so callers run it with numpy's divide and invalid warnings
+    off.
     """
     r = v / qp.c
     t = qp.t_f * (1.0 + qp.beta * r**qp.n) + qp.delay
@@ -192,39 +201,6 @@ def _flow_part(
     return t + load * t_v, 2.0 * t_v + load * t_vv
 
 
-def _priced_cost(
-    v: np.ndarray,
-    q: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    m: np.ndarray,
-    n: np.ndarray,
-    gamma: np.ndarray,
-    system_optimum: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Link cost priced by path choice and its own flow slope, unvalidated.
-
-    Returns (t, dt/dv) with t the generalized time, or for the system
-    optimum the marginal time and its slope,
-        (t + (v + Q) * t_v,  2 * t_v + (v + Q) * t_vv).
-    Slopes whose power of v would be negative at v = 0 are flushed to 0
-    there (to t_f * beta / C(Q) for n = 1).  The public functions validate
-    the queue through `capacity` first.
-
-    It is two halves: `_queue_part` computes everything that depends on
-    the queue alone (C(Q), the delay term, t_f*beta*n and the slope at
-    v = 0), and `_flow_part` the rest (v/C(Q), the running time and the
-    slopes).  The solver's GP passes hold the queues fixed while the flows
-    move, so they call the halves apart and compute the queue half once.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _flow_part(
-            v, _queue_part(q, t_f, c_max, alpha, beta, m, n, gamma), system_optimum
-        )
-
-
 def _checked_cost(
     v: ArrayLike,
     q: ArrayLike,
@@ -233,17 +209,16 @@ def _checked_cost(
     params: CostParams,
     system_optimum: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_priced_cost` behind the `capacity` checks on the queue."""
+    """The priced cost of `_flow_part` behind the `capacity` checks on the
+    queue."""
     q = np.asarray(q, dtype=float)
     capacity(q, c_max, params)
-    return _priced_cost(
-        np.asarray(v, dtype=float),
-        q,
-        np.asarray(t_f, dtype=float),
-        np.asarray(c_max, dtype=float),
+    qp = _queue_part(
+        q, np.asarray(t_f, dtype=float), np.asarray(c_max, dtype=float),
         *_link_arrays(params),
-        system_optimum,
     )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _flow_part(np.asarray(v, dtype=float), qp, system_optimum)
 
 
 def link_travel_time(
@@ -396,8 +371,8 @@ def _path_cost_terms(
     params: CostParams,
     system_optimum: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_priced_cost`, through its two halves, and, third, the priced
-    cost's queue slope.
+    """The priced cost and its flow slope, as `_flow_part` gives them,
+    and, third, the priced cost's queue slope.
 
     Slopes whose power of v or Q would be negative at v = 0 or Q = 0 are
     flushed to 0 there.
@@ -421,12 +396,6 @@ def _path_cost_terms(
     return cost, cost_v, t_q + t_v + (v + q) * t_vq
 
 
-def _segment_cumsum(values: np.ndarray, path_set: "PathSet") -> np.ndarray:
-    """Inclusive running sums of per-entry values, restarted on every path."""
-    total = np.concatenate(([0.0], np.cumsum(values)))
-    return total[1:] - total[path_set.path_start][path_set.entry_path]
-
-
 def _merit_weights(t_f: np.ndarray, c_max: np.ndarray) -> np.ndarray:
     """kappa_a: a complementarity residual of 1% of C_max weighs like C_max
     travellers each misjudging their path cost by t_f.  This puts closing
@@ -434,19 +403,6 @@ def _merit_weights(t_f: np.ndarray, c_max: np.ndarray) -> np.ndarray:
     delay causes, so the descent forms queues first and then rebalances
     flows instead of settling for an overloaded link with no queue."""
     return c_max * (t_f / (0.01 * c_max)) ** 2
-
-
-def _path_arrivals(
-    path_set: "PathSet", path_flows: np.ndarray, queue_alloc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(queue held, flow arriving) per path entry, and arrivals per link.
-
-    A path's arrivals at a link are its flow less what its queues upstream
-    of the link hold back; a link's arrivals are x - Q'.
-    """
-    held = np.asarray(queue_alloc, dtype=float)
-    arriving = path_flows[path_set.entry_path] - (_segment_cumsum(held, path_set) - held)
-    return held, arriving, np.bincount(path_set.entry_link, arriving, path_set.n_links)
 
 
 def _merit(
@@ -468,7 +424,11 @@ def _merit(
     link_e, path_e = ps.entry_link, ps.entry_path
     n_links, n_paths, n_od = ps.n_links, ps.n_paths, len(ps.network.od_pairs)
 
-    held, arriving, y = _path_arrivals(ps, f, queue_alloc)
+    # a path's arrivals at a link are its flow less what its queues
+    # upstream of the link hold back; a link's arrivals y are x - Q'
+    held = np.asarray(queue_alloc, dtype=float)
+    arriving = f[path_e] - ps.held_upstream(held)
+    y = np.bincount(link_e, arriving, n_links)
     q = np.bincount(link_e, held, n_links)
     v = y - q
     if np.any(v < -1e-9) or np.any(q < 0):
@@ -522,7 +482,7 @@ def _merit(
         queue_e = queue_e + scale * (share_res * y[link_e] - s2)
     grad_f = grad_f + np.bincount(path_e, flow_e, n_paths)
     # a unit held at a link is missing from it and from every later link
-    after = np.bincount(path_e, flow_e, n_paths)[path_e] - _segment_cumsum(flow_e, ps)
+    after = np.bincount(path_e, flow_e, n_paths)[path_e] - ps.running_sum(flow_e)
     return value, grad_f, queue_e - after
 
 

@@ -3,10 +3,12 @@
 Links carry free-flow time (hours) and physical capacity (veh/hr).  Paths
 are fixed, enumerated link chains per OD pair; the path set records which
 links a path uses only as flat (link, path) entries in traversal order,
-over which per-(link, path) data such as queues are vectors, and holds per
-OD pair its paths and the links they use.  The path set is also where the
-inputs become arrays: free-flow times and capacities per link, demands per
-OD pair, read once and read-only.
+over which per-(link, path) data such as queues are vectors, and is the one
+place that sums such data along each path (`PathSet.running_sum`,
+`PathSet.held_upstream`).  It holds per OD pair its paths and the links
+they use.  The path set is also where the inputs become arrays: free-flow
+times and capacities per link, demands per OD pair, read once and
+read-only.
 """
 from __future__ import annotations
 
@@ -201,8 +203,7 @@ class PathSet:
             for p in self.paths
         ]
         # the same (link, path) pairs flattened in traversal order, path after
-        # path, with each path's first entry: lets per-path prefix and suffix
-        # sums run as one vectorized cumulative sum
+        # path, with each path's first entry, where `running_sum` restarts
         lengths = np.array([len(idx) for idx in self.path_link_idx], dtype=np.intp)
         self.entry_link = (
             np.concatenate(self.path_link_idx) if self.n_paths else np.empty(0, np.intp)
@@ -249,19 +250,15 @@ class PathSet:
     def link_index(self, link_id: str) -> int:
         return self._link_index[link_id]
 
-    def downstream(self, link_id: str, path_index: int) -> tuple[str, ...]:
-        """Links after `link_id` along the path, in traversal order."""
-        links = self.paths[path_index].links
-        if link_id not in links:
-            raise PathError(f"link {link_id} not on path {path_index}")
-        return links[links.index(link_id) + 1 :]
+    def running_sum(self, values: np.ndarray) -> np.ndarray:
+        """Inclusive running sums of per-entry values, restarted on every path."""
+        total = np.concatenate(([0.0], np.cumsum(values)))
+        return total[1:] - total[self.path_start][self.entry_path]
 
-    def upstream(self, link_id: str, path_index: int) -> tuple[str, ...]:
-        """Links before `link_id` along the path, in traversal order."""
-        links = self.paths[path_index].links
-        if link_id not in links:
-            raise PathError(f"link {link_id} not on path {path_index}")
-        return links[: links.index(link_id)]
+    def held_upstream(self, held: np.ndarray) -> np.ndarray:
+        """Per entry, what its path's queues before it hold: the running
+        sum of `held` without the entry's own."""
+        return self.running_sum(held) - held
 
 
 def _read_only(values: list[float]) -> np.ndarray:

@@ -48,11 +48,10 @@ Q/C >= QUEUE_RATIO_FLOOR so that with m < 1 a dissolving queue's rounding
 residue cannot make it unbounded.
 
 The solver works on the flat path-link entries of `PathSet`: one entry
-per (link, path) pair, path after path in traversal order (`entry_link`,
-`entry_path`, each path's first entry at `path_start`); the queues are one
+per (link, path) pair (`entry_link`, `entry_path`); the queues are one
 vector over them.  Link totals and path costs are `np.bincount` over the
-entries, and what a path holds upstream of an entry is a running sum
-restarted on every path (`cost._segment_cumsum`).
+entries, and what a path holds upstream of an entry is
+`PathSet.held_upstream`.
 The fixed-point sweep updates every link at once from the arrivals of its
 previous round (Jacobi) until the queues stop moving; a link's queue is
 settled once those upstream of it are, so the sweep needs no link order
@@ -71,7 +70,7 @@ membership matrix, built from the level's entries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -88,7 +87,6 @@ __all__ = [
     "assemble_link_state",
     "kkt_report",
     "solve",
-    "solve_variant",
     "VARIANTS",
 ]
 
@@ -149,7 +147,10 @@ class SolverOptions:
             raise ValueError(f"unknown variant: {self.variant}")
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and > 0")
-        if self.max_outer_iterations < 1:
+        n = self.max_outer_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"max_outer_iterations must be an integer, not {n!r}")
+        if n < 1:
             raise ValueError("max_outer_iterations must be >= 1")
 
 
@@ -248,7 +249,7 @@ def _link_queues(
     link_e, n_links = path_set.entry_link, path_set.n_links
     held = np.asarray(queue_alloc, dtype=float)
     q = np.bincount(link_e, held, n_links)
-    q_prime = np.bincount(link_e, _cost._segment_cumsum(held, path_set) - held, n_links)
+    q_prime = np.bincount(link_e, path_set.held_upstream(held), n_links)
     return q, q_prime
 
 
@@ -268,7 +269,7 @@ def _throughflow(
 
 class _LinkArrays(NamedTuple):
     """Per-link arrays unpacked once per solve for the hot path, in the
-    order `cost._priced_cost` takes them after (v, Q)."""
+    order `cost._queue_part` takes them after Q."""
 
     t_f: np.ndarray
     c_max: np.ndarray
@@ -611,8 +612,7 @@ def _queue_targets_fixed_point(
         cap = QUEUE_CAP_FRACTION * c_max / gamma
         for _ in range(n_links + 1):
             # per-path flow still arriving after upstream queues (last round)
-            upstream = _cost._segment_cumsum(held, path_set) - held
-            arriving = np.maximum(flow_e - upstream, 0.0)
+            arriving = np.maximum(flow_e - path_set.held_upstream(held), 0.0)
             inflow = np.bincount(link_e, arriving, n_links)  # = x - Q'
             surplus = inflow - c_max
             if slack is not None:
@@ -650,7 +650,7 @@ def _project_queues(
     feasible input (no path holds more than its flow) comes back as it is."""
     if np.all(_path_held(path_set, queue_alloc) <= f):
         return queue_alloc
-    upstream = _cost._segment_cumsum(queue_alloc, path_set) - queue_alloc
+    upstream = path_set.held_upstream(queue_alloc)
     return np.minimum(queue_alloc, np.maximum(f[path_set.entry_path] - upstream, 0.0))
 
 
@@ -907,14 +907,3 @@ def solve(
     )
     return state, report
 
-
-def solve_variant(
-    path_set: PathSet,
-    variant: str,
-    params: CostParams | None = None,
-    options: SolverOptions | None = None,
-    **kwargs,
-) -> tuple[SolutionState, ConvergenceReport]:
-    """`solve` with the variant swapped into the options."""
-    options = replace(options or SolverOptions(), variant=variant)
-    return solve(path_set, params, options, **kwargs)

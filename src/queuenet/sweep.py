@@ -16,7 +16,6 @@ __all__ = [
     "SweepRow",
     "run_sweep",
     "demand_sweep",
-    "trend",
     "trend_check",
     "TrendReport",
 ]
@@ -149,14 +148,3 @@ def trend_check(
             violations.append(f"{name}: not {direction} (diffs {diffs.round(6)})")
     return TrendReport(passed=not violations, violations=violations)
 
-
-def trend(values: Sequence[float], tolerance: float = 1e-9) -> str:
-    """Classify a sequence: 'increasing', 'decreasing', 'flat', or 'mixed'."""
-    diffs = np.diff(np.asarray(values, dtype=float))
-    if np.all(np.abs(diffs) <= tolerance):
-        return "flat"
-    if np.all(diffs >= -tolerance):
-        return "increasing"
-    if np.all(diffs <= tolerance):
-        return "decreasing"
-    return "mixed"

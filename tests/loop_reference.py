@@ -145,7 +145,9 @@ def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
         la_g = la_subs[gi]
         q_g = q[glinks]
         v_g = np.maximum((x - q - q_prime)[glinks], 0.0)
-        cost, slope = _cost._priced_cost(v_g, q_g, *la_g, system_optimum)
+        qp = _cost._queue_part(q_g, *la_g)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cost, slope = _cost._flow_part(v_g, qp, system_optimum)
         costs = np.array([cost[pos].sum() for pos in positions])
         local_best = int(np.argmin(costs))
         best_pos = set(positions[local_best].tolist())

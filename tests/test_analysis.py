@@ -20,7 +20,6 @@ from queuenet.solver import (
     SolverOptions,
     assemble_link_state,
     solve,
-    solve_variant,
 )
 
 
@@ -79,8 +78,10 @@ class TestKKTReport:
     def test_system_optimum_gap_prices_marginal_times(self, six_node, mode):
         # the system optimum equalizes marginal, not generalized, path costs:
         # a converged solve's audit and last history row say so
-        state, report = solve_variant(
-            six_node, "system_optimum", options=SolverOptions(queue_mode=mode), history=True
+        state, report = solve(
+            six_node,
+            options=SolverOptions(queue_mode=mode, variant="system_optimum"),
+            history=True,
         )
         assert report.converged
         assert kkt_report(state).relative_gap <= GAP_TOL

@@ -156,12 +156,31 @@ class TestPathSet:
         assert inc[six_node.link_index("4"), 0] == 0.0
         assert inc.sum() == 8.0  # 1 + 3 + 1 + 3 links over the four paths
 
-    def test_upstream_downstream(self, six_node):
-        assert six_node.upstream("4", 1) == ("3",)
-        assert six_node.downstream("4", 1) == ("6",)
-        assert six_node.downstream("6", 1) == ()
-        with pytest.raises(PathError):
-            six_node.downstream("4", 0)
+    def test_running_sum_and_held_upstream_restart_on_every_path(self):
+        # a chain u0 -> u4 and paths of 3, 1, 4 and 2 links; integer-valued
+        # inputs keep every sum exact
+        nodes = tuple(Node(f"u{i}") for i in range(5))
+        links = tuple(Link(f"a{i}", f"u{i}", f"u{i + 1}", 0.1, 1000.0) for i in range(4))
+        ods = tuple(ODPair("u0", f"u{i}", 100.0) for i in range(1, 5))
+        ps = PathSet(
+            Network(nodes, links, ods),
+            [Path(k - 1, tuple(f"a{i}" for i in range(k))) for k in (3, 1, 4, 2)],
+        )
+        values = np.random.default_rng(0).integers(1, 50, len(ps.entry_link)).astype(float)
+        running, upstream = [], []
+        entry = 0
+        for path in ps.paths:
+            total = 0.0
+            for _ in path.links:
+                upstream.append(total)
+                total += values[entry]
+                running.append(total)
+                entry += 1
+        assert ps.running_sum(values).tolist() == running
+        assert ps.held_upstream(values).tolist() == upstream
+        first = np.flatnonzero(np.diff(ps.entry_path, prepend=-1))
+        assert len(first) == ps.n_paths
+        assert np.all(ps.held_upstream(values)[first] == 0.0)
 
     def test_path_link_entries(self, six_node):
         # link 4 is the second link of paths 1 and 3

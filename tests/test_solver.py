@@ -30,7 +30,6 @@ from queuenet.solver import (
     _project_queues,
     assemble_link_state,
     solve,
-    solve_variant,
 )
 
 
@@ -403,6 +402,13 @@ class TestConvergenceContract:
         assert report.iterations == 1
         assert np.all(state.path_flows == 0.0)
         assert state.objective() == 0.0
+
+    @pytest.mark.parametrize("value", [2.5, 1e9, "3", True, None])
+    def test_max_outer_iterations_must_be_an_integer(self, value):
+        # a float passed the >= 1 check and then crashed inside solve, in
+        # range(); a string crashed in the check itself with a TypeError
+        with pytest.raises(ValueError, match="max_outer_iterations"):
+            SolverOptions(max_outer_iterations=value)
 
     def test_not_converged_flagged(self, six_node):
         _, report = solve(six_node, options=SolverOptions(max_outer_iterations=2))
@@ -830,7 +836,7 @@ class TestProjectQueues:
         new = _project_queues(ps, f, held)
         assert np.all(new >= 0.0)
         assert np.all(np.bincount(ps.entry_path, new, ps.n_paths) <= f + 1e-9)
-        upstream = _cost._segment_cumsum(new, ps) - new
+        upstream = ps.held_upstream(new)
         assert np.all(new <= np.maximum(f[ps.entry_path] - upstream, 0.0) + 1e-9)
         assemble_link_state(ps, f, new)
         # a second cut may trim a rounding residue off a path's sum, no more
@@ -872,7 +878,7 @@ class TestVariants:
         assert state.link_queues[i4] > 0.0
 
     def test_system_optimum_spreads_flow(self, six_node, base_state):
-        state, report = solve_variant(six_node, "system_optimum")
+        state, report = solve(six_node, options=SolverOptions(variant="system_optimum"))
         assert report.converged
         i4 = six_node.link_index("4")
         # the system optimum tolerates a longer queue on the bottleneck to
@@ -887,6 +893,6 @@ class TestVariants:
         )
         ps = enumerate_paths(net, k=1)
         s_ue, _ = solve(ps)
-        s_so, _ = solve_variant(ps, "system_optimum")
+        s_so, _ = solve(ps, options=SolverOptions(variant="system_optimum"))
         assert s_ue.link_flows == pytest.approx(s_so.link_flows)
         assert s_ue.link_queues == pytest.approx(s_so.link_queues)

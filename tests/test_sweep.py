@@ -7,7 +7,7 @@ import pytest
 
 from queuenet.net import PathSet
 from queuenet.solver import SolverOptions
-from queuenet.sweep import SweepSpec, demand_sweep, run_sweep, trend, trend_check
+from queuenet.sweep import SweepSpec, demand_sweep, run_sweep, trend_check
 
 # Published sensitivity results for the bottleneck link of the six-node
 # scenario: (parameter value, link flow veh/hr, residual queue veh/hr).
@@ -135,11 +135,6 @@ class TestDemandSweep:
 
 
 class TestTrendHelpers:
-    def test_trend_classifier(self):
-        assert trend([1.0, 2.0, 3.0]) == "increasing"
-        assert trend([3.0, 1.0, 0.0]) == "decreasing"
-        assert trend([1.0, 1.0, 1.0]) == "flat"
-
     def test_trend_check_missing_series(self):
         report = trend_check({}, {"flow": "increasing"})
         assert not report.passed
