@@ -7,7 +7,6 @@ is re-exported here with the other diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .solver import (
     kkt_report,
     solve,
 )
-from .cost import CostParams
+from .cost import CostParams, merit, merit_gradient
 
 __all__ = [
     "EquilibriumReport",
@@ -102,34 +101,30 @@ def uniqueness_probe(
 
 
 def gradient_check(
-    value: Callable[..., float],
-    gradient: Callable[..., tuple[np.ndarray, np.ndarray]],
     path_set: PathSet,
     path_flows: np.ndarray,
     queue_alloc: np.ndarray,
-    *args,
+    params: CostParams,
 ) -> float:
-    """Worst relative error of an analytic gradient against central
-    finite differences, at one state.
+    """Worst relative error of `cost.merit_gradient` against central finite
+    differences of `cost.merit`, at one state.
 
-    `value(path_set, f, queue_alloc, *args)` is a function of the state
-    and `gradient` (same arguments) returns its (grad_f, grad_q), as
-    `cost.merit` and `cost.merit_gradient` do; `queue_alloc` and grad_q
-    hold one value per path-link entry.  Every path flow and every entry's
-    queue is probed by +-h with h = 1e-4 * max(1, |value|).  Probes stay in the feasible box: a flow
+    `queue_alloc` and grad_q hold one value per path-link entry.  Every
+    path flow and every entry's queue is probed by +-h with
+    h = 1e-4 * max(1, |value|).  Probes stay in the feasible box: a flow
     probe stops at 0, and a queue probe that would go negative is skipped.
     The error of one entry is |analytic - fd| / max(|fd|, 1e-8).
     """
     f = np.asarray(path_flows, dtype=float)
     qa = np.asarray(queue_alloc, dtype=float)
-    grad_f, grad_q = gradient(path_set, f, qa, *args)
+    grad_f, grad_q = merit_gradient(path_set, f, qa, params)
     worst = 0.0
     for j in range(path_set.n_paths):
         h = 1e-4 * max(1.0, abs(f[j]))
         fp, fm = f.copy(), f.copy()
         fp[j] += h
         fm[j] = max(fm[j] - h, 0.0)
-        fd = (value(path_set, fp, qa, *args) - value(path_set, fm, qa, *args)) / (
+        fd = (merit(path_set, fp, qa, params) - merit(path_set, fm, qa, params)) / (
             fp[j] - fm[j]
         )
         worst = max(worst, abs(grad_f[j] - fd) / max(abs(fd), 1e-8))
@@ -140,6 +135,6 @@ def gradient_check(
         qp, qm = qa.copy(), qa.copy()
         qp[e] += h
         qm[e] -= h
-        fd = (value(path_set, f, qp, *args) - value(path_set, f, qm, *args)) / (2 * h)
+        fd = (merit(path_set, f, qp, params) - merit(path_set, f, qm, params)) / (2 * h)
         worst = max(worst, abs(grad_q[e] - fd) / max(abs(fd), 1e-8))
     return worst

@@ -91,7 +91,8 @@ def _build_params(cfg: dict[str, str]) -> CostParams:
 
 def _build_options(cfg: dict[str, str], args: argparse.Namespace) -> SolverOptions:
     mode = args.mode or cfg.get("mode", "fixed_point")
-    variant = args.variant or cfg.get("variant", "queue_dependent")
+    # compare takes no --variant: `compare_models` sets each variant
+    variant = getattr(args, "variant", None) or cfg.get("variant", "queue_dependent")
     epsilon = args.epsilon if args.epsilon is not None else float(cfg.get("epsilon", 1e-3))
     max_iter = args.max_iter if args.max_iter is not None else int(cfg.get("max_iter", 2000))
     try:
@@ -170,7 +171,7 @@ def _write_result_bundle(out: FsPath, state, report) -> None:
                 f"{_fmt(costs[j])}\n"
             )
     with open(out / "convergence.csv", "w") as fh:
-        fh.write("iteration,objective_half,objective,flow_change,queue_change,gap\n")
+        fh.write("iteration,merit_half,merit,flow_change,queue_change,gap\n")
         for it, j_half, j_full, df, dq, gap in report.history:
             fh.write(
                 f"{it},{_fmt(j_half)},{_fmt(j_full)},{_fmt(df)},{_fmt(dq)},"
@@ -334,11 +335,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     f = _random_split(path_set, rng)
     q_ap = _scale_feasible(path_set, f, rng.uniform(0.0, 1.0, len(path_set.entry_link)))
 
-    # the merit is the function the smoothed-gradient queue mode descends
-    max_rel = gradient_check(
-        _cost.merit, _cost.merit_gradient, path_set, f, q_ap,
-        path_set.t_f, path_set.c_max, params,
-    )
+    max_rel = gradient_check(path_set, f, q_ap, params)
 
     ok = max_rel <= 1e-5
     print(
@@ -363,23 +360,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "queue-dependent link capacity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="scenario config file")
-    common.add_argument("--out", help="output directory (default from config or 'out')")
-    common.add_argument("--variant", help=f"model variant: {', '.join(VARIANTS)}")
-    common.add_argument(
+    # validate reads only --config and --seed; compare solves every variant
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="scenario config file")
+    runs = argparse.ArgumentParser(add_help=False, parents=[config])
+    runs.add_argument("--out", help="output directory (default from config or 'out')")
+    runs.add_argument(
         "--mode",
         help="queue mode: fixed_point (relaxed queue sweep, default) | "
         "smoothed_gradient (the sweep under a merit-decrease safeguard)",
     )
-    common.add_argument("--epsilon", type=float, help="convergence tolerance (veh/hr)")
-    common.add_argument("--max-iter", type=int, help="outer iteration limit")
+    runs.add_argument("--epsilon", type=float, help="convergence tolerance (veh/hr)")
+    runs.add_argument("--max-iter", type=int, help="outer iteration limit")
+    one_variant = argparse.ArgumentParser(add_help=False, parents=[runs])
+    one_variant.add_argument("--variant", help=f"model variant: {', '.join(VARIANTS)}")
 
-    sub.add_parser("solve", parents=[common], help="solve one scenario")
-    p_cmp = sub.add_parser("compare", parents=[common], help="compare model variants")
+    sub.add_parser("solve", parents=[one_variant], help="solve one scenario")
+    # no abbreviations, so --variant is refused rather than read as --variants
+    p_cmp = sub.add_parser(
+        "compare", parents=[runs], allow_abbrev=False, help="compare model variants"
+    )
     p_cmp.add_argument("--track", help="comma-separated link ids (default: all)")
     p_cmp.add_argument("--variants", help="comma-separated variant subset")
-    p_sw = sub.add_parser("sweep", parents=[common], help="parameter/demand sweep")
+    p_sw = sub.add_parser("sweep", parents=[one_variant], help="parameter/demand sweep")
     p_sw.add_argument("--param", help="|".join(PARAM_NAMES + ("demand",)))
     p_sw.add_argument("--values", help="comma-separated sweep values")
     p_sw.add_argument("--range", help="lo:hi:step (alternative to --values)")
@@ -390,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="declared trends for the first tracked link, e.g. "
         "'flow:decreasing,queue:increasing'",
     )
-    p_val = sub.add_parser("validate", parents=[common], help="input + gradient checks")
+    p_val = sub.add_parser("validate", parents=[config], help="input + gradient checks")
     p_val.add_argument(
         "--seed", type=int, default=42, help="seed of the random test state (default 42)"
     )

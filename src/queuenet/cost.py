@@ -7,17 +7,18 @@ term evaluated against C(Q) plus an explicit queuing-delay term
     t(v, Q) = t_f * (1 + beta * (v / C(Q))**n) + alpha * (Q / C(Q))**m.
 
 `CostParams` holds its six parameters, and `PARAM_NAMES` their names.
-Two scalar functions of a state are defined here.  `merit` is a sum of
-squared equilibrium residuals: it is zero exactly at the model's
-equilibrium, and the solver's smoothed-gradient mode takes no step that
-raises it (`merit_gradient` is its gradient).
+Two scalar functions of a state are defined here.  `merit`, read off the
+path set's t_f and C_max, is a sum of squared equilibrium residuals: it is
+zero exactly at the model's equilibrium, both solver modes' history rows
+record it, and the smoothed-gradient mode takes no step that raises it
+(`merit_gradient` is its gradient).
 `objective` is the Beckmann potential of the running time with the
 exponent smoothed in the queue, n~ = n * phi**(-Q); `smoothed_link_time` is
 its flow derivative.  At Q = 0 it is the classical Beckmann function,
 minimised by the capacity-free user equilibrium; with queues it is neither
-convex in the queues nor stationary at the queue-dependent equilibrium, and
-no solver mode minimises it.  No function can serve as an exact potential
-for this model: `merit` explains why.
+convex in the queues nor stationary at the queue-dependent equilibrium.
+Only the benchmark's probe and tests read it.  No function can serve as an
+exact potential for this model: `merit` explains why.
 
 Per-(link, path) queues Q_ap, and gradients in them, are vectors over the
 path set's flat path-link entries (`PathSet.entry_link`, `entry_path`).
@@ -409,8 +410,6 @@ def _merit(
     path_set: "PathSet",
     path_flows: np.ndarray,
     queue_alloc: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
     params: CostParams,
     system_optimum: bool,
     capacity_bound: bool,
@@ -419,8 +418,7 @@ def _merit(
     """`merit`, and with `gradient` also its (grad_f, grad_q)."""
     ps = path_set
     f = np.asarray(path_flows, dtype=float)
-    t_f = np.asarray(t_f, dtype=float)
-    c_max = np.asarray(c_max, dtype=float)
+    t_f, c_max = ps.t_f, ps.c_max
     link_e, path_e = ps.entry_link, ps.entry_path
     n_links, n_paths, n_od = ps.n_links, ps.n_paths, len(ps.network.od_pairs)
 
@@ -446,7 +444,7 @@ def _merit(
     value = float(f @ excess**2 + demand[od] @ under**2)
 
     if capacity_bound:
-        gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
+        gamma = np.asarray(params.gamma, dtype=float)
         if np.any(gamma >= 1.0):
             raise ValueError(
                 "the merit needs gamma < 1: with gamma >= 1 no queue brings v "
@@ -490,8 +488,6 @@ def merit(
     path_set: "PathSet",
     path_flows: np.ndarray,
     queue_alloc: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
     params: CostParams,
     system_optimum: bool = False,
     capacity_bound: bool = True,
@@ -532,7 +528,7 @@ def merit(
     downstream cost instead of enforcing v = C(Q).
     """
     return _merit(
-        path_set, path_flows, queue_alloc, t_f, c_max, params,
+        path_set, path_flows, queue_alloc, params,
         system_optimum, capacity_bound, gradient=False,
     )
 
@@ -541,8 +537,6 @@ def merit_gradient(
     path_set: "PathSet",
     path_flows: np.ndarray,
     queue_alloc: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
     params: CostParams,
     system_optimum: bool = False,
     capacity_bound: bool = True,
@@ -555,7 +549,7 @@ def merit_gradient(
     the queue and removes it from every later link of p.
     """
     _, grad_f, grad_q = _merit(
-        path_set, path_flows, queue_alloc, t_f, c_max, params,
+        path_set, path_flows, queue_alloc, params,
         system_optimum, capacity_bound, gradient=True,
     )
     return grad_f, grad_q

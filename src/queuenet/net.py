@@ -389,8 +389,8 @@ def enumerate_paths(network: Network, k: int) -> PathSet:
     Ordering is deterministic: ascending cost, ties broken by the
     lexicographic sequence of link ids.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError("k must be an integer >= 1")
     g = _free_flow_graph(network)
     paths: list[Path] = []
     for i, od in enumerate(network.od_pairs):

@@ -145,7 +145,10 @@ class SolverOptions:
             raise ValueError(f"unknown queue_mode: {self.queue_mode}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant}")
-        if not 0 < self.epsilon < np.inf:
+        e = self.epsilon
+        if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
+            raise ValueError(f"epsilon must be a real number, not {e!r}")
+        if not 0 < e < np.inf:
             raise ValueError("epsilon must be finite and > 0")
         n = self.max_outer_iterations
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -163,9 +166,8 @@ class ConvergenceReport:
     #: per-iteration rows, filled only when `solve` is called with
     #: `history=True` (empty otherwise):
     #: (iteration, J after flow step, J after queue step, max |df|, max |dQ|, gap)
-    #: J is the function the mode's half-steps descend: `cost.merit` in the
-    #: smoothed-gradient mode; the fixed-point mode descends nothing and
-    #: records `cost.objective`
+    #: J is `cost.merit` in both modes (the smoothed-gradient mode descends
+    #: it), NaN where a queue-carrying variant has gamma >= 1
     history: list[tuple[int, float, float, float, float, float]] = field(
         default_factory=list
     )
@@ -210,11 +212,6 @@ class SolutionState:
     def completing_flows(self) -> np.ndarray:
         """Trip-completing path flows f_p = f~_p - sum of queues along p."""
         return self.path_flows - _path_held(self.path_set, self.queue_alloc)
-
-    def objective(self) -> float:
-        return _cost.objective(
-            self.throughflows, self.link_queues, self.t_f, self.c_max, self.params
-        )
 
     def total_cost(self) -> float:
         """Total generalized cost sum_a (v_a + Q_a) t_a, running and queued
@@ -280,8 +277,9 @@ class _LinkArrays(NamedTuple):
     gamma: np.ndarray
 
     @classmethod
-    def of(cls, params: CostParams, t_f: np.ndarray, c_max: np.ndarray) -> "_LinkArrays":
-        return cls(t_f, c_max, *(
+    def of(cls, params: CostParams, path_set: PathSet) -> "_LinkArrays":
+        c_max = path_set.c_max
+        return cls(path_set.t_f, c_max, *(
             np.broadcast_to(a, c_max.shape) for a in _cost._link_arrays(params)
         ))
 
@@ -550,7 +548,7 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
     excess = float(state.path_flows @ (priced - priced[best[ps.path_od]]))
     total = float(ps.demand[best >= 0] @ priced[best[best >= 0]])
 
-    gamma = np.broadcast_to(np.asarray(state.params.gamma, dtype=float), c_max.shape)
+    gamma = np.asarray(state.params.gamma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         slack = np.where(
             gamma > 0,
@@ -577,7 +575,6 @@ def _queue_targets_fixed_point(
     path_set: PathSet,
     f: np.ndarray,
     queue_alloc: np.ndarray,
-    c_max: np.ndarray,
     params: CostParams,
     relaxation: float,
     slack: np.ndarray | None = None,
@@ -600,8 +597,8 @@ def _queue_targets_fixed_point(
     With `slack`, each link keeps that capacity slack C(Q) - v instead of
     closing it (a slack of -inf holds no queue).
     """
-    link_e, n_links = path_set.entry_link, path_set.n_links
-    gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
+    link_e, n_links, c_max = path_set.entry_link, path_set.n_links, path_set.c_max
+    gamma = np.asarray(params.gamma, dtype=float)
     start = np.asarray(queue_alloc, dtype=float)
     held = start
     flow_e = f[path_set.entry_path]
@@ -752,7 +749,7 @@ def solve(
         f = _aon_initial_flows(path_set)
 
     queue_alloc = np.zeros(len(path_set.entry_link))
-    la = _LinkArrays.of(base, t_f, c_max)
+    la = _LinkArrays.of(base, path_set)
     group_levels = _group_levels(path_set, la)
     theta = _queue_relaxation(la.gamma)
     frozen = _frozen_queues(path_set, queue_alloc, group_levels)
@@ -762,13 +759,17 @@ def solve(
 
     def merit(f_: np.ndarray, qa_: np.ndarray) -> float:
         return _cost.merit(
-            path_set, f_, qa_, t_f, c_max, base,
+            path_set, f_, qa_, base,
             system_optimum=options.variant == "system_optimum",
             capacity_bound=update_queues,
         )
 
     def sweep(f_: np.ndarray, qa_: np.ndarray, step: float, slack=None) -> np.ndarray:
-        return _queue_targets_fixed_point(path_set, f_, qa_, c_max, base, step, slack)
+        return _queue_targets_fixed_point(path_set, f_, qa_, base, step, slack)
+
+    def history_j(f_: np.ndarray, qa_: np.ndarray) -> float:
+        # the merit, undefined where a queue-carrying variant has gamma >= 1
+        return merit(f_, qa_) if not update_queues or np.all(la.gamma < 1.0) else np.nan
 
     def state_at(f_: np.ndarray, qa_: np.ndarray) -> SolutionState:
         """Path flows f_ and per-entry queues qa_ as a priced state."""
@@ -864,7 +865,7 @@ def solve(
         delta_prev = f - f_prev
 
         if history:
-            j_half = j if smoothed else state_at(f, queue_alloc).objective()
+            j_half = history_j(f, queue_alloc)
         # queue half-step, with the flows frozen
         if update_queues:
             f, queue_alloc, j = queue_step(f, queue_alloc, j)
@@ -873,9 +874,8 @@ def solve(
         link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
         queue_change = float(np.max(np.abs(link_q - q_prev)))
         if history:
-            state = state_at(f, queue_alloc)
-            j_full = j if smoothed else state.objective()
-            gap = kkt_report(state).relative_gap
+            j_full = history_j(f, queue_alloc)
+            gap = kkt_report(state_at(f, queue_alloc)).relative_gap
             rows.append((it, j_half, j_full, flow_change, queue_change, gap))
         if max(flow_change, queue_change) <= options.epsilon:
             termination = "tolerance"

@@ -18,8 +18,6 @@ from queuenet.cost import (
     CostParams,
     capacity,
     gamma_of_flow,
-    merit,
-    merit_gradient,
     queuing_delay,
     smoothed_link_time,
 )
@@ -283,18 +281,13 @@ def test_criterion_08_capacity_arithmetic():
 def test_criterion_09a_gradient_check(six_node):
     c = Checker("9a", "analytic gradients match central finite differences")
     params = CostParams().for_links(six_node.network.links)
-    t_f = np.array([l.free_flow_time for l in six_node.network.links])
-    c_max = np.array([l.capacity for l in six_node.network.links])
     rng = np.random.default_rng(2024)
 
     # the merit is the function the smoothed-gradient mode descends
     worst = 0.0
     for _ in range(100):
         f, qa = conftest.feasible_random_state(six_node, rng)
-        worst = max(
-            worst,
-            gradient_check(merit, merit_gradient, six_node, f, qa, t_f, c_max, params),
-        )
+        worst = max(worst, gradient_check(six_node, f, qa, params))
     c.check(worst <= 1e-5, f"worst relative error {worst:.2e} > 1e-5")
     c.finish(f"100 points, worst {worst:.1e}")
 

@@ -67,7 +67,7 @@ class TestSolve:
         rows = read_csv(tmp_path / "convergence.csv")
         assert len(rows) == iterations > 0
         for row in rows:
-            for column in ("objective_half", "objective", "gap"):
+            for column in ("merit_half", "merit", "gap"):
                 assert math.isfinite(float(row[column])), (row["iteration"], column)
 
     @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
@@ -384,6 +384,26 @@ class TestValidate:
             run(["solve", "--config", cfg, "--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--out", "x"],
+            ["validate", "--variant", "system_optimum"],
+            ["validate", "--mode", "smoothed_gradient"],
+            ["validate", "--epsilon", "0.1"],
+            ["validate", "--max-iter", "5"],
+            ["compare", "--variant", "system_optimum"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_options_a_subcommand_would_ignore_are_refused(self, cfg, capsys, argv):
+        # validate reads only the config and the seed, and compare solves
+        # every variant (or --variants), so these options used to be ignored
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], "--config", cfg, *argv[1:]])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
 
     def test_seeded(self, cfg, capsys):
         assert run(["validate", "--config", cfg, "--seed", "7"]) == 0

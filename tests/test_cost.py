@@ -17,7 +17,6 @@ from queuenet.cost import (
     link_travel_time,
     marginal_link_time,
     merit,
-    merit_gradient,
     objective,
     queuing_delay,
     running_time_slope,
@@ -230,25 +229,23 @@ class TestObjective:
 
 
 class TestMerit:
-    def _la(self, path_set):
-        links = path_set.network.links
-        t_f = np.array([l.free_flow_time for l in links])
-        c_max = np.array([l.capacity for l in links])
-        return t_f, c_max, CostParams().for_links(links)
+    def _params(self, path_set):
+        return CostParams().for_links(path_set.network.links)
 
     def test_zero_at_equilibrium(self, six_node, base_state):
-        j = merit(six_node, base_state.path_flows, base_state.queue_alloc, *self._la(six_node))
+        j = merit(
+            six_node, base_state.path_flows, base_state.queue_alloc, self._params(six_node)
+        )
         assert j == pytest.approx(0.0, abs=1e-6)
 
     def test_positive_at_capacity_free_ue(self, six_node, traditional_solution):
         # Wardrop holds there, but link 4 discharges 70 veh/h over C_max
         state = traditional_solution[0]
-        t_f, c_max, params = self._la(six_node)
+        params = self._params(six_node)
         assert merit(
-            six_node, state.path_flows, state.queue_alloc, t_f, c_max, params,
-            capacity_bound=False,
+            six_node, state.path_flows, state.queue_alloc, params, capacity_bound=False,
         ) == pytest.approx(0.0, abs=1e-6)
-        assert merit(six_node, state.path_flows, state.queue_alloc, t_f, c_max, params) > 1.0
+        assert merit(six_node, state.path_flows, state.queue_alloc, params) > 1.0
 
     def test_unequal_queue_sharing_is_penalized(self, six_node, base_state):
         # move the bottleneck queue onto one of its two paths: flows, link
@@ -257,9 +254,9 @@ class TestMerit:
         qa = dense_queues(six_node, base_state.queue_alloc)
         qa[i4, 1] += qa[i4, 3]
         qa[i4, 3] = 0.0
-        la = self._la(six_node)
-        assert merit(six_node, base_state.path_flows, per_entry(six_node, qa), *la) > merit(
-            six_node, base_state.path_flows, base_state.queue_alloc, *la
+        params = self._params(six_node)
+        assert merit(six_node, base_state.path_flows, per_entry(six_node, qa), params) > merit(
+            six_node, base_state.path_flows, base_state.queue_alloc, params
         ) + 1.0
 
 
@@ -267,12 +264,8 @@ class TestGradient:
     def test_matches_finite_differences(self, six_node):
         # the merit is the function the smoothed-gradient mode descends
         params = CostParams().for_links(six_node.network.links)
-        t_f = np.array([l.free_flow_time for l in six_node.network.links])
-        c_max = np.array([l.capacity for l in six_node.network.links])
         rng = np.random.default_rng(42)
         for _ in range(25):
             f, qa = feasible_random_state(six_node, rng)
-            assert gradient_check(
-                merit, merit_gradient, six_node, f, qa, t_f, c_max, params
-            ) <= 1e-5
+            assert gradient_check(six_node, f, qa, params) <= 1e-5
 

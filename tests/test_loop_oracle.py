@@ -95,8 +95,8 @@ def _cyclic_precedence():
     # passes on this case); one GP pass from the all-or-nothing start and
     # one relaxed sweep give 72 queued entries
     ps = enumerate_paths(fixtures.grid_network(size=10, n_od=40, demand=900.0), 3)
-    t_f, c_max, params = _link_arrays(ps)
-    la = _LinkArrays.of(params, t_f, c_max)
+    _, c_max, params = _link_arrays(ps)
+    la = _LinkArrays.of(params, ps)
     la_subs = [la.sub(g) for g in ps.od_group_links]
     qa = np.zeros((ps.n_links, ps.n_paths))
     f = ref.gp_flow_pass(ps, _aon_initial_flows(ps), qa, la_subs, SolverOptions())
@@ -155,7 +155,7 @@ def test_mixed_gamma_case_queues_a_link_of_each_kind():
     # gamma 1.0 all that arrives, down to the capacity cap
     ps, f, qa, params = _six_node_mixed_gamma()
     _, c_max, params = _link_arrays(ps, params)
-    swept = _queue_targets_fixed_point(ps, f, qa, c_max, params, 1.0)
+    swept = _queue_targets_fixed_point(ps, f, qa, params, 1.0)
     _, q, _, _ = assemble_link_state(ps, f, swept)
     links = [ps.link_index(i) for i in ("1", "2", "4")]
     np.testing.assert_allclose(q[links], [100.0, 50.0, QUEUE_CAP_FRACTION * 2400.0])
@@ -178,7 +178,7 @@ def test_queue_sweep_matches_loop(case, relaxation):
     _, c_max, params = _link_arrays(ps, params)
     dense = ref.dense_queues(ps, qa)
     _close(
-        _queue_targets_fixed_point(ps, f, qa, c_max, params, relaxation),
+        _queue_targets_fixed_point(ps, f, qa, params, relaxation),
         per_entry(ps, ref.queue_targets_fixed_point(ps, f, dense, c_max, params, relaxation)),
     )
 
@@ -190,7 +190,7 @@ def test_slack_keeping_sweep_matches_loop(case):
     _, q, _, v = ref.assemble_link_state(ps, f, dense)
     slack = np.where(q > 0, c_max - np.asarray(params.gamma) * q - v, -np.inf)
     _close(
-        _queue_targets_fixed_point(ps, f, qa, c_max, params, 1.0, slack=slack),
+        _queue_targets_fixed_point(ps, f, qa, params, 1.0, slack=slack),
         per_entry(
             ps, ref.queue_targets_fixed_point(ps, f, dense, c_max, params, 1.0, slack=slack)
         ),
@@ -200,8 +200,8 @@ def test_slack_keeping_sweep_matches_loop(case):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_gp_flow_pass_matches_loop(case, variant):
     ps, f, qa, params = case
-    t_f, c_max, params = _link_arrays(ps, params)
-    la = _LinkArrays.of(_apply_variant(params, variant), t_f, c_max)
+    _, _, params = _link_arrays(ps, params)
+    la = _LinkArrays.of(_apply_variant(params, variant), ps)
     la_subs = [la.sub(g) for g in ps.od_group_links]
     options = SolverOptions(variant=variant)
     levels = _group_levels(ps, la)

@@ -191,8 +191,7 @@ class TestPathSet:
         # the GP pass's first level, since OD 2->4 shares link 4 with it
         links = [six_node.network.links[a].id for a in six_node.od_group_links[0]]
         assert links == ["1", "3", "4", "6"]
-        per_link = np.ones(six_node.n_links)
-        la = _LinkArrays.of(CostParams(), per_link, per_link)
+        la = _LinkArrays.of(CostParams(), six_node)
         first = _group_levels(six_node, la)[0]
         assert first.paths.tolist() == [0, 1]
         assert first.links.tolist() == six_node.od_group_links[0].tolist()
@@ -290,6 +289,13 @@ class TestEnumeration:
     def test_six_node_enumeration_matches_bundle(self, six_node):
         ps = enumerate_paths(six_node.network, k=4)
         assert {p.links for p in ps.paths} == {p.links for p in six_node.paths}
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "3", 0])
+    def test_k_must_be_an_integer(self, six_node, k):
+        # 2.0 and 2.5 crashed in list indexing, "3" in the comparison, and
+        # True enumerated one path per OD pair
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            enumerate_paths(six_node.network, k)
 
     def test_deterministic_order(self, six_node):
         a = enumerate_paths(six_node.network, k=3)

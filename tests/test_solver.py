@@ -121,9 +121,7 @@ def _frozen_queue_split_oracle(six_node, q4_per_path):
 class TestFlowPass:
     def test_frozen_queue_equilibrium_matches_grid_search(self, six_node):
         net = six_node.network
-        t_f = np.array([l.free_flow_time for l in net.links])
-        c_max = np.array([l.capacity for l in net.links])
-        la = _LinkArrays.of(CostParams().for_links(net.links), t_f, c_max)
+        la = _LinkArrays.of(CostParams().for_links(net.links), six_node)
         levels = _group_levels(six_node, la)
         options = SolverOptions()
         qa = np.zeros((7, 4))
@@ -156,7 +154,7 @@ class TestFlowPass:
         t_f = np.array([l.free_flow_time for l in net.links])
         c_max = np.array([l.capacity for l in net.links])
         params = _apply_variant(CostParams().for_links(net.links), variant)
-        la = _LinkArrays.of(params, t_f, c_max)
+        la = _LinkArrays.of(params, six_node)
         levels = _group_levels(six_node, la)
         options = SolverOptions(variant=variant)
         priced = marginal_link_time if variant == "system_optimum" else link_travel_time
@@ -196,8 +194,7 @@ class TestFlowPass:
             full.network,
             [p for j, p in enumerate(full.paths) if p.od_index != 0 or j == first_of_0],
         )
-        per_link = np.ones(full.n_links)
-        la = _LinkArrays.of(CostParams(), per_link, per_link)
+        la = _LinkArrays.of(CostParams(), full)
         for ps in (full, cut):
             levels = _group_levels(ps, la)
             assert len(levels) == 10
@@ -228,7 +225,7 @@ class TestFlowPass:
         # of its own; at zero demand its paths carry nothing and it has none
         ps = six_node.with_demands([3000.0, demand_2_4])
         net = ps.network
-        la = _LinkArrays.of(CostParams().for_links(net.links), ps.t_f, ps.c_max)
+        la = _LinkArrays.of(CostParams().for_links(net.links), ps)
         levels = _group_levels(ps, la)
         assert [level.paths.tolist() for level in levels] == [
             group.tolist() for group in ps.od_groups[:n_levels]
@@ -401,7 +398,7 @@ class TestConvergenceContract:
         assert report.converged
         assert report.iterations == 1
         assert np.all(state.path_flows == 0.0)
-        assert state.objective() == 0.0
+        assert _cost.merit(six_node, state.path_flows, state.queue_alloc, state.params) == 0.0
 
     @pytest.mark.parametrize("value", [2.5, 1e9, "3", True, None])
     def test_max_outer_iterations_must_be_an_integer(self, value):
@@ -409,6 +406,16 @@ class TestConvergenceContract:
         # range(); a string crashed in the check itself with a TypeError
         with pytest.raises(ValueError, match="max_outer_iterations"):
             SolverOptions(max_outer_iterations=value)
+
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_epsilon_must_be_a_real_number(self, value):
+        # True passed as epsilon 1; a string or None raised a bare TypeError
+        with pytest.raises(ValueError, match="epsilon"):
+            SolverOptions(epsilon=value)
+
+    @pytest.mark.parametrize("value", [1, 1e-3, np.float32(1e-3), np.int64(1)])
+    def test_epsilon_takes_any_real_number(self, value):
+        assert SolverOptions(epsilon=value).epsilon == value
 
     def test_not_converged_flagged(self, six_node):
         _, report = solve(six_node, options=SolverOptions(max_outer_iterations=2))
@@ -765,6 +772,29 @@ class TestHistoryOptIn:
         assert len(report_h.history) == report_h.iterations
 
 
+class TestHistoryMerit:
+    """Both modes' history rows record J = `cost.merit`, which is zero
+    exactly at an equilibrium."""
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_j_falls_to_zero(self, six_node, variant, mode):
+        options = SolverOptions(queue_mode=mode, variant=variant)
+        _, report = solve(six_node, options=options, history=True)
+        assert report.converged
+        assert all(j >= 0.0 for row in report.history for j in row[1:3])
+        assert max(report.history[-1][1:3]) <= 1e-6
+
+    def test_j_is_nan_where_gamma_reaches_one(self, six_node):
+        # the merit needs gamma < 1; the fixed-point mode still solves
+        options = SolverOptions(max_outer_iterations=5)
+        _, report = solve(six_node, CostParams(gamma=1.0), options, history=True)
+        assert len(report.history) == 5
+        for it, j_half, j_full, *rest in report.history:
+            assert np.isnan(j_half) and np.isnan(j_full)
+            assert np.all(np.isfinite([it, *rest]))
+
+
 class TestQueueSweep:
     """The fixed-point sweep's rounds leave a feasible state from any
     feasible start, settled or not, on cyclic link precedence too."""
@@ -812,9 +842,7 @@ class TestQueueSweep:
         with pytest.MonkeyPatch.context() as mp:
             if tol is not None:
                 mp.setattr(solver, "SWEEP_TOL", tol)
-            new = solver._queue_targets_fixed_point(
-                ps, f, held, c_max, params, relaxation, slack
-            )
+            new = solver._queue_targets_fixed_point(ps, f, held, params, relaxation, slack)
         assert np.all(new >= 0.0)
         assert np.all(np.bincount(ps.entry_path, new, ps.n_paths) <= f + 1e-9)
         assemble_link_state(ps, f, new)
