@@ -683,16 +683,30 @@ class TestSmoothedMode:
         # merit after every GP pass, which must change nothing but the count
         ps = path_set()
         options = SolverOptions(queue_mode="smoothed_gradient")
-        calls = []
+        calls, checks = [], []
         merit = _cost.merit
         monkeypatch.setattr(_cost, "merit", lambda *a, **k: calls.append(1) or merit(*a, **k))
+        accept = solver._accept_or_halve
+
+        def checked_accept(trial, step, halve, merit_, j, current):
+            # the j carried in and the j carried out are each the merit of
+            # their state, to the ulp
+            assert j == merit_(*current)
+            flows, queues, j = accept(trial, step, halve, merit_, j, current)
+            assert j == merit_(flows, queues)
+            checks.append(2)
+            return flows, queues, j
+
+        monkeypatch.setattr(solver, "_accept_or_halve", checked_accept)
         state, report = solve(ps, options=options, history=True)
-        carried = len(calls)
+        assert checks
+        carried = len(calls) - sum(checks)
         project = solver._project_queues
         monkeypatch.setattr(solver, "_project_queues", lambda *a: project(*a).copy())
         calls.clear()
+        checks.clear()
         fresh, fresh_report = solve(ps, options=options, history=True)
-        assert 0 < len(calls) - carried <= report.inner_passes
+        assert 0 < len(calls) - sum(checks) - carried <= report.inner_passes
         assert len(report.history) == report.iterations
         assert report.history == fresh_report.history
         assert np.array_equal(state.path_flows, fresh.path_flows)
