@@ -72,29 +72,36 @@ def _build_scenario(cfg: dict[str, str]) -> tuple[Network, PathSet]:
         with open(_resolve(cfg, "paths")) as pf:
             path_set = load_path_set(pf, network)
     elif "k" in cfg:
-        path_set = enumerate_paths(network, int(cfg["k"]))
+        path_set = enumerate_paths(network, _config_number(cfg, "k", int))
     else:
         raise ConfigError("config needs 'paths' (file) or 'k' (enumeration depth)")
     return network, path_set
 
 
+def _config_number(cfg: dict[str, str], key: str, kind: type[int] | type[float]):
+    """`cfg[key]` converted by `kind`; a bad value is a ConfigError naming the key."""
+    try:
+        return kind(cfg[key])
+    except ValueError as exc:
+        what = "an integer" if kind is int else "numeric"
+        raise ConfigError(f"config field '{key}' is not {what}") from exc
+
+
 def _build_params(cfg: dict[str, str]) -> CostParams:
-    kwargs = {}
-    for key in PARAM_NAMES:
-        if key in cfg:
-            try:
-                kwargs[key] = float(cfg[key])
-            except ValueError as exc:
-                raise ConfigError(f"config field '{key}' is not numeric") from exc
-    return CostParams(**kwargs)
+    return CostParams(
+        **{key: _config_number(cfg, key, float) for key in PARAM_NAMES if key in cfg}
+    )
 
 
 def _build_options(cfg: dict[str, str], args: argparse.Namespace) -> SolverOptions:
     mode = args.mode or cfg.get("mode", "fixed_point")
     # compare takes no --variant: `compare_models` sets each variant
     variant = getattr(args, "variant", None) or cfg.get("variant", "queue_dependent")
-    epsilon = args.epsilon if args.epsilon is not None else float(cfg.get("epsilon", 1e-3))
-    max_iter = args.max_iter if args.max_iter is not None else int(cfg.get("max_iter", 2000))
+    epsilon, max_iter = args.epsilon, args.max_iter
+    if epsilon is None:
+        epsilon = _config_number(cfg, "epsilon", float) if "epsilon" in cfg else 1e-3
+    if max_iter is None:
+        max_iter = _config_number(cfg, "max_iter", int) if "max_iter" in cfg else 2000
     try:
         return SolverOptions(
             queue_mode=mode,

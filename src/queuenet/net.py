@@ -17,9 +17,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Mapping, Sequence
+from heapq import heappop, heappush
+from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .cost import PARAM_NAMES
@@ -372,58 +372,189 @@ def load_demands(source: IO[str], network: Network) -> Network:
     return network.with_demands(od_pairs)
 
 
-def _free_flow_graph(network: Network) -> nx.DiGraph:
-    # Parallel links collapse to the cheapest one (ties: smallest link id).
-    g = nx.DiGraph()
-    for node in network.nodes:
-        g.add_node(node.id)
-    for link in sorted(network.links, key=lambda l: (l.free_flow_time, l.id)):
-        if not g.has_edge(link.tail, link.head):
-            g.add_edge(link.tail, link.head, weight=link.free_flow_time, link_id=link.id)
-    return g
+class _FreeFlowGraph:
+    """The free-flow graph on integer node indices, and Yen's search
+    for its loopless shortest paths.
+
+    Parallel links collapse to the cheapest one (ties: smallest link id).
+    Each node lists its successors and predecessors in the order of their
+    links by (free-flow time, id).  Where paths tie, which ones the search
+    yields first is fixed by that order, by the search's steps and by the
+    order in which it sums the floats; `tests/path_reference.py` is the
+    version it must match step for step.
+    """
+
+    def __init__(self, network: Network):
+        self.index = {node.id: i for i, node in enumerate(network.nodes)}
+        n = len(network.nodes)
+        self.succ: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        self.pred: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        #: (tail, head) -> (free-flow time, link id) of the link kept
+        self.edge: dict[tuple[int, int], tuple[float, str]] = {}
+        for link in sorted(network.links, key=lambda l: (l.free_flow_time, l.id)):
+            u, v = self.index[link.tail], self.index[link.head]
+            if (u, v) not in self.edge:
+                self.edge[u, v] = (link.free_flow_time, link.id)
+                self.succ[u].append((v, link.free_flow_time))
+                self.pred[v].append((u, link.free_flow_time))
+
+    def simple_paths(self, source: int, target: int) -> Iterator[tuple[int, ...]]:
+        """Loopless paths from source to target, shortest first (Yen 1971),
+        as node tuples; none if target cannot be reached.  source != target.
+
+        Each spur search ignores the root's nodes before the spur node and
+        the spur node's links into the next node of every path already
+        yielded with the same root.  (Links out of earlier root nodes need
+        not be ignored: those nodes are.)  The candidate buffer is a heap
+        on (cost, push count) that refuses a path only while that path is
+        in it.
+        """
+        n = len(self.succ)
+        first = self._shortest(source, target, bytearray(n), ())
+        if first is None:
+            return
+        buffer = [(first[0], 0, first[1])]
+        buffered = {first[1]}
+        pushes = 1
+        yielded: list[tuple[int, ...]] = []
+        while buffer:
+            path = heappop(buffer)[2]
+            buffered.remove(path)
+            yield path
+            yielded.append(path)
+            weights = [self.edge[e][0] for e in zip(path, path[1:])]
+            ignored = bytearray(n)
+            same_root = yielded
+            for i in range(1, len(path)):
+                spur_node = path[i - 1]
+                same_root = [p for p in same_root if p[i - 1] == spur_node]
+                spur = self._shortest(
+                    spur_node, target, ignored, {p[i] for p in same_root}
+                )
+                if spur is not None:
+                    candidate = path[: i - 1] + spur[1]
+                    if candidate not in buffered:
+                        # each root's length is summed afresh from the source,
+                        # not carried along: the order of the additions decides
+                        # how near-ties round
+                        heappush(
+                            buffer, (sum(weights[: i - 1]) + spur[0], pushes, candidate)
+                        )
+                        buffered.add(candidate)
+                        pushes += 1
+                ignored[spur_node] = 1
+
+    def _shortest(
+        self, source: int, target: int, ignored: bytearray, banned: Collection[int]
+    ) -> tuple[float, tuple[int, ...]] | None:
+        """Bidirectional Dijkstra: (length, node path), or None when no
+        path avoids the ignored nodes and the links from source into
+        `banned`.
+
+        Directions alternate, forward first, also past a stale heap entry;
+        heap ties go by push count; the meeting node is recorded when it is
+        relaxed with a smaller total, and the search stops when a node is
+        settled in both directions.  Ignored nodes start out settled in
+        both, so no relaxation reaches them.
+        """
+        inf = math.inf
+        dist = ([inf] * len(self.succ), [inf] * len(self.succ))
+        settled = (bytearray(ignored), bytearray(ignored))
+        parent = ([-1] * len(self.succ), [-1] * len(self.succ))
+        fringe = ([(0.0, 0, source)], [(0.0, 1, target)])
+        dist[0][source] = dist[1][target] = 0.0
+        pushes = 2
+        meeting = None  # (total, node, forward parent, backward parent)
+        d = 1
+        while fringe[0] and fringe[1]:
+            d = 1 - d
+            dv, _, v = heappop(fringe[d])
+            done = settled[d]
+            if done[v]:
+                continue
+            done[v] = 1
+            if settled[1 - d][v]:
+                return _meeting_path(meeting, parent)
+            if d == 0:
+                nbrs = self.succ[v]
+                if v == source and banned:
+                    nbrs = [e for e in nbrs if e[0] not in banned]
+            else:
+                nbrs = self.pred[v]
+                if v in banned:
+                    nbrs = [e for e in nbrs if e[0] != source]
+            heap, seen, other, par = fringe[d], dist[d], dist[1 - d], parent[d]
+            for w, weight in nbrs:
+                if done[w]:
+                    continue
+                vw = dv + weight
+                if vw < seen[w]:
+                    seen[w] = vw
+                    heappush(heap, (vw, pushes, w))
+                    pushes += 1
+                    par[w] = v
+                    if other[w] < inf:
+                        total = vw + other[w]
+                        if meeting is None or meeting[0] > total:
+                            meeting = (total, w, parent[0][w], parent[1][w])
+        return None
+
+
+def _meeting_path(
+    meeting: tuple[float, int, int, int], parent: tuple[list[int], list[int]]
+) -> tuple[float, tuple[int, ...]]:
+    # the parents were snapshot at the meeting; every node up their chains
+    # was settled then, and a settled node's parent never changes
+    total, node, u, v = meeting
+    head = [node]
+    while u >= 0:
+        head.append(u)
+        u = parent[0][u]
+    head.reverse()
+    while v >= 0:
+        head.append(v)
+        v = parent[1][v]
+    return total, tuple(head)
 
 
 def enumerate_paths(network: Network, k: int) -> PathSet:
     """Up to k loopless shortest paths per OD pair by free-flow time.
 
-    Ordering is deterministic: ascending cost, ties broken by the
-    lexicographic sequence of link ids.
+    Per OD pair, Yen's search yields paths shortest first, ties in the
+    order its bidirectional Dijkstra finds them.  It stops after k+32
+    paths, or earlier at the first path that costs more than the k-th
+    cheapest so far (by more than 1e-12).  Of the paths yielded, the k
+    smallest by (cost rounded to 12 decimals, link ids) are kept, in that
+    order.  Where more paths tie than the search yields, that is not the
+    k smallest of all paths by the same key: on
+    `fixtures.grid_network(15, 12, 1100)` with k = 3 the two rules differ
+    on OD pairs 2 (n0_4->n4_13), 5 (n12_4->n5_4) and 10 (n12_9->n1_0).
+
+    A disconnected OD pair raises `PathError`, unless its demand is zero;
+    then it gets no path.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("k must be an integer >= 1")
-    g = _free_flow_graph(network)
+    g = _FreeFlowGraph(network)
     paths: list[Path] = []
     for i, od in enumerate(network.od_pairs):
-        if od.demand == 0 and (
-            od.origin not in g or not nx.has_path(g, od.origin, od.destination)
-        ):
-            continue
-        try:
-            gen = nx.shortest_simple_paths(g, od.origin, od.destination, weight="weight")
-        except nx.NetworkXNoPath as exc:
-            raise PathError(
-                f"OD {od.origin}->{od.destination} is disconnected"
-            ) from exc
         candidates: list[tuple[float, tuple[str, ...]]] = []
         kth_cost = math.inf
-        try:
-            for node_path in gen:
-                link_ids = tuple(
-                    g[u][v]["link_id"] for u, v in zip(node_path, node_path[1:])
-                )
-                cost = sum(g[u][v]["weight"] for u, v in zip(node_path, node_path[1:]))
-                if len(candidates) >= k and cost > kth_cost + 1e-12:
-                    break
-                candidates.append((cost, link_ids))
-                if len(candidates) >= k:
-                    kth_cost = sorted(c for c, _ in candidates)[k - 1]
-                if len(candidates) >= k + 32:
-                    break
-        except nx.NetworkXNoPath as exc:
-            if not candidates:
-                raise PathError(
-                    f"OD {od.origin}->{od.destination} is disconnected"
-                ) from exc
+        for node_path in g.simple_paths(g.index[od.origin], g.index[od.destination]):
+            edges = [g.edge[e] for e in zip(node_path, node_path[1:])]
+            link_ids = tuple(link_id for _, link_id in edges)
+            cost = sum(weight for weight, _ in edges)
+            if len(candidates) >= k and cost > kth_cost + 1e-12:
+                break
+            candidates.append((cost, link_ids))
+            if len(candidates) >= k:
+                kth_cost = sorted(c for c, _ in candidates)[k - 1]
+            if len(candidates) >= k + 32:
+                break
+        if not candidates:
+            if od.demand == 0:
+                continue
+            raise PathError(f"OD {od.origin}->{od.destination} is disconnected")
         candidates.sort(key=lambda cl: (round(cl[0], 12), cl[1]))
         for _, link_ids in candidates[:k]:
             paths.append(Path(od_index=i, links=link_ids))

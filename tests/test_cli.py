@@ -174,6 +174,28 @@ class TestErrors:
         assert rc == 1
         assert "alpha must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [
+            ("epsilon", "abc", "is not numeric"),
+            ("max_iter", "2.5", "is not an integer"),
+            ("k", "2.5", "is not an integer"),
+        ],
+    )
+    def test_bad_config_number_names_the_key(
+        self, scenario_dir, tmp_path, capsys, key, value, what
+    ):
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        text = (work / "scenario.cfg").read_text()
+        if key == "k":
+            # k is read only when the config names no paths file
+            text = text.replace("paths=paths.csv\n", "")
+        (work / "scenario.cfg").write_text(text + f"{key}={value}\n")
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"config field '{key}' {what}" in capsys.readouterr().err
+
     def test_bad_config_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nodes nodes.csv\n")

@@ -285,6 +285,51 @@ class TestWithDemands:
             six_node.with_demands([3000.0])
 
 
+#: `enumerate_paths(fixtures.grid_network(15, 12, 1100), 3)` in the
+#: `write_path_set` format: the grid15_enum benchmark workload's path set,
+#: under the fixture's own link ids.  Its stored reference answers hold
+#: only on this path set, so a change to the search order shows here.
+GRID15_ENUM_PATHS = """\
+origin,destination,links
+n14_9,n10_13,l793;l735;l677;l619;l616;l620;l624;l628
+n14_9,n10_13,l793;l735;l677;l674;l623;l620;l624;l628
+n14_9,n10_13,l793;l735;l677;l674;l678;l627;l624;l628
+n8_11,n12_3,l505;l501;l497;l493;l489;l485;l481;l477;l478;l536;l594;l652
+n8_11,n12_3,l505;l501;l497;l493;l489;l485;l481;l482;l535;l536;l594;l652
+n8_11,n12_3,l505;l501;l497;l493;l489;l485;l481;l482;l540;l593;l594;l652
+n0_4,n4_13,l16;l20;l24;l28;l32;l36;l40;l46;l102;l106;l112;l170;l228
+n0_4,n4_13,l16;l20;l24;l28;l32;l36;l40;l46;l102;l108;l164;l170;l228
+n0_4,n4_13,l16;l20;l24;l28;l32;l36;l40;l46;l102;l108;l166;l222;l228
+n13_0,n7_12,l699;l641;l583;l525;l467;l409;l406;l410;l414;l418;l422;l426;l430;l434;l438;l442;l446;l450
+n13_0,n7_12,l699;l641;l583;l525;l467;l464;l413;l410;l414;l418;l422;l426;l430;l434;l438;l442;l446;l450
+n13_0,n7_12,l699;l641;l583;l525;l467;l464;l468;l417;l414;l418;l422;l426;l430;l434;l438;l442;l446;l450
+n1_11,n1_7,l99;l95;l91;l87
+n1_11,n1_7,l104;l157;l101;l95;l91;l87
+n1_11,n1_7,l104;l157;l153;l149;l145;l89
+n12_4,n5_4,l657;l599;l541;l483;l425;l367;l309
+n12_4,n5_4,l657;l599;l541;l483;l425;l367;l361;l305;l302
+n12_4,n5_4,l657;l599;l541;l483;l425;l419;l363;l305;l302
+n10_3,n14_6,l592;l596;l600;l606;l664;l722;l780
+n10_3,n14_6,l592;l596;l602;l658;l664;l722;l780
+n10_3,n14_6,l592;l596;l602;l660;l716;l722;l780
+n7_14,n12_11,l459;l455;l451;l452;l510;l568;l626;l684
+n7_14,n12_11,l459;l455;l456;l509;l510;l568;l626;l684
+n7_14,n12_11,l459;l455;l456;l514;l567;l568;l626;l684
+n10_9,n5_14,l561;l503;l445;l387;l329;l326;l330;l334;l338;l342
+n10_9,n5_14,l561;l503;l445;l387;l384;l333;l330;l334;l338;l342
+n10_9,n5_14,l561;l503;l445;l387;l384;l388;l337;l334;l338;l342
+n6_3,n12_2,l357;l358;l416;l474;l532;l590;l648
+n6_3,n12_2,l362;l415;l416;l474;l532;l590;l648
+n6_3,n12_2,l362;l420;l473;l474;l532;l590;l648
+n12_9,n1_0,l677;l619;l561;l503;l445;l387;l329;l271;l213;l155;l149;l145;l141;l137;l133;l77;l71;l67;l63;l59
+n12_9,n1_0,l677;l619;l561;l503;l445;l387;l329;l271;l213;l155;l97;l91;l87;l83;l79;l75;l71;l67;l63;l59
+n12_9,n1_0,l677;l619;l561;l503;l445;l387;l329;l271;l213;l207;l151;l145;l141;l85;l79;l75;l71;l67;l63;l59
+n6_0,n2_7,l293;l235;l177;l119;l116;l120;l124;l128;l132;l136;l140
+n6_0,n2_7,l293;l235;l177;l174;l123;l120;l124;l128;l132;l136;l140
+n6_0,n2_7,l293;l235;l177;l174;l178;l127;l124;l128;l132;l136;l140
+"""
+
+
 class TestEnumeration:
     def test_six_node_enumeration_matches_bundle(self, six_node):
         ps = enumerate_paths(six_node.network, k=4)
@@ -310,6 +355,25 @@ class TestEnumeration:
         net = _net(["u", "v"], links, [ODPair("u", "v", 100.0)])
         ps = enumerate_paths(net, k=2)
         assert [p.links for p in ps.paths] == [("fast",)]
+
+    def test_grid15_enum_path_set_is_pinned(self):
+        ps = enumerate_paths(fixtures.grid_network(15, 12, 1100.0), 3)
+        sink = io.StringIO()
+        write_path_set(ps, sink)
+        assert sink.getvalue() == GRID15_ENUM_PATHS
+
+    def test_disconnected_od_pair(self):
+        links = [Link("a", "u", "v", 0.1, 1000.0), Link("b", "w", "u", 0.1, 1000.0)]
+        net = _net(["u", "v", "w"], links, [ODPair("u", "v", 10.0), ODPair("u", "w", 10.0)])
+        with pytest.raises(PathError, match=r"^OD u->w is disconnected$"):
+            enumerate_paths(net, k=2)
+
+    def test_disconnected_od_pair_without_demand_gets_no_path(self):
+        links = [Link("a", "u", "v", 0.1, 1000.0), Link("b", "w", "u", 0.1, 1000.0)]
+        net = _net(["u", "v", "w"], links, [ODPair("u", "w", 0.0), ODPair("u", "v", 10.0)])
+        ps = enumerate_paths(net, k=2)
+        assert [(p.od_index, p.links) for p in ps.paths] == [(1, ("a",))]
+        assert len(ps.od_groups[0]) == 0
 
     def test_k_limits_path_count(self):
         net = fixtures.grid_network(size=4, n_od=3, demand=10.0)
