@@ -94,21 +94,23 @@ def _build_params(cfg: dict[str, str]) -> CostParams:
 
 
 def _build_options(cfg: dict[str, str], args: argparse.Namespace) -> SolverOptions:
-    mode = args.mode or cfg.get("mode", "fixed_point")
-    # compare takes no --variant: `compare_models` sets each variant
-    variant = getattr(args, "variant", None) or cfg.get("variant", "queue_dependent")
-    epsilon, max_iter = args.epsilon, args.max_iter
-    if epsilon is None:
-        epsilon = _config_number(cfg, "epsilon", float) if "epsilon" in cfg else 1e-3
-    if max_iter is None:
-        max_iter = _config_number(cfg, "max_iter", int) if "max_iter" in cfg else 2000
+    """The options a flag or its config key gives, the flag first; the rest
+    keep their `SolverOptions` defaults."""
+    given = {}
+    for name, key, kind in (
+        ("queue_mode", "mode", str),
+        ("variant", "variant", str),
+        ("epsilon", "epsilon", float),
+        ("max_outer_iterations", "max_iter", int),
+    ):
+        # compare takes no --variant: `compare_models` sets each variant
+        value = getattr(args, key, None)
+        if value is None and key in cfg:
+            value = cfg[key] if kind is str else _config_number(cfg, key, kind)
+        if value is not None:
+            given[name] = value
     try:
-        return SolverOptions(
-            queue_mode=mode,
-            variant=variant,
-            epsilon=epsilon,
-            max_outer_iterations=max_iter,
-        )
+        return SolverOptions(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -390,7 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--track", help="comma-separated link ids (default: all)")
     p_cmp.add_argument("--variants", help="comma-separated variant subset")
     p_sw = sub.add_parser("sweep", parents=[one_variant], help="parameter/demand sweep")
-    p_sw.add_argument("--param", help="|".join(PARAM_NAMES + ("demand",)))
+    p_sw.add_argument(
+        "--param",
+        help="|".join(n for n in PARAM_NAMES + ("demand",) if n != "phi")
+        + " (phi does not enter the solve, so it is refused)",
+    )
     p_sw.add_argument("--values", help="comma-separated sweep values")
     p_sw.add_argument("--range", help="lo:hi:step (alternative to --values)")
     p_sw.add_argument("--od", help="origin,destination for demand sweeps")

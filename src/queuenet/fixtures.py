@@ -6,7 +6,6 @@ data); the others are small synthetic fixtures used by tests and demos.
 from __future__ import annotations
 
 import io
-import shutil
 from importlib import resources
 from pathlib import Path as FsPath
 

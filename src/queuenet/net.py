@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import copy
 import csv
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -198,15 +197,11 @@ class PathSet:
         # numeric structure used by the solver; the inputs are read-only
         self.t_f = _read_only([l.free_flow_time for l in network.links])
         self.c_max = _read_only([l.capacity for l in network.links])
-        self.path_link_idx: list[np.ndarray] = [
-            np.array([self._link_index[lid] for lid in p.links], dtype=np.intp)
-            for p in self.paths
-        ]
-        # the same (link, path) pairs flattened in traversal order, path after
-        # path, with each path's first entry, where `running_sum` restarts
-        lengths = np.array([len(idx) for idx in self.path_link_idx], dtype=np.intp)
-        self.entry_link = (
-            np.concatenate(self.path_link_idx) if self.n_paths else np.empty(0, np.intp)
+        # the (link, path) pairs in traversal order, path after path, with
+        # each path's first entry, where `running_sum` restarts
+        lengths = np.array([len(p.links) for p in self.paths], dtype=np.intp)
+        self.entry_link = np.array(
+            [self._link_index[lid] for p in self.paths for lid in p.links], dtype=np.intp
         )
         self.entry_path = np.repeat(np.arange(self.n_paths), lengths)
         self.path_start = np.cumsum(lengths) - lengths

@@ -3,7 +3,8 @@
 `solve` is one loop over two half-steps, run until neither moves: with the
 queues frozen, path-based gradient-projection (GP) passes shift flow from
 costlier paths to the cheapest path of each OD pair, scaled by the local
-cost curvature on the non-shared links; with the flows frozen, the
+cost curvature on the non-shared links and split among the pair's shifting
+paths, so each pair moves by one step; with the flows frozen, the
 complementarity fixed-point sweep sets each link's queue so inflow net of
 held-back traffic matches the queue-reduced capacity.
 
@@ -77,7 +78,7 @@ import numpy as np
 
 from . import cost as _cost
 from .cost import CostParams
-from .net import Network, PathSet
+from .net import PathSet
 
 __all__ = [
     "SolverOptions",
@@ -406,7 +407,10 @@ def _gp_flow_pass(
     the two paths do not share (Jayakrishnan et al. 1994): a Newton step on
     the generalized times, or on the marginal times for the system
     optimum.  On queued links the slope also carries the queuing delay's
-    response.  A step never moves queued traffic.
+    response.  A group's shifts all land on its cheapest path's links, so
+    they are taken as one step: each is divided by the number of the
+    group's paths that shift in the pass (Bertsekas & Gafni 1982).  A step
+    never moves queued traffic.
 
     The queues are `frozen`'s, priced once for every pass that holds them
     (`_frozen_queues`); a pass prices only the flow part of the cost.  Link
@@ -445,8 +449,10 @@ def _gp_flow_pass(
             curvature = np.maximum(
                 np.abs(member - member.take(best_row, axis=0)) @ slope, CURVATURE_FLOOR
             )
+            # a group's shifts share one step: per group, the paths that shift
+            shifting = np.bincount(group, shifts)[group]
             movable = np.maximum(f_l - held[paths], 0.0)
-            delta = np.where(shifts, np.minimum(movable, gap / curvature), 0.0)
+            delta = np.where(shifts, np.minimum(movable, gap / curvature / shifting), 0.0)
             if not np.count_nonzero(delta):
                 continue
             # the flow change of each path: -delta, and what its group
@@ -670,18 +676,12 @@ def _accept_or_halve(trial, step, halve, merit, j, current):
 
 
 def _aon_initial_flows(path_set: PathSet) -> np.ndarray:
-    """All-or-nothing start: full OD demand on its free-flow cheapest path."""
-    t_f = path_set.t_f
+    """All-or-nothing start: full OD demand on the path `_cheapest` picks at
+    free-flow times."""
+    best = _cheapest(path_set, _path_costs(path_set, path_set.t_f))
+    has_path = best >= 0
     f = np.zeros(path_set.n_paths)
-    for i, group in enumerate(path_set.od_groups):
-        if len(group) == 0:
-            continue
-        ff_costs = [
-            (float(t_f[path_set.path_link_idx[j]].sum()), path_set.paths[j].links, j)
-            for j in group
-        ]
-        _, _, best = min(ff_costs)
-        f[best] = path_set.demand[i]
+    f[best[has_path]] = path_set.demand[has_path]
     return f
 
 

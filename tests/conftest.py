@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loop_reference import path_link_idx
 from queuenet import fixtures
 from queuenet.net import PathSet
 from queuenet.solver import SolverOptions, solve
@@ -87,7 +88,7 @@ def feasible_random_state(path_set, rng, hold=0.4):
             continue
         f[group] = rng.dirichlet(np.ones(len(group))) * path_set.network.od_pairs[i].demand
     queue_alloc = np.zeros((path_set.n_links, path_set.n_paths))
-    for j, idx in enumerate(path_set.path_link_idx):
+    for j, idx in enumerate(path_link_idx(path_set)):
         total = hold * f[j] * rng.uniform(0.0, 1.0)
         if len(idx) and total > 0:
             share = rng.dirichlet(np.ones(len(idx)))

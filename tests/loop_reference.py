@@ -23,10 +23,18 @@ from queuenet.solver import (
 )
 
 
+def path_link_idx(path_set):
+    """Per path, the indices of its links in traversal order."""
+    return [
+        np.array([path_set.link_index(lid) for lid in p.links], dtype=np.intp)
+        for p in path_set.paths
+    ]
+
+
 def incidence(path_set):
     """Dense 0/1 (n_links, n_paths) link-path incidence."""
     inc = np.zeros((path_set.n_links, path_set.n_paths))
-    for j, idx in enumerate(path_set.path_link_idx):
+    for j, idx in enumerate(path_link_idx(path_set)):
         inc[idx, j] = 1.0
     return inc
 
@@ -42,7 +50,7 @@ def assemble_link_state(path_set, path_flows, queue_alloc):
     x = incidence(path_set) @ path_flows
     q = queue_alloc.sum(axis=1)
     q_prime = np.zeros(path_set.n_links)
-    for j, idx in enumerate(path_set.path_link_idx):
+    for j, idx in enumerate(path_link_idx(path_set)):
         held = queue_alloc[idx, j]
         q_prime[idx[1:]] += np.cumsum(held[:-1])
     v = x - q - q_prime
@@ -58,7 +66,7 @@ def assemble_link_state(path_set, path_flows, queue_alloc):
 def link_precedence_graph(path_set):
     g = nx.DiGraph()
     g.add_nodes_from(range(path_set.n_links))
-    for idx in path_set.path_link_idx:
+    for idx in path_link_idx(path_set):
         g.add_edges_from(zip(idx[:-1], idx[1:]))
     return g
 
@@ -72,7 +80,7 @@ def link_precedence_order(path_set):
         )
     except nx.NetworkXUnfeasible:
         first_pos = np.full(path_set.n_links, np.inf)
-        for idx in path_set.path_link_idx:
+        for idx in path_link_idx(path_set):
             for pos, a in enumerate(idx):
                 first_pos[a] = min(first_pos[a], pos)
         return np.argsort(first_pos, kind="stable")
@@ -88,7 +96,8 @@ def queue_targets_fixed_point(
     gamma = np.broadcast_to(np.asarray(params.gamma, dtype=float), c_max.shape)
     new_alloc = queue_alloc.copy()
     paths_through = [[] for _ in range(path_set.n_links)]
-    for j, idx in enumerate(path_set.path_link_idx):
+    link_idx = path_link_idx(path_set)
+    for j, idx in enumerate(link_idx):
         for pos, a in enumerate(idx.tolist()):
             paths_through[a].append((j, pos))
     order = link_precedence_order(path_set)
@@ -98,7 +107,7 @@ def queue_targets_fixed_point(
             through = paths_through[a]
             arriving = np.empty(len(through))
             for k, (j, pos) in enumerate(through):
-                idx = path_set.path_link_idx[j]
+                idx = link_idx[j]
                 arriving[k] = max(f[j] - float(new_alloc[idx[:pos], j].sum()), 0.0)
             inflow = float(arriving.sum())
             g = gamma[a]
@@ -136,12 +145,13 @@ def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
     x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
     held = queue_alloc.sum(axis=0)
     system_optimum = options.variant == "system_optimum"
+    link_idx = path_link_idx(path_set)
 
     for gi, group in enumerate(path_set.od_groups):
         if len(group) < 2:
             continue
         glinks = path_set.od_group_links[gi]
-        positions = [np.searchsorted(glinks, path_set.path_link_idx[j]) for j in group]
+        positions = [np.searchsorted(glinks, link_idx[j]) for j in group]
         la_g = la_subs[gi]
         q_g = q[glinks]
         v_g = np.maximum((x - q - q_prime)[glinks], 0.0)
@@ -162,18 +172,22 @@ def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
         )
         slope = slope + np.where(q_g > 0, queue_slope, 0.0)
         c_min = float(costs.min())
+        # the paths that shift: loaded, and costlier than the cheapest
+        shifting = [
+            local
+            for local, j in enumerate(group)
+            if local != local_best and f[j] > 0 and costs[local] - c_min > 0
+        ]
         delta = np.zeros(len(group))
-        for local, j in enumerate(group):
-            if local == local_best or f[j] <= 0:
-                continue
+        for local in shifting:
+            j = group[local]
             gap = costs[local] - c_min
-            if gap <= 0:
-                continue
             own = set(positions[local].tolist())
             distinct = list(own ^ best_pos)
             curvature = max(float(np.sum(slope[distinct])), CURVATURE_FLOOR)
             movable = max(f[j] - held[j], 0.0)
-            delta[local] = min(movable, gap / curvature)
+            # the group's shifts share one step
+            delta[local] = min(movable, gap / curvature / len(shifting))
         if not np.any(delta > 0):
             continue
         moved = 0.0

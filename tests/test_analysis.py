@@ -110,7 +110,7 @@ class TestKKTReport:
             assert (report.termination == "infeasible") == overloaded
 
     def test_path_cost_accessor(self, six_node, base_state):
-        idx = six_node.path_link_idx[1]
+        idx = [six_node.link_index(lid) for lid in six_node.paths[1].links]
         assert base_state.path_costs()[1] == pytest.approx(
             float(base_state.link_times[idx].sum())
         )
@@ -177,6 +177,10 @@ class TestUniqueness:
         link_spread, path_spread, _ = uniqueness_probe(ps, n_starts=6, seed=3)
         assert link_spread <= 1.0
         assert path_spread > 100.0  # genuinely different path splits
+
+    def test_probe_needs_a_start(self, six_node):
+        with pytest.raises(ValueError, match="n_starts"):
+            uniqueness_probe(six_node, n_starts=0)
 
     def test_probe_deterministic(self, six_node):
         a = uniqueness_probe(six_node, n_starts=3, seed=5)

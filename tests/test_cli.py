@@ -141,6 +141,20 @@ class TestSolve:
         assert float(rows["4"]["flow"]) > 2400.0
 
 
+def test_options_default_to_solver_options(cfg):
+    # without a flag or a config key the options are SolverOptions' own;
+    # the six-node config names no solver option
+    args = cli._build_parser().parse_args(["solve", "--config", cfg])
+    assert cli._build_options(cli._read_config(cfg), args) == SolverOptions()
+    args = cli._build_parser().parse_args(
+        ["solve", "--config", cfg, "--mode", "smoothed_gradient", "--max-iter", "7"]
+    )
+    options = cli._build_options({"epsilon": "0.01", "max_iter": "9"}, args)
+    assert options == SolverOptions(
+        queue_mode="smoothed_gradient", epsilon=0.01, max_outer_iterations=7
+    )
+
+
 class TestErrors:
     def test_missing_config(self, capsys):
         rc = run(["solve", "--config", "/nonexistent/scenario.cfg"])
@@ -367,6 +381,13 @@ class TestSweep:
         argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "m"]
         assert run(argv + ["--values", "1,2", "--track", "nosuchlink"]) == 1
         assert "unknown link id in --track: nosuchlink" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_phi_sweep_refused(self, cfg, tmp_path, capsys):
+        # phi does not enter the solve: every row of its sweep would be the same
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "phi"]
+        assert run(argv + ["--values", "1,2.718281828459045"]) == 1
+        assert "phi does not enter the solve" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_argument_errors(self, cfg, capsys):

@@ -185,6 +185,29 @@ class TestFlowPass:
                     )
                     assert spread(f, frozen) <= before + 1e-9
 
+    def test_six_paths_per_od_pair_converge(self):
+        # sized as if each moved alone, the costlier paths' shifts overshot
+        # on their group's cheapest path, and the fixed-point mode ran into
+        # the iteration limit; a group's shifts now share one step
+        ps = enumerate_paths(fixtures.grid_network(15, 12, 1100.0), 6)
+        state, report = solve(ps, options=SolverOptions(max_outer_iterations=500))
+        assert report.termination == "tolerance"
+        smoothed, smoothed_report = solve(
+            ps, options=SolverOptions(queue_mode="smoothed_gradient")
+        )
+        assert smoothed_report.termination == "tolerance"
+        assert np.max(np.abs(state.throughflows - smoothed.throughflows)) <= 1.0
+
+    def test_start_loads_the_cheapest_free_flow_path(self):
+        # the staircase paths of an OD pair tie on free-flow time; the start
+        # loads the one `_cheapest` picks, as every other cheapest pick does
+        ps = _grid20_staircase_path_set()
+        free_flow = solver._path_costs(ps, ps.t_f)
+        assert any(len(g) > 1 and np.ptp(free_flow[g]) < 1e-12 for g in ps.od_groups)
+        expected = np.zeros(ps.n_paths)
+        expected[solver._cheapest(ps, free_flow)] = ps.demand
+        assert np.array_equal(_aon_initial_flows(ps), expected)
+
     def test_group_levels_keep_the_gauss_seidel_order(self):
         # criterion 10's path set (50 OD pairs, 3 paths each), and the same
         # with OD 0 cut to its first path

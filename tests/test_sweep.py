@@ -102,6 +102,11 @@ class TestParameterSweeps:
         with pytest.raises(ValueError, match="at least one"):
             SweepSpec("m", ())
 
+    def test_phi_refused(self):
+        # only cost.smoothed_link_time and cost.objective read phi
+        with pytest.raises(ValueError, match="phi does not enter the solve"):
+            SweepSpec("phi", (1.0, np.e))
+
 
 @pytest.fixture(scope="module")
 def demand_rows(six_node):
