@@ -5,8 +5,10 @@ relative to the config file) with command-line flags taking precedence:
 
     nodes=nodes.csv        links=links.csv
     demands=demands.csv    paths=paths.csv   (or k=3 for enumeration)
-    alpha=0.5 beta=0.5 m=1 n=4 gamma=0.5 phi=2.718281828459045
+    alpha=0.5 beta=0.5 m=1 n=4 gamma=0.5     out=out
     mode=fixed_point variant=queue_dependent epsilon=1e-3 max_iter=2000
+
+Any other key is refused before anything is loaded.
 
 Exit codes: 0 converged/clean, 1 input error, 2 not converged, including
 a state that discharges above C(Q) (or a declared sweep trend failed).
@@ -25,7 +27,16 @@ from .analysis import compare_models, gradient_check, kkt_report
 from .cost import PARAM_NAMES, CostParams
 from .net import Network, NetworkError, PathSet, enumerate_paths, load_demands, load_network, load_path_set
 from .solver import VARIANTS, SolverOptions, _random_split, solve
-from .sweep import SweepSpec, run_sweep, trend_check
+from .sweep import _DIRECTIONS, SweepSpec, run_sweep, trend_check
+
+#: every key a config file may set
+_CONFIG_KEYS = frozenset(
+    ("nodes", "links", "demands", "paths", "k", "out", "mode", "variant",
+     "epsilon", "max_iter") + PARAM_NAMES
+)
+#: the series `sweep --trend` can check on the first tracked link, and
+#: the `SweepRow` field each one reads
+_TREND_SERIES = {"flow": "throughflows", "queue": "link_queues", "cost": "link_times"}
 
 
 def _fmt(value: float) -> str:
@@ -47,8 +58,10 @@ def _read_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+        key, _, value = (s.strip() for s in line.partition("="))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{line_no}: unknown config key '{key}'")
+        cfg[key] = value
     return cfg
 
 
@@ -250,10 +263,27 @@ def _parse_range(spec: str) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
+def _parse_trends(text: str) -> dict[str, str]:
+    """--trend as {series: direction}, each item checked."""
+    expectations = {}
+    for item in text.split(","):
+        name, _, direction = (s.strip() for s in item.partition(":"))
+        if name not in _TREND_SERIES or direction not in _DIRECTIONS:
+            raise ConfigError(
+                f"bad --trend item '{item}': expected series:direction with series "
+                f"{'|'.join(_TREND_SERIES)} and direction {'|'.join(_DIRECTIONS)}"
+            )
+        expectations[name] = direction
+    return expectations
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, network, path_set, params, options = _load(args)
     if not args.param:
         raise ConfigError("--param is required for sweep")
+    if args.od and args.param != "demand":
+        raise ConfigError("--od applies only to --param demand")
+    expectations = _parse_trends(args.trend) if args.trend else {}
     if args.values:
         try:
             values = tuple(float(s) for s in args.values.split(",") if s.strip())
@@ -315,18 +345,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     all_converged = all(r.converged for r in point_rows)
     trends_ok = True
-    if args.trend:
+    if expectations:
         lid = track[0]
         i = idx[lid]
         series = {
-            "flow": [r.throughflows[i] for r in point_rows],
-            "queue": [r.link_queues[i] for r in point_rows],
-            "cost": [r.link_times[i] for r in point_rows],
+            name: [getattr(r, field)[i] for r in point_rows]
+            for name, field in _TREND_SERIES.items()
         }
-        expectations = {}
-        for item in args.trend.split(","):
-            name, _, direction = item.partition(":")
-            expectations[name.strip()] = direction.strip()
         result = trend_check(series, expectations)
         trends_ok = result.passed
         for violation in result.violations:
@@ -392,19 +417,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--track", help="comma-separated link ids (default: all)")
     p_cmp.add_argument("--variants", help="comma-separated variant subset")
     p_sw = sub.add_parser("sweep", parents=[one_variant], help="parameter/demand sweep")
-    p_sw.add_argument(
-        "--param",
-        help="|".join(n for n in PARAM_NAMES + ("demand",) if n != "phi")
-        + " (phi does not enter the solve, so it is refused)",
-    )
+    p_sw.add_argument("--param", help="|".join(PARAM_NAMES + ("demand",)))
     p_sw.add_argument("--values", help="comma-separated sweep values")
     p_sw.add_argument("--range", help="lo:hi:step (alternative to --values)")
-    p_sw.add_argument("--od", help="origin,destination for demand sweeps")
+    p_sw.add_argument("--od", help="origin,destination (only with --param demand)")
     p_sw.add_argument("--track", help="comma-separated link ids (default: all)")
     p_sw.add_argument(
         "--trend",
-        help="declared trends for the first tracked link, e.g. "
-        "'flow:decreasing,queue:increasing'",
+        help=f"declared trends ({'|'.join(_TREND_SERIES)}:direction) for the "
+        "first tracked link, e.g. 'flow:decreasing,queue:increasing'",
     )
     p_val = sub.add_parser("validate", parents=[config], help="input + gradient checks")
     p_val.add_argument(

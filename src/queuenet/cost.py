@@ -6,7 +6,7 @@ term evaluated against C(Q) plus an explicit queuing-delay term
 
     t(v, Q) = t_f * (1 + beta * (v / C(Q))**n) + alpha * (Q / C(Q))**m.
 
-`CostParams` holds its six parameters, and `PARAM_NAMES` their names.
+`CostParams` holds its five parameters, and `PARAM_NAMES` their names.
 Two scalar functions of a state are defined here.  `merit`, read off the
 path set's t_f and C_max, is a sum of squared equilibrium residuals: it is
 zero exactly at the model's equilibrium, both solver modes' history rows
@@ -18,7 +18,8 @@ its flow derivative.  At Q = 0 it is the classical Beckmann function,
 minimised by the capacity-free user equilibrium; with queues it is neither
 convex in the queues nor stationary at the queue-dependent equilibrium.
 Only the benchmark's probe and tests read it.  No function can serve as an
-exact potential for this model: `merit` explains why.
+exact potential for this model: `merit` explains why.  Their smoothing
+base phi (default e) is an argument, not a model parameter.
 
 Per-(link, path) queues Q_ap, and gradients in them, are vectors over the
 path set's flat path-link entries (`PathSet.entry_link`, `entry_path`).
@@ -60,7 +61,6 @@ class CostParams:
     m      queuing-delay exponent
     n      running-time exponent
     gamma  capacity loss per unit queue (dimensionless)
-    phi    smoothing base for the queue-dependent running-time exponent
     """
 
     alpha: float | np.ndarray = 0.5
@@ -68,7 +68,6 @@ class CostParams:
     m: float | np.ndarray = 1.0
     n: float | np.ndarray = 4.0
     gamma: float | np.ndarray = 0.5
-    phi: float | np.ndarray = math.e
 
     def __post_init__(self) -> None:
         for name in PARAM_NAMES:
@@ -79,8 +78,6 @@ class CostParams:
                 raise ValueError(f"{name} must be >= 0")
         if np.any(np.asarray(self.m) <= 0) or np.any(np.asarray(self.n) <= 0):
             raise ValueError("m and n must be > 0")
-        if np.any(np.asarray(self.phi) < 1):
-            raise ValueError("phi must be >= 1")
 
     def replace(self, **kwargs) -> "CostParams":
         return replace(self, **kwargs)
@@ -133,11 +130,8 @@ def queuing_delay(q: ArrayLike, c_max: ArrayLike, params: CostParams) -> np.ndar
 
 
 def _link_arrays(params: CostParams) -> tuple[np.ndarray, ...]:
-    """(alpha, beta, m, n, gamma) as float arrays, in `_queue_part` order."""
-    return tuple(
-        np.asarray(getattr(params, k), dtype=float)
-        for k in ("alpha", "beta", "m", "n", "gamma")
-    )
+    """The parameters as float arrays, in `PARAM_NAMES` (`_queue_part`) order."""
+    return tuple(np.asarray(getattr(params, k), dtype=float) for k in PARAM_NAMES)
 
 
 class _QueuePart(NamedTuple):
@@ -247,26 +241,31 @@ def marginal_link_time(
     return _checked_cost(v, q, t_f, c_max, params, True)[0]
 
 
-def _smoothed_exponent(q: ArrayLike, params: CostParams) -> np.ndarray:
-    """n~ = n * phi**(-Q); hardware underflow flushes huge queues to n~ = 0."""
+def _smoothed_exponent(q: ArrayLike, params: CostParams, phi: ArrayLike) -> np.ndarray:
+    """n~ = n * phi**(-Q), for a smoothing base phi that is finite and
+    >= 1; hardware underflow flushes huge queues to n~ = 0."""
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi) & (phi >= 1)):
+        raise ValueError("phi must be finite and >= 1")
     q = np.asarray(q, dtype=float)
     n = np.asarray(params.n, dtype=float)
-    log_phi = np.log(np.asarray(params.phi, dtype=float))
-    return n * np.exp(-q * log_phi)
+    return n * np.exp(-q * np.log(phi))
 
 
 def smoothed_link_time(
-    v: ArrayLike, q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams
+    v: ArrayLike, q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams,
+    phi: ArrayLike = math.e,
 ) -> np.ndarray:
     """Running time with the queue-smoothed exponent, against C_max.
 
-    This is the flow derivative of the optimization objective; at Q = 0 it
-    coincides with the plain running time t_f * (1 + beta*(v/C_max)**n).
+    This is the flow derivative of `objective` at the same smoothing base
+    phi; at Q = 0 it coincides with the plain running time
+    t_f * (1 + beta*(v/C_max)**n), and at phi = 1 it is that for every Q.
     """
     v = np.asarray(v, dtype=float)
     t_f = np.asarray(t_f, dtype=float)
     c_max = np.asarray(c_max, dtype=float)
-    n_t = _smoothed_exponent(q, params)
+    n_t = _smoothed_exponent(q, params, phi)
     r = v / c_max
     with np.errstate(invalid="ignore"):
         pow_term = np.where((r == 0) & (n_t == 0), 1.0, r**n_t)
@@ -328,7 +327,8 @@ def _gl_integral(q: float, c_max: float, gamma: float, m: float) -> float:
 
 
 def objective(
-    v: ArrayLike, q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams
+    v: ArrayLike, q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams,
+    phi: ArrayLike = math.e,
 ) -> float:
     """Beckmann potential with the queue-smoothed exponent, summed over links.
 
@@ -353,7 +353,7 @@ def objective(
         raise ValueError("flows and queues must be >= 0")
     v = np.maximum(v, 0.0)
     q = np.maximum(q, 0.0)
-    n_t = _smoothed_exponent(q, params)
+    n_t = _smoothed_exponent(q, params, phi)
     r = v / c_max
     with np.errstate(invalid="ignore"):
         pow_term = np.where((r == 0) & (n_t + 1.0 == 0), 1.0, r ** (n_t + 1.0))

@@ -697,12 +697,8 @@ def _random_split(path_set: PathSet, rng: np.random.Generator) -> np.ndarray:
 
 def _apply_variant(params: CostParams, variant: str) -> CostParams:
     if variant == "fixed_capacity_queue":
-        # capacity never degrades, and the smoothing base collapses so the
-        # running-time exponent is insensitive to queues
-        return params.replace(
-            gamma=np.zeros_like(np.asarray(params.gamma, dtype=float)),
-            phi=np.ones_like(np.asarray(params.phi, dtype=float)),
-        )
+        # capacity never degrades
+        return params.replace(gamma=np.zeros_like(np.asarray(params.gamma, dtype=float)))
     return params
 
 

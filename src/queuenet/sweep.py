@@ -23,23 +23,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to vary: a cost parameter name other than 'phi', or 'demand'
-    (one OD pair)."""
+    """What to vary: a cost parameter name, or 'demand' (one OD pair)."""
 
     parameter: str
     values: tuple[float, ...]
     od_index: int = 0  # only used when parameter == 'demand'
 
     def __post_init__(self) -> None:
-        if self.parameter == "phi":
-            # only `cost.smoothed_link_time` and `cost.objective` read phi
-            raise ValueError(
-                "phi does not enter the solve, so a phi sweep would print "
-                "identical rows"
-            )
-        swept = tuple(n for n in PARAM_NAMES if n != "phi")
-        if self.parameter != "demand" and self.parameter not in swept:
-            raise ValueError(f"parameter must be 'demand' or one of {swept}")
+        if self.parameter != "demand" and self.parameter not in PARAM_NAMES:
+            raise ValueError(f"parameter must be 'demand' or one of {PARAM_NAMES}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
 

@@ -370,21 +370,13 @@ def test_criterion_09f_smoothing_base_localized(six_node, base_state):
     c = Checker("9f", "exponent smoothing only acts on congested links")
     t_f = np.array([l.free_flow_time for l in six_node.network.links])
     v, q = base_state.throughflows, base_state.link_queues
-    p_e = CostParams().for_links(six_node.network.links)
-    p_1 = p_e.replace(phi=np.ones(len(t_f)))
-    t_smooth_e = smoothed_link_time(v, q, t_f, base_state.c_max, p_e)
-    t_smooth_1 = smoothed_link_time(v, q, t_f, base_state.c_max, p_1)
+    p = CostParams().for_links(six_node.network.links)
+    t_smooth_e = smoothed_link_time(v, q, t_f, base_state.c_max, p)
+    t_smooth_1 = smoothed_link_time(v, q, t_f, base_state.c_max, p, phi=1.0)
     diff = np.abs(t_smooth_e - t_smooth_1)
     congested = q > 1e-6
     c.check(np.all(diff[~congested] == 0.0), "smoothing changed an uncongested link")
     c.check(np.any(diff[congested] > 0.0), "smoothing inert on the congested link")
-    # and the full pipeline agrees link-by-link wherever no queue forms
-    state_1, _ = solve(six_node, params=CostParams(phi=1.0))
-    dv = np.abs(state_1.throughflows - base_state.throughflows)
-    c.check(
-        np.all(dv[~congested] <= 1.0),
-        "smoothing base changed flows away from the congested links",
-    )
     c.finish()
 
 

@@ -3,6 +3,8 @@
 import csv
 import math
 import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +212,59 @@ class TestErrors:
         assert rc == 1
         assert f"config field '{key}' {what}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["gama=0.9", "phi=2"])
+    def test_unknown_config_key_refused(self, scenario_dir, tmp_path, capsys, line):
+        # a misspelt key used to solve at the default; phi is no cost parameter
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / "scenario.cfg", "a") as fh:
+            fh.write(line + "\n")
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        key = line.partition("=")[0]
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_config_key_refused_before_loading(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("nodes=missing.csv\nmax_iters=3\n")
+        assert run(["solve", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config key 'max_iters'" in err and "missing.csv" not in err
+
+    def test_bundled_config_accepted(self, cfg):
+        assert set(cli._read_config(cfg)) == {"_dir", "nodes", "links", "demands", "paths"}
+
+    def test_benchmark_config_accepted(self, tmp_path):
+        # the config the benchmark writes, with a path file and with
+        # enumeration
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            from workloads import Scenario
+        finally:
+            sys.path.pop(0)
+        for scenario in (
+            Scenario("paths", {"paths.csv": ""}, ()),
+            Scenario("enum", {}, (), k=3),
+        ):
+            path = tmp_path / f"{scenario.name}.cfg"
+            path.write_text(scenario.config_text())
+            assert set(cli._read_config(str(path))) > {"nodes", "links", "demands"}
+
+    def test_every_config_key_accepted(self, scenario_dir, tmp_path):
+        values = {
+            "k": "3", "out": str(tmp_path / "out"), "mode": "fixed_point",
+            "variant": "queue_dependent", "epsilon": "1e-3", "max_iter": "2000",
+            "alpha": "0.5", "beta": "0.5", "m": "1", "n": "4", "gamma": "0.5",
+        }
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / "scenario.cfg", "a") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in values.items())
+        assert set(values) | {"nodes", "links", "demands", "paths"} == cli._CONFIG_KEYS
+        assert run(["solve", "--config", str(work / "scenario.cfg")]) == 0
+        assert (tmp_path / "out" / "summary.txt").is_file()
+
     def test_bad_config_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nodes nodes.csv\n")
@@ -384,10 +439,35 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_phi_sweep_refused(self, cfg, tmp_path, capsys):
-        # phi does not enter the solve: every row of its sweep would be the same
+        # phi is no cost parameter, so it is refused like any unknown name
         argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "phi"]
         assert run(argv + ["--values", "1,2.718281828459045"]) == 1
-        assert "phi does not enter the solve" in capsys.readouterr().err
+        assert "parameter must be 'demand' or one of" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "trend", ["dely:increasing", "flow:upward"], ids=["series", "direction"]
+    )
+    def test_bad_trend_fails_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch, trend
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_solve)
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
+        assert run(argv + ["--values", "0,0.5", "--track", "4", "--trend", trend]) == 1
+        assert f"bad --trend item '{trend}'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_od_needs_demand_sweep(self, cfg, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_solve)
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
+        assert run(argv + ["--values", "0,0.5", "--od", "1,3"]) == 1
+        assert "--od applies only to --param demand" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_argument_errors(self, cfg, capsys):

@@ -463,7 +463,14 @@ class TestConvergenceContract:
         [
             *(
                 pytest.param(lambda v, k=k: CostParams(**{k: v}), id=f"CostParams.{k}")
-                for k in ("alpha", "beta", "m", "n", "gamma", "phi")
+                for k in ("alpha", "beta", "m", "n", "gamma")
+            ),
+            *(
+                pytest.param(
+                    lambda v, fn=fn: fn(1000.0, 50.0, 0.25, 1800.0, CostParams(), phi=v),
+                    id=f"{fn.__name__}.phi",
+                )
+                for fn in (_cost.smoothed_link_time, _cost.objective)
             ),
             pytest.param(lambda v: SolverOptions(epsilon=v), id="SolverOptions.epsilon"),
             pytest.param(lambda v: Link("a", "u", "v", v, 100.0), id="Link.free_flow_time"),

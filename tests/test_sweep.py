@@ -103,8 +103,9 @@ class TestParameterSweeps:
             SweepSpec("m", ())
 
     def test_phi_refused(self):
-        # only cost.smoothed_link_time and cost.objective read phi
-        with pytest.raises(ValueError, match="phi does not enter the solve"):
+        # phi is no cost parameter: only cost.smoothed_link_time and
+        # cost.objective take it, as an argument
+        with pytest.raises(ValueError, match="parameter must be 'demand' or one of"):
             SweepSpec("phi", (1.0, np.e))
 
 
