@@ -6,7 +6,7 @@ relative to the config file) with command-line flags taking precedence:
     nodes=nodes.csv        links=links.csv
     demands=demands.csv    paths=paths.csv   (or k=3 for enumeration)
     alpha=0.5 beta=0.5 m=1 n=4 gamma=0.5     out=out
-    mode=fixed_point variant=queue_dependent epsilon=1e-3 max_iter=2000
+    mode=fixed_point variant=queue_dependent max_iter=2000
 
 Any other key is refused before anything is loaded.
 
@@ -25,14 +25,14 @@ import numpy as np
 from . import cost as _cost
 from .analysis import compare_models, gradient_check, kkt_report
 from .cost import PARAM_NAMES, CostParams
-from .net import Network, NetworkError, PathSet, enumerate_paths, load_demands, load_network, load_path_set
+from .net import Network, PathSet, enumerate_paths, load_demands, load_network, load_path_set
 from .solver import VARIANTS, SolverOptions, _random_split, solve
 from .sweep import _DIRECTIONS, SweepSpec, run_sweep, trend_check
 
 #: every key a config file may set
 _CONFIG_KEYS = frozenset(
-    ("nodes", "links", "demands", "paths", "k", "out", "mode", "variant",
-     "epsilon", "max_iter") + PARAM_NAMES
+    ("nodes", "links", "demands", "paths", "k", "out", "mode", "variant", "max_iter")
+    + PARAM_NAMES
 )
 #: the series `sweep --trend` can check on the first tracked link, and
 #: the `SweepRow` field each one reads
@@ -52,6 +52,7 @@ def _read_config(path: str) -> dict[str, str]:
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {path}")
     cfg: dict[str, str] = {"_dir": str(cfg_path.parent)}
+    key_line: dict[str, int] = {}
     for line_no, raw in enumerate(cfg_path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -61,6 +62,11 @@ def _read_config(path: str) -> dict[str, str]:
         key, _, value = (s.strip() for s in line.partition("="))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key '{key}'")
+        if key in key_line:
+            raise ConfigError(
+                f"{path}: config key '{key}' given twice, on lines {key_line[key]} and {line_no}"
+            )
+        key_line[key] = line_no
         cfg[key] = value
     return cfg
 
@@ -113,7 +119,6 @@ def _build_options(cfg: dict[str, str], args: argparse.Namespace) -> SolverOptio
     for name, key, kind in (
         ("queue_mode", "mode", str),
         ("variant", "variant", str),
-        ("epsilon", "epsilon", float),
         ("max_outer_iterations", "max_iter", int),
     ):
         # compare takes no --variant: `compare_models` sets each variant
@@ -122,10 +127,7 @@ def _build_options(cfg: dict[str, str], args: argparse.Namespace) -> SolverOptio
             value = cfg[key] if kind is str else _config_number(cfg, key, kind)
         if value is not None:
             given[name] = value
-    try:
-        return SolverOptions(**given)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SolverOptions(**given)
 
 
 def _load(args: argparse.Namespace):
@@ -309,10 +311,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if not matches:
                 raise ConfigError(f"no OD pair {want[0]}->{want[1]} in the scenario")
             od_index = matches[0]
-    try:
-        spec = SweepSpec(args.param, values, od_index)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SweepSpec(args.param, values, od_index)
     # checked before any point is solved
     track = _tracked_links(args, network)
 
@@ -404,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="queue mode: fixed_point (relaxed queue sweep, default) | "
         "smoothed_gradient (the sweep under a merit-decrease safeguard)",
     )
-    runs.add_argument("--epsilon", type=float, help="convergence tolerance (veh/hr)")
     runs.add_argument("--max-iter", type=int, help="outer iteration limit")
     one_variant = argparse.ArgumentParser(add_help=False, parents=[runs])
     one_variant.add_argument("--variant", help=f"model variant: {', '.join(VARIANTS)}")
@@ -444,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, NetworkError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

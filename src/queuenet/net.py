@@ -355,13 +355,21 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
 
 
 def load_demands(source: IO[str], network: Network) -> Network:
-    """Attach OD demands from a CSV table (origin, destination, demand)."""
+    """Attach OD demands from a CSV table (origin, destination, demand),
+    one row per OD pair."""
     od_pairs: list[ODPair] = []
+    od_row: dict[tuple[str, str], int] = {}
     for row_no, row in enumerate(csv.DictReader(source), start=2):
         origin = _pick(row, "origin", "o_zone_id", "from_node")
         destination = _pick(row, "destination", "d_zone_id", "to_node")
         if origin is None or destination is None:
             raise NetworkError(f"row {row_no}: missing origin/destination")
+        if (origin, destination) in od_row:
+            raise NetworkError(
+                f"OD pair {origin}->{destination} given twice, on rows "
+                f"{od_row[origin, destination]} and {row_no}"
+            )
+        od_row[origin, destination] = row_no
         demand = _parse_float(row, "demand", row_no)
         od_pairs.append(ODPair(origin, destination, demand))
     return network.with_demands(od_pairs)
@@ -562,12 +570,15 @@ def load_path_set(source: IO[str], network: Network) -> PathSet:
         (od.origin, od.destination): i for i, od in enumerate(network.od_pairs)
     }
     paths: list[Path] = []
+    header_row = True  # the first row that is neither blank nor a comment
     for row_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if row_no == 1 and line.lower().startswith("origin"):
-            continue
+        if header_row:
+            header_row = False
+            if line.lower().startswith("origin"):
+                continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise PathError(f"row {row_no}: expected 'origin,destination,links'")

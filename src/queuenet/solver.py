@@ -27,10 +27,10 @@ when the variant carries queues, `infeasible` if a link discharges above
 C(Q) + CAPACITY_RTOL C_max.  The history rows take their gap from it too.
 
 The flow half-step runs GP passes until one moves no path flow by more
-than max(0.1 epsilon, INNER_TOL_SHARE * the previous iteration's largest
+than max(0.1 STEP_TOL, INNER_TOL_SHARE * the previous iteration's largest
 link-queue change): the flow block is solved only as exactly as the next
-queue update warrants, and to 0.1 epsilon once the queues settle.  The
-first iteration, with no queue change yet, uses 0.1 epsilon.  The passes
+queue update warrants, and to 0.1 STEP_TOL once the queues settle.  The
+first iteration, with no queue change yet, uses 0.1 STEP_TOL.  The passes
 hold the per-entry queues frozen, so everything the pricing reads of them
 is computed once, by `_frozen_queues`: per link Q and Q', per path its
 queued traffic, and per level of OD groups the queue half of the priced
@@ -112,6 +112,11 @@ CAPACITY_RTOL = 1e-6
 #: variant prices paths by is at most this (criterion 7)
 GAP_TOL = 1e-4
 
+#: the outer loop stops once an iteration moves no path flow and no link
+#: queue by more than this (veh/h); a bound on the step, not on the
+#: distance to the equilibrium, which GAP_TOL judges
+STEP_TOL = 1e-3
+
 #: a link counts as congested when its queue exceeds this share of capacity
 CONGESTION_THRESHOLD = 1e-6
 
@@ -120,7 +125,7 @@ MAX_INNER_PASSES = 50
 
 #: the GP passes of an outer iteration stop once the flows move by at most
 #: this share of the previous iteration's largest queue change (or by
-#: 0.1 epsilon, whichever is larger): a flow block solved more exactly
+#: 0.1 STEP_TOL, whichever is larger): a flow block solved more exactly
 #: than the queues it holds frozen are about to move buys nothing
 INNER_TOL_SHARE = 0.03
 
@@ -138,7 +143,6 @@ QUEUE_RATIO_FLOOR = 1e-6
 class SolverOptions:
     queue_mode: Literal["fixed_point", "smoothed_gradient"] = "fixed_point"
     variant: str = "queue_dependent"
-    epsilon: float = 1e-3
     max_outer_iterations: int = 2000
 
     def __post_init__(self) -> None:
@@ -146,11 +150,6 @@ class SolverOptions:
             raise ValueError(f"unknown queue_mode: {self.queue_mode}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant}")
-        e = self.epsilon
-        if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
-            raise ValueError(f"epsilon must be a real number, not {e!r}")
-        if not 0 < e < np.inf:
-            raise ValueError("epsilon must be finite and > 0")
         n = self.max_outer_iterations
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"max_outer_iterations must be an integer, not {n!r}")
@@ -827,7 +826,7 @@ def solve(
         f_prev = f.copy()
         q_prev = link_q
         # the first iteration has no queue change yet (queue_change is 0)
-        inner_tol = max(0.1 * options.epsilon, INNER_TOL_SHARE * queue_change)
+        inner_tol = max(0.1 * STEP_TOL, INNER_TOL_SHARE * queue_change)
 
         # flow half-step: GP passes with the queues frozen, priced again
         # only when a step replaced them
@@ -873,7 +872,7 @@ def solve(
             j_full = history_j(f, queue_alloc)
             gap = kkt_report(state_at(f, queue_alloc)).relative_gap
             rows.append((it, j_half, j_full, flow_change, queue_change, gap))
-        if max(flow_change, queue_change) <= options.epsilon:
+        if max(flow_change, queue_change) <= STEP_TOL:
             termination = "tolerance"
             break
 

@@ -151,9 +151,9 @@ def test_options_default_to_solver_options(cfg):
     args = cli._build_parser().parse_args(
         ["solve", "--config", cfg, "--mode", "smoothed_gradient", "--max-iter", "7"]
     )
-    options = cli._build_options({"epsilon": "0.01", "max_iter": "9"}, args)
+    options = cli._build_options({"variant": "traditional_ue", "max_iter": "9"}, args)
     assert options == SolverOptions(
-        queue_mode="smoothed_gradient", epsilon=0.01, max_outer_iterations=7
+        queue_mode="smoothed_gradient", variant="traditional_ue", max_outer_iterations=7
     )
 
 
@@ -193,7 +193,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "key, value, what",
         [
-            ("epsilon", "abc", "is not numeric"),
+            ("alpha", "abc", "is not numeric"),
             ("max_iter", "2.5", "is not an integer"),
             ("k", "2.5", "is not an integer"),
         ],
@@ -212,9 +212,10 @@ class TestErrors:
         assert rc == 1
         assert f"config field '{key}' {what}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["gama=0.9", "phi=2"])
+    @pytest.mark.parametrize("line", ["gama=0.9", "phi=2", "epsilon=1e-3"])
     def test_unknown_config_key_refused(self, scenario_dir, tmp_path, capsys, line):
-        # a misspelt key used to solve at the default; phi is no cost parameter
+        # a misspelt key used to solve at the default; phi is no cost
+        # parameter, and the step tolerance is the constant solver.STEP_TOL
         work = tmp_path / "scen"
         shutil.copytree(scenario_dir, work)
         with open(work / "scenario.cfg", "a") as fh:
@@ -254,7 +255,7 @@ class TestErrors:
     def test_every_config_key_accepted(self, scenario_dir, tmp_path):
         values = {
             "k": "3", "out": str(tmp_path / "out"), "mode": "fixed_point",
-            "variant": "queue_dependent", "epsilon": "1e-3", "max_iter": "2000",
+            "variant": "queue_dependent", "max_iter": "2000",
             "alpha": "0.5", "beta": "0.5", "m": "1", "n": "4", "gamma": "0.5",
         }
         work = tmp_path / "scen"
@@ -264,6 +265,41 @@ class TestErrors:
         assert set(values) | {"nodes", "links", "demands", "paths"} == cli._CONFIG_KEYS
         assert run(["solve", "--config", str(work / "scenario.cfg")]) == 0
         assert (tmp_path / "out" / "summary.txt").is_file()
+
+    def test_repeated_config_key_refused(self, scenario_dir, tmp_path, capsys):
+        # the second value used to win silently
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / "scenario.cfg", "a") as fh:
+            fh.write("gamma=0.5\ngamma=0.9\n")
+        n_lines = len((work / "scenario.cfg").read_text().splitlines())
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"config key 'gamma' given twice, on lines {n_lines - 1} and {n_lines}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("route", ["paths", "k"])
+    def test_repeated_od_pair_refused(self, scenario_dir, tmp_path, capsys, route):
+        # with a paths file OD 1->3 was reported to have no path; with k=2
+        # the file solved as three OD pairs
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / "demands.csv", "a") as fh:
+            fh.write("1,3,500\n")
+        if route == "k":
+            text = (work / "scenario.cfg").read_text()
+            (work / "scenario.cfg").write_text(text.replace("paths=paths.csv\n", "k=2\n"))
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "OD pair 1->3 given twice, on rows 2 and 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--mode", "--variant"])
+    def test_bad_option_value_named(self, cfg, tmp_path, capsys, flag):
+        rc = run(["solve", "--config", cfg, flag, "bogus", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        name = "queue_mode" if flag == "--mode" else "variant"
+        assert capsys.readouterr().err == f"error: unknown {name}: bogus\n"
 
     def test_bad_config_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -517,12 +553,15 @@ class TestValidate:
             ["validate", "--epsilon", "0.1"],
             ["validate", "--max-iter", "5"],
             ["compare", "--variant", "system_optimum"],
+            *([command, "--epsilon", "1e-3"] for command in ("solve", "compare", "sweep")),
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
     def test_options_a_subcommand_would_ignore_are_refused(self, cfg, capsys, argv):
         # validate reads only the config and the seed, and compare solves
-        # every variant (or --variants), so these options used to be ignored
+        # every variant (or --variants), so these options used to be ignored;
+        # no subcommand takes --epsilon, the step tolerance being the
+        # constant solver.STEP_TOL
         with pytest.raises(SystemExit) as exc:
             run([argv[0], "--config", cfg, *argv[1:]])
         assert exc.value.code == 2

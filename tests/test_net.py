@@ -135,6 +135,17 @@ class TestLoading:
         ps = load_path_set(io.StringIO(text), six_node.network)
         assert ps.n_paths == 4
 
+    @pytest.mark.parametrize("prefix", ["# six-node paths\n", "\n"], ids=["comment", "blank"])
+    def test_load_path_set_header_after_comment_or_blank(self, six_node, scenario_dir, prefix):
+        # the header was dropped only on the file's first line, so a comment
+        # or blank line before it made it a path of OD origin->destination
+        text = (scenario_dir / "paths.csv").read_text()
+        plain = load_path_set(io.StringIO(text), six_node.network)
+        ps = load_path_set(io.StringIO(prefix + text), six_node.network)
+        assert [p.links for p in ps.paths] == [p.links for p in plain.paths]
+        assert ps.n_paths == 4
+        assert np.array_equal(ps.entry_link, plain.entry_link)
+
 
 class TestPathSet:
     def test_six_node_paths(self, six_node):

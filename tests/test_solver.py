@@ -430,16 +430,6 @@ class TestConvergenceContract:
         with pytest.raises(ValueError, match="max_outer_iterations"):
             SolverOptions(max_outer_iterations=value)
 
-    @pytest.mark.parametrize("value", [True, "0.1", None])
-    def test_epsilon_must_be_a_real_number(self, value):
-        # True passed as epsilon 1; a string or None raised a bare TypeError
-        with pytest.raises(ValueError, match="epsilon"):
-            SolverOptions(epsilon=value)
-
-    @pytest.mark.parametrize("value", [1, 1e-3, np.float32(1e-3), np.int64(1)])
-    def test_epsilon_takes_any_real_number(self, value):
-        assert SolverOptions(epsilon=value).epsilon == value
-
     def test_not_converged_flagged(self, six_node):
         _, report = solve(six_node, options=SolverOptions(max_outer_iterations=2))
         assert not report.converged
@@ -472,7 +462,6 @@ class TestConvergenceContract:
                 )
                 for fn in (_cost.smoothed_link_time, _cost.objective)
             ),
-            pytest.param(lambda v: SolverOptions(epsilon=v), id="SolverOptions.epsilon"),
             pytest.param(lambda v: Link("a", "u", "v", v, 100.0), id="Link.free_flow_time"),
             pytest.param(lambda v: Link("a", "u", "v", 0.1, v), id="Link.capacity"),
             pytest.param(lambda v: Link("a", "u", "v", 0.1, 100.0, length=v), id="Link.length"),
@@ -640,7 +629,7 @@ class TestInexactInnerSolve:
     """The GP passes stop at INNER_TOL_SHARE of the last queue change."""
 
     def test_sweep_pass_budget(self, inexact_sweep):
-        # 7,666 passes when every flow block is solved to 0.1 epsilon
+        # 7,666 passes when every flow block is solved to 0.1 STEP_TOL
         assert all(report.converged for _, report in inexact_sweep)
         assert sum(report.inner_passes for _, report in inexact_sweep) <= 2500
 
