@@ -8,7 +8,8 @@ relative to the config file) with command-line flags taking precedence:
     alpha=0.5 beta=0.5 m=1 n=4 gamma=0.5     out=out
     mode=fixed_point variant=queue_dependent max_iter=2000
 
-Any other key is refused before anything is loaded.
+Any other key is refused before anything is loaded.  Blank lines and lines
+whose first non-blank character is `#` are skipped (`net.input_lines`).
 
 Exit codes: 0 converged/clean, 1 input error, 2 not converged, including
 a state that discharges above C(Q) (or a declared sweep trend failed).
@@ -25,7 +26,9 @@ import numpy as np
 from . import cost as _cost
 from .analysis import compare_models, gradient_check, kkt_report
 from .cost import PARAM_NAMES, CostParams
-from .net import Network, PathSet, enumerate_paths, load_demands, load_network, load_path_set
+from .net import (
+    Network, PathSet, enumerate_paths, input_lines, load_demands, load_network, load_path_set
+)
 from .solver import VARIANTS, SolverOptions, _random_split, solve
 from .sweep import _DIRECTIONS, SweepSpec, run_sweep, trend_check
 
@@ -53,10 +56,7 @@ def _read_config(path: str) -> dict[str, str]:
         raise ConfigError(f"config file not found: {path}")
     cfg: dict[str, str] = {"_dir": str(cfg_path.parent)}
     key_line: dict[str, int] = {}
-    for line_no, raw in enumerate(cfg_path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in input_lines(cfg_path.read_text().splitlines()):
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
         key, _, value = (s.strip() for s in line.partition("="))

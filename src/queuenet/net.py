@@ -9,6 +9,12 @@ place that sums such data along each path (`PathSet.running_sum`,
 they use.  The path set is also where the inputs become arrays: free-flow
 times and capacities per link, demands per OD pair, read once and
 read-only.
+
+Every input file follows one line rule, `input_lines`: blank lines and
+lines whose first non-blank character is `#` are skipped, and a line keeps
+its number in the file.  The node, link, demand and path tables are CSV
+read by one row parser, `_table`: the first line is the header, and every
+row error names the row's line.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cost import PARAM_NAMES
+from .cost import PARAM_NAMES, CostParams
 
 __all__ = [
     "NetworkError",
@@ -32,6 +38,7 @@ __all__ = [
     "Path",
     "PathSet",
     "Network",
+    "input_lines",
     "load_network",
     "load_demands",
     "enumerate_paths",
@@ -262,19 +269,43 @@ def _read_only(values: list[float]) -> np.ndarray:
     return a
 
 
-def _parse_float(row: Mapping[str, str], key: str, row_no: int) -> float:
+def input_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of an input file but the
+    blank ones and comments: lines whose first non-blank character is `#`."""
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _table(source: Iterable[str], columns: Sequence[str] = ()) -> Iterator[tuple[int, dict]]:
+    """(line number, {column: cell}) per row of a CSV table read by
+    `input_lines`.  Its first line is the header, which must name `columns`;
+    a row with more cells than the header is refused."""
+    numbered = list(input_lines(source))
+    rows = csv.reader([line for _, line in numbered])
+    header = [name.strip() for name in next(rows, ())]
+    if not set(columns) <= set(header):
+        raise NetworkError(f"header {','.join(header)!r} must name {', '.join(columns)}")
+    for cells in rows:
+        row_no = numbered[rows.line_num - 1][0]
+        if len(cells) > len(header):
+            raise NetworkError(f"row {row_no}: {len(cells)} cells, header has {len(header)}")
+        yield row_no, dict(zip(header, cells))
+
+
+def _number(row: Mapping[str, str], key: str, row_no: int, required=False) -> float | None:
+    """The cell `key` as a finite float; None if it is empty and not `required`."""
     raw = (row.get(key) or "").strip()
-    if not raw:
-        raise NetworkError(f"row {row_no}: missing value for '{key}'")
+    if not raw and not required:
+        return None
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise NetworkError(f"row {row_no}: cannot parse {key}={raw!r}") from exc
-
-
-def _opt_float(row: Mapping[str, str], key: str) -> float | None:
-    raw = (row.get(key) or "").strip()
-    return float(raw) if raw else None
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise NetworkError(f"row {row_no}: {key}={raw!r} is not a finite number")
+    return value
 
 
 def _pick(row: Mapping[str, str], *names: str) -> str | None:
@@ -294,22 +325,22 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
     except per-link overrides, one column per `CostParams` field.
     """
     nodes: list[Node] = []
-    for row_no, row in enumerate(csv.DictReader(node_source), start=2):
+    for row_no, row in _table(node_source):
         nid = _pick(row, "node_id", "id")
         if nid is None:
             raise NetworkError(f"row {row_no}: missing node_id")
         nodes.append(
             Node(
                 id=nid,
-                x=_opt_float(row, "x_coord" if _pick(row, "x_coord") else "x"),
-                y=_opt_float(row, "y_coord" if _pick(row, "y_coord") else "y"),
+                x=_number(row, "x_coord" if _pick(row, "x_coord") else "x", row_no),
+                y=_number(row, "y_coord" if _pick(row, "y_coord") else "y", row_no),
             )
         )
     if not nodes:
         raise NetworkError("no nodes")
 
     links: list[Link] = []
-    for row_no, row in enumerate(csv.DictReader(link_source), start=2):
+    for row_no, row in _table(link_source):
         lid = _pick(row, "link_id", "id")
         if lid is None:
             raise NetworkError(f"row {row_no}: missing link_id")
@@ -317,12 +348,12 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
         head = _pick(row, "to_node", "to_node_id", "head")
         if tail is None or head is None:
             raise NetworkError(f"row {row_no}: link {lid} missing from_node/to_node")
-        capacity = _parse_float(row, "capacity", row_no)
+        capacity = _number(row, "capacity", row_no, required=True)
         if capacity <= 0:
             raise NetworkError(f"row {row_no}: link {lid} has capacity <= 0")
-        length = _opt_float(row, "length")
-        free_speed = _opt_float(row, "free_speed")
-        t_f = _opt_float(row, "free_flow_time")
+        length = _number(row, "length", row_no)
+        free_speed = _number(row, "free_speed", row_no)
+        t_f = _number(row, "free_flow_time", row_no)
         if t_f is None:
             if length is None or free_speed is None or free_speed <= 0:
                 raise NetworkError(
@@ -335,8 +366,13 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
         if free_speed is None and length is not None:
             free_speed = length / t_f
         overrides = tuple(
-            (k, v) for k in PARAM_NAMES if (v := _opt_float(row, k)) is not None
+            (k, v) for k in PARAM_NAMES if k in row and (v := _number(row, k, row_no)) is not None
         )
+        if overrides:
+            try:
+                CostParams(**dict(overrides))
+            except ValueError as exc:
+                raise NetworkError(f"row {row_no}: link {lid}: {exc}") from None
         links.append(
             Link(
                 id=lid,
@@ -359,7 +395,7 @@ def load_demands(source: IO[str], network: Network) -> Network:
     one row per OD pair."""
     od_pairs: list[ODPair] = []
     od_row: dict[tuple[str, str], int] = {}
-    for row_no, row in enumerate(csv.DictReader(source), start=2):
+    for row_no, row in _table(source):
         origin = _pick(row, "origin", "o_zone_id", "from_node")
         destination = _pick(row, "destination", "d_zone_id", "to_node")
         if origin is None or destination is None:
@@ -370,8 +406,10 @@ def load_demands(source: IO[str], network: Network) -> Network:
                 f"{od_row[origin, destination]} and {row_no}"
             )
         od_row[origin, destination] = row_no
-        demand = _parse_float(row, "demand", row_no)
+        demand = _number(row, "demand", row_no, required=True)
         od_pairs.append(ODPair(origin, destination, demand))
+    if not od_pairs:
+        raise NetworkError("no OD pairs")
     return network.with_demands(od_pairs)
 
 
@@ -565,30 +603,18 @@ def enumerate_paths(network: Network, k: int) -> PathSet:
 
 
 def load_path_set(source: IO[str], network: Network) -> PathSet:
-    """Read paths from rows `origin,destination,link_id_1;link_id_2;...`."""
+    """Read paths from a CSV table with the header `origin,destination,links`
+    and one path per row, its link ids joined by `;` (`write_path_set`)."""
     od_index = {
         (od.origin, od.destination): i for i, od in enumerate(network.od_pairs)
     }
     paths: list[Path] = []
-    header_row = True  # the first row that is neither blank nor a comment
-    for row_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header_row:
-            header_row = False
-            if line.lower().startswith("origin"):
-                continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise PathError(f"row {row_no}: expected 'origin,destination,links'")
-        origin, destination, chain = parts
-        key = (origin, destination)
+    for row_no, row in _table(source, ("origin", "destination", "links")):
+        key = (_pick(row, "origin"), _pick(row, "destination"))
         if key not in od_index:
-            raise PathError(f"row {row_no}: unknown OD pair {origin}->{destination}")
-        link_ids = tuple(
-            s.strip() for s in chain.strip("[]").split(";") if s.strip()
-        )
+            raise PathError(f"row {row_no}: unknown OD pair {key[0]}->{key[1]}")
+        chain = (_pick(row, "links") or "").strip("[]")
+        link_ids = tuple(s.strip() for s in chain.split(";") if s.strip())
         if not link_ids:
             raise PathError(f"row {row_no}: empty link sequence")
         paths.append(Path(od_index=od_index[key], links=link_ids))

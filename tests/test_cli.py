@@ -236,6 +236,19 @@ class TestErrors:
     def test_bundled_config_accepted(self, cfg):
         assert set(cli._read_config(cfg)) == {"_dir", "nodes", "links", "demands", "paths"}
 
+    def test_readme_config_example_loads(self, scenario_dir, tmp_path):
+        # its comments sat after the values, so `paths` named the file
+        # "paths.csv        # or: k=3  to enumerate paths instead"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        (work / "scenario.cfg").write_text(example)
+        cfg = cli._read_config(str(work / "scenario.cfg"))
+        network, path_set = cli._build_scenario(cfg)
+        assert cfg["paths"] == "paths.csv" and cfg["gamma"] == "0.5"
+        assert path_set.n_paths == 4
+
     def test_benchmark_config_accepted(self, tmp_path):
         # the config the benchmark writes, with a path file and with
         # enumeration
@@ -293,6 +306,18 @@ class TestErrors:
         rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "OD pair 1->3 given twice, on rows 2 and 4" in capsys.readouterr().err
+
+    def test_empty_demands_refused(self, scenario_dir, tmp_path, capsys):
+        # with k=2 a demands table of only its header solved, "converged"
+        # at total cost 0
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        (work / "demands.csv").write_text("origin,destination,demand\n")
+        text = (work / "scenario.cfg").read_text()
+        (work / "scenario.cfg").write_text(text.replace("paths=paths.csv\n", "k=2\n"))
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "no OD pairs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--mode", "--variant"])
     def test_bad_option_value_named(self, cfg, tmp_path, capsys, flag):

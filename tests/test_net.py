@@ -1,6 +1,7 @@
 """Network/path data model: loading, validation, and incidence structure."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,29 @@ from queuenet.net import (
     PathError,
     PathSet,
     enumerate_paths,
+    load_demands,
     load_network,
     load_path_set,
     write_path_set,
 )
 from queuenet.solver import SolverOptions, _LinkArrays, _group_levels, solve
+
+
+#: the six-node scenario's tables, in the order they load
+TABLES = ("nodes.csv", "links.csv", "demands.csv", "paths.csv")
+
+
+@pytest.fixture
+def tables(scenario_dir):
+    """The six-node scenario's four tables as text, by file name."""
+    return {t: (scenario_dir / t).read_text() for t in TABLES}
+
+
+def _load_tables(texts):
+    """Network and path set from the four tables' texts."""
+    network = load_network(io.StringIO(texts["nodes.csv"]), io.StringIO(texts["links.csv"]))
+    network = load_demands(io.StringIO(texts["demands.csv"]), network)
+    return load_path_set(io.StringIO(texts["paths.csv"]), network)
 
 
 def _net(nodes, links, ods=()):
@@ -123,6 +142,29 @@ class TestLoading:
         with pytest.raises(NetworkError, match="capacity"):
             load_network(nodes, links)
 
+    @pytest.mark.parametrize(
+        "key, cell, what",
+        [
+            ("length", "abc", "length='abc' is not a finite number"),
+            ("gamma", "0.9x", "gamma='0.9x' is not a finite number"),
+            ("gamma", "nan", "gamma='nan' is not a finite number"),
+            ("gamma", "inf", "gamma='inf' is not a finite number"),
+            ("gamma", "-1", "link c: gamma must be >= 0"),
+            ("m", "0", "link c: m and n must be > 0"),
+        ],
+        ids=["length-abc", "gamma-0.9x", "gamma-nan", "gamma-inf", "gamma-negative", "m-zero"],
+    )
+    def test_bad_link_number_names_row_and_column(self, key, cell, what):
+        # a cell that did not parse escaped as a bare ValueError, and a
+        # non-finite or negative override was refused only by the solve
+        nodes = io.StringIO("node_id\nu\nv\n")
+        links = io.StringIO(
+            f"link_id,from_node,to_node,capacity,free_flow_time,{key}\n"
+            f"a,u,v,1800,0.25,\nb,v,u,1800,0.25,\n\nc,u,v,1800,0.25,{cell}\n"
+        )
+        with pytest.raises(NetworkError, match=re.escape(f"row 5: {what}")):
+            load_network(nodes, links)
+
     def test_path_set_round_trip(self, six_node):
         buf = io.StringIO()
         write_path_set(six_node, buf)
@@ -145,6 +187,66 @@ class TestLoading:
         assert [p.links for p in ps.paths] == [p.links for p in plain.paths]
         assert ps.n_paths == 4
         assert np.array_equal(ps.entry_link, plain.entry_link)
+
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["before_header", "after_header", "between_rows"])
+    @pytest.mark.parametrize("table", TABLES)
+    def test_comments_and_blank_lines_skipped_in_every_table(self, tables, table, at):
+        # nodes, links and demands read a `#` line as a row, and a comment
+        # before the header as the header
+        texts = dict(tables)
+        plain = _load_tables(texts)
+        lines = texts[table].splitlines(keepends=True)
+        texts[table] = "".join(lines[:at] + ["# note\n", "\n", "  # indented\n"] + lines[at:])
+        ps = _load_tables(texts)
+        assert ps.network == plain.network
+        assert ps.paths == plain.paths
+        assert np.array_equal(ps.entry_link, plain.entry_link)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_header_names_are_stripped(self, tables, table):
+        texts = dict(tables)
+        plain = _load_tables(texts)
+        header, rows = texts[table].split("\n", 1)
+        texts[table] = header.replace(",", ", ") + "\n" + rows
+        ps = _load_tables(texts)
+        assert ps.network == plain.network and ps.paths == plain.paths
+
+    def test_repeated_od_pair_names_its_lines(self, six_node):
+        # blank lines used to shift the reported rows to 2 and 4
+        text = "origin,destination,demand\n\n1,3,3000\n\n2,4,3000\n1,3,500\n"
+        with pytest.raises(NetworkError, match="1->3 given twice, on rows 3 and 6"):
+            load_demands(io.StringIO(text), six_node.network)
+
+    @pytest.mark.parametrize(
+        "table, row, what",
+        [
+            ("nodes.csv", "7,oops,0", "x_coord='oops'"),
+            ("links.csv", "8,1,3,0.417,29.17,70,oops", "capacity='oops'"),
+            ("demands.csv", "1,4,oops", "demand='oops'"),
+            ("paths.csv", "1,4,1", "unknown OD pair 1->4"),
+        ],
+        ids=TABLES,
+    )
+    def test_row_error_names_its_line(self, tables, table, row, what):
+        texts = dict(tables)
+        lines = texts[table].splitlines()
+        texts[table] = "\n".join(lines[:1] + [""] + lines[1:] + [row]) + "\n"
+        with pytest.raises(NetworkError, match=re.escape(f"row {len(lines) + 2}: {what}")):
+            _load_tables(texts)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_row_with_more_cells_than_header_refused(self, tables, table):
+        texts = dict(tables)
+        lines = texts[table].splitlines()
+        texts[table] = "\n".join(lines + [lines[-1] + ",extra"]) + "\n"
+        n_cells = lines[-1].count(",") + 2
+        with pytest.raises(NetworkError, match=f"row {len(lines) + 1}: {n_cells} cells"):
+            _load_tables(texts)
+
+    def test_path_table_needs_its_header(self, tables, six_node):
+        headless = tables["paths.csv"].split("\n", 1)[1]
+        with pytest.raises(NetworkError, match="header '1,3,1' must name origin, destination, links"):
+            load_path_set(io.StringIO(headless), six_node.network)
 
 
 class TestPathSet:
