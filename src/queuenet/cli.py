@@ -138,12 +138,16 @@ def _load(args: argparse.Namespace):
 
 
 def _tracked_links(args: argparse.Namespace, network: Network) -> list[str]:
-    """The link ids named by --track (all links without it), each checked."""
+    """The link ids named by --track (all links without it), each checked
+    and named once."""
     track = args.track.split(",") if args.track else [l.id for l in network.links]
-    known = {l.id for l in network.links}
+    known, seen = {l.id for l in network.links}, set()
     for lid in track:
         if lid not in known:
             raise ConfigError(f"unknown link id in --track: {lid}")
+        if lid in seen:
+            raise ConfigError(f"link id given twice in --track: {lid}")
+        seen.add(lid)
     return track
 
 
@@ -416,8 +420,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--variants", help="comma-separated variant subset")
     p_sw = sub.add_parser("sweep", parents=[one_variant], help="parameter/demand sweep")
     p_sw.add_argument("--param", help="|".join(PARAM_NAMES + ("demand",)))
-    p_sw.add_argument("--values", help="comma-separated sweep values")
-    p_sw.add_argument("--range", help="lo:hi:step (alternative to --values)")
+    # one list of values: --values and --range exclude each other
+    values = p_sw.add_mutually_exclusive_group()
+    values.add_argument("--values", help="comma-separated sweep values")
+    values.add_argument("--range", help="lo:hi:step (alternative to --values)")
     p_sw.add_argument("--od", help="origin,destination (only with --param demand)")
     p_sw.add_argument("--track", help="comma-separated link ids (default: all)")
     p_sw.add_argument(

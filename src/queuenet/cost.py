@@ -162,7 +162,8 @@ def _queue_part(
     """The queue half of a link's priced cost, unvalidated: everything
     that depends on the queue Q alone (C(Q), the delay term, t_f*beta*n
     and the slope at v = 0).  The solver's GP passes hold the queues fixed
-    while the flows move, so they compute it once per set of queues."""
+    while the flows move, so they compute it once per set of queues, over
+    all links, and each level of OD groups reads its own links' slice."""
     c = c_max - gamma * q
     return _QueuePart(
         q, c, t_f, beta, n, n - 1.0, t_f * beta * n,

@@ -14,13 +14,15 @@ Every input file follows one line rule, `input_lines`: blank lines and
 lines whose first non-blank character is `#` are skipped, and a line keeps
 its number in the file.  The node, link, demand and path tables are CSV
 read by one row parser, `_table`: the first line is the header, and every
-row error names the row's line.
+row error names the row's line, and its file when the source has a name
+(`_naming`).
 """
 from __future__ import annotations
 
 import copy
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
@@ -294,6 +296,19 @@ def _table(source: Iterable[str], columns: Sequence[str] = ()) -> Iterator[tuple
         yield row_no, dict(zip(header, cells))
 
 
+@contextmanager
+def _naming(source: Iterable[str]) -> Iterator[None]:
+    """Prefix the errors raised while reading `source` with its file name,
+    if it has one (an opened file's `name`)."""
+    try:
+        yield
+    except NetworkError as exc:
+        name = getattr(source, "name", None)
+        if name is None:
+            raise
+        raise type(exc)(f"{name}: {exc}") from None
+
+
 def _number(row: Mapping[str, str], key: str, row_no: int, required=False) -> float | None:
     """The cell `key` as a finite float; None if it is empty and not `required`."""
     raw = (row.get(key) or "").strip()
@@ -325,68 +340,72 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
     except per-link overrides, one column per `CostParams` field.
     """
     nodes: list[Node] = []
-    for row_no, row in _table(node_source):
-        nid = _pick(row, "node_id", "id")
-        if nid is None:
-            raise NetworkError(f"row {row_no}: missing node_id")
-        nodes.append(
-            Node(
-                id=nid,
-                x=_number(row, "x_coord" if _pick(row, "x_coord") else "x", row_no),
-                y=_number(row, "y_coord" if _pick(row, "y_coord") else "y", row_no),
+    with _naming(node_source):
+        for row_no, row in _table(node_source):
+            nid = _pick(row, "node_id", "id")
+            if nid is None:
+                raise NetworkError(f"row {row_no}: missing node_id")
+            nodes.append(
+                Node(
+                    id=nid,
+                    x=_number(row, "x_coord" if _pick(row, "x_coord") else "x", row_no),
+                    y=_number(row, "y_coord" if _pick(row, "y_coord") else "y", row_no),
+                )
             )
-        )
-    if not nodes:
-        raise NetworkError("no nodes")
+        if not nodes:
+            raise NetworkError("no nodes")
 
     links: list[Link] = []
-    for row_no, row in _table(link_source):
-        lid = _pick(row, "link_id", "id")
-        if lid is None:
-            raise NetworkError(f"row {row_no}: missing link_id")
-        tail = _pick(row, "from_node", "from_node_id", "tail")
-        head = _pick(row, "to_node", "to_node_id", "head")
-        if tail is None or head is None:
-            raise NetworkError(f"row {row_no}: link {lid} missing from_node/to_node")
-        capacity = _number(row, "capacity", row_no, required=True)
-        if capacity <= 0:
-            raise NetworkError(f"row {row_no}: link {lid} has capacity <= 0")
-        length = _number(row, "length", row_no)
-        free_speed = _number(row, "free_speed", row_no)
-        t_f = _number(row, "free_flow_time", row_no)
-        if t_f is None:
-            if length is None or free_speed is None or free_speed <= 0:
-                raise NetworkError(
-                    f"row {row_no}: link {lid} needs free_flow_time or "
-                    "length + free_speed"
-                )
-            t_f = length / free_speed
-        if t_f <= 0:
-            raise NetworkError(f"row {row_no}: link {lid} has free_flow_time <= 0")
-        if free_speed is None and length is not None:
-            free_speed = length / t_f
-        overrides = tuple(
-            (k, v) for k in PARAM_NAMES if k in row and (v := _number(row, k, row_no)) is not None
-        )
-        if overrides:
-            try:
-                CostParams(**dict(overrides))
-            except ValueError as exc:
-                raise NetworkError(f"row {row_no}: link {lid}: {exc}") from None
-        links.append(
-            Link(
-                id=lid,
-                tail=tail,
-                head=head,
-                free_flow_time=t_f,
-                capacity=capacity,
-                length=length,
-                free_speed=free_speed,
-                overrides=overrides,
+    with _naming(link_source):
+        for row_no, row in _table(link_source):
+            lid = _pick(row, "link_id", "id")
+            if lid is None:
+                raise NetworkError(f"row {row_no}: missing link_id")
+            tail = _pick(row, "from_node", "from_node_id", "tail")
+            head = _pick(row, "to_node", "to_node_id", "head")
+            if tail is None or head is None:
+                raise NetworkError(f"row {row_no}: link {lid} missing from_node/to_node")
+            capacity = _number(row, "capacity", row_no, required=True)
+            if capacity <= 0:
+                raise NetworkError(f"row {row_no}: link {lid} has capacity <= 0")
+            length = _number(row, "length", row_no)
+            free_speed = _number(row, "free_speed", row_no)
+            t_f = _number(row, "free_flow_time", row_no)
+            if t_f is None:
+                if length is None or free_speed is None or free_speed <= 0:
+                    raise NetworkError(
+                        f"row {row_no}: link {lid} needs free_flow_time or "
+                        "length + free_speed"
+                    )
+                t_f = length / free_speed
+            if t_f <= 0:
+                raise NetworkError(f"row {row_no}: link {lid} has free_flow_time <= 0")
+            if free_speed is None and length is not None:
+                free_speed = length / t_f
+            overrides = tuple(
+                (k, v)
+                for k in PARAM_NAMES
+                if k in row and (v := _number(row, k, row_no)) is not None
             )
-        )
-    if not links:
-        raise NetworkError("no links")
+            if overrides:
+                try:
+                    CostParams(**dict(overrides))
+                except ValueError as exc:
+                    raise NetworkError(f"row {row_no}: link {lid}: {exc}") from None
+            links.append(
+                Link(
+                    id=lid,
+                    tail=tail,
+                    head=head,
+                    free_flow_time=t_f,
+                    capacity=capacity,
+                    length=length,
+                    free_speed=free_speed,
+                    overrides=overrides,
+                )
+            )
+        if not links:
+            raise NetworkError("no links")
     return Network(tuple(nodes), tuple(links))
 
 
@@ -395,21 +414,22 @@ def load_demands(source: IO[str], network: Network) -> Network:
     one row per OD pair."""
     od_pairs: list[ODPair] = []
     od_row: dict[tuple[str, str], int] = {}
-    for row_no, row in _table(source):
-        origin = _pick(row, "origin", "o_zone_id", "from_node")
-        destination = _pick(row, "destination", "d_zone_id", "to_node")
-        if origin is None or destination is None:
-            raise NetworkError(f"row {row_no}: missing origin/destination")
-        if (origin, destination) in od_row:
-            raise NetworkError(
-                f"OD pair {origin}->{destination} given twice, on rows "
-                f"{od_row[origin, destination]} and {row_no}"
-            )
-        od_row[origin, destination] = row_no
-        demand = _number(row, "demand", row_no, required=True)
-        od_pairs.append(ODPair(origin, destination, demand))
-    if not od_pairs:
-        raise NetworkError("no OD pairs")
+    with _naming(source):
+        for row_no, row in _table(source):
+            origin = _pick(row, "origin", "o_zone_id", "from_node")
+            destination = _pick(row, "destination", "d_zone_id", "to_node")
+            if origin is None or destination is None:
+                raise NetworkError(f"row {row_no}: missing origin/destination")
+            if (origin, destination) in od_row:
+                raise NetworkError(
+                    f"OD pair {origin}->{destination} given twice, on rows "
+                    f"{od_row[origin, destination]} and {row_no}"
+                )
+            od_row[origin, destination] = row_no
+            demand = _number(row, "demand", row_no, required=True)
+            od_pairs.append(ODPair(origin, destination, demand))
+        if not od_pairs:
+            raise NetworkError("no OD pairs")
     return network.with_demands(od_pairs)
 
 
@@ -609,15 +629,16 @@ def load_path_set(source: IO[str], network: Network) -> PathSet:
         (od.origin, od.destination): i for i, od in enumerate(network.od_pairs)
     }
     paths: list[Path] = []
-    for row_no, row in _table(source, ("origin", "destination", "links")):
-        key = (_pick(row, "origin"), _pick(row, "destination"))
-        if key not in od_index:
-            raise PathError(f"row {row_no}: unknown OD pair {key[0]}->{key[1]}")
-        chain = (_pick(row, "links") or "").strip("[]")
-        link_ids = tuple(s.strip() for s in chain.split(";") if s.strip())
-        if not link_ids:
-            raise PathError(f"row {row_no}: empty link sequence")
-        paths.append(Path(od_index=od_index[key], links=link_ids))
+    with _naming(source):
+        for row_no, row in _table(source, ("origin", "destination", "links")):
+            key = (_pick(row, "origin"), _pick(row, "destination"))
+            if key not in od_index:
+                raise PathError(f"row {row_no}: unknown OD pair {key[0]}->{key[1]}")
+            chain = (_pick(row, "links") or "").strip("[]")
+            link_ids = tuple(s.strip() for s in chain.split(";") if s.strip())
+            if not link_ids:
+                raise PathError(f"row {row_no}: empty link sequence")
+            paths.append(Path(od_index=od_index[key], links=link_ids))
     return PathSet(network, paths)
 
 

@@ -33,10 +33,11 @@ queue update warrants, and to 0.1 STEP_TOL once the queues settle.  The
 first iteration, with no queue change yet, uses 0.1 STEP_TOL.  The passes
 hold the per-entry queues frozen, so everything the pricing reads of them
 is computed once, by `_frozen_queues`: per link Q and Q', per path its
-queued traffic, and per level of OD groups the queue half of the priced
+queued traffic, and over all links at once the queue half of the priced
 cost (C(Q), the delay term, t_f beta n and the slope at zero flow,
-`cost._queue_part`) and the queue-slope curvature.  Each pass computes
-only the flow half: x, v and the running time with its slope
+`cost._queue_part`) and the queue-slope curvature, 0 on a link without a
+queue; each level of OD groups reads its own links' slice.  Each pass
+computes only the flow half: x, v and the running time with its slope
 (`cost._flow_part`).  The frozen terms are computed again only when the
 queues are a different array: `_project_queues` returns its input when it
 cuts nothing, so in the fixed-point mode that is once per outer iteration
@@ -160,8 +161,6 @@ class SolverOptions:
 @dataclass
 class ConvergenceReport:
     iterations: int
-    flow_change: float
-    queue_change: float
     wall_time: float = 0.0
     #: per-iteration rows, filled only when `solve` is called with
     #: `history=True` (empty otherwise):
@@ -264,46 +263,20 @@ def _throughflow(
     return np.maximum(v, 0.0)
 
 
-class _LinkArrays(NamedTuple):
-    """Per-link arrays unpacked once per solve for the hot path, in the
-    order `cost._queue_part` takes them after Q."""
-
-    t_f: np.ndarray
-    c_max: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-    gamma: np.ndarray
-
-    @classmethod
-    def of(cls, params: CostParams, path_set: PathSet) -> "_LinkArrays":
-        c_max = path_set.c_max
-        return cls(path_set.t_f, c_max, *(
-            np.broadcast_to(a, c_max.shape) for a in _cost._link_arrays(params)
-        ))
-
-    def sub(self, idx: np.ndarray) -> "_LinkArrays":
-        return _LinkArrays(*(a[idx] for a in self))
-
-
 class _GroupLevel(NamedTuple):
     """One level of link-disjoint OD groups for the GP pass: its paths,
     group after group; its links; the block-diagonal 0/1 paths x links
-    membership matrix; each path's group within the level; each group's
-    first row; the link arrays on the level's links; and the queue half
-    of their priced cost with no queue, which `_frozen_queues` reuses."""
+    membership matrix; each path's group within the level; and each
+    group's first row."""
 
     paths: np.ndarray
     links: np.ndarray
     member: np.ndarray
     group: np.ndarray
     starts: np.ndarray
-    la: _LinkArrays
-    unqueued: _cost._QueuePart
 
 
-def _group_levels(path_set: PathSet, la: _LinkArrays) -> list[_GroupLevel]:
+def _group_levels(path_set: PathSet) -> list[_GroupLevel]:
     """OD groups stacked into levels of groups that share no link.
 
     Taken in path-set order, a group's level is one above the highest level
@@ -338,55 +311,58 @@ def _group_levels(path_set: PathSet, la: _LinkArrays) -> list[_GroupLevel]:
         member[row[path_set.entry_path[inside]], col[path_set.entry_link[inside]]] = 1.0
         group = np.repeat(np.arange(len(gis)), sizes)
         starts = np.cumsum(sizes) - sizes
-        la_l = la.sub(links)
-        unqueued = _cost._queue_part(np.zeros(len(links)), *la_l)
-        levels.append(_GroupLevel(paths, links, member, group, starts, la_l, unqueued))
+        levels.append(_GroupLevel(paths, links, member, group, starts))
     return levels
 
 
 class _FrozenQueues(NamedTuple):
     """The queue part of the GP pass's pricing (`_frozen_queues`): all it
     reads of the per-entry queues it holds frozen.  Per link Q and Q'; per
-    path its queued traffic; per level of `_group_levels`, Q' on the
-    level's links, the queue half of their priced cost and the curvature
-    their queues add (None on a level without queues)."""
+    path its queued traffic; per level of `_group_levels`, the slices on
+    the level's links of Q', of the queue half of the priced cost and of
+    the curvature the queues add (0 on a link without a queue)."""
 
     queue_alloc: np.ndarray  # the queues these terms were priced from
     q: np.ndarray
     q_prime: np.ndarray
     held: np.ndarray
-    levels: list[tuple[np.ndarray, _cost._QueuePart, np.ndarray | None]]
+    levels: list[tuple[np.ndarray, _cost._QueuePart, np.ndarray]]
 
 
 def _frozen_queues(
-    path_set: PathSet, queue_alloc: np.ndarray, levels: list[_GroupLevel]
+    path_set: PathSet,
+    queue_alloc: np.ndarray,
+    levels: list[_GroupLevel],
+    params: CostParams,
 ) -> _FrozenQueues:
     """Price what the GP pass needs of `queue_alloc`, once for every pass
-    that holds these queues frozen."""
+    that holds these queues frozen: the queue half of the cost over all
+    links, at the per-link `params`, and each level's slice of it."""
     q, q_prime = _link_queues(path_set, queue_alloc)
-    frozen_levels = []
+    alpha, _, m, _, gamma = arrays = _cost._link_arrays(params)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for level in levels:
-            q_prime_l, q_l = q_prime[level.links], q[level.links]
-            if not np.count_nonzero(q_l):
-                frozen_levels.append((q_prime_l, level.unqueued, None))
-                continue
-            la_l = level.la
-            qp = _cost._queue_part(q_l, *la_l)
-            # on queued links extra inflow feeds the queue (amplified by
-            # 1/(1-gamma)), so the equilibrium cost responds through the
-            # queuing-delay term as well; fold that into the curvature so
-            # steps stay small where the queue, not the running time, reacts
-            queue_slope = np.where(
-                q_l > 0,
-                la_l.alpha
-                * la_l.m
-                * np.maximum(q_l / qp.c, QUEUE_RATIO_FLOOR) ** (la_l.m - 1.0)
-                * (qp.c + la_l.gamma * q_l)
-                / (qp.c**2 * np.maximum(1.0 - la_l.gamma, 1e-3)),
-                0.0,
-            )
-            frozen_levels.append((q_prime_l, qp, queue_slope))
+        qp = _cost._queue_part(q, path_set.t_f, path_set.c_max, *arrays)
+        # on queued links extra inflow feeds the queue (amplified by
+        # 1/(1-gamma)), so the equilibrium cost responds through the
+        # queuing-delay term as well; fold that into the curvature so
+        # steps stay small where the queue, not the running time, reacts
+        queue_slope = np.where(
+            q > 0,
+            alpha
+            * m
+            * np.maximum(q / qp.c, QUEUE_RATIO_FLOOR) ** (m - 1.0)
+            * (qp.c + gamma * q)
+            / (qp.c**2 * np.maximum(1.0 - gamma, 1e-3)),
+            0.0,
+        )
+    frozen_levels = [
+        (
+            q_prime[level.links],
+            _cost._QueuePart(*(a[level.links] for a in qp)),
+            queue_slope[level.links],
+        )
+        for level in levels
+    ]
     return _FrozenQueues(
         queue_alloc, q, q_prime, _path_held(path_set, queue_alloc), frozen_levels
     )
@@ -429,11 +405,10 @@ def _gp_flow_pass(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for level, (q_prime_l, qp, queue_slope) in zip(levels, frozen.levels):
-            paths, links, member, group, starts = level[:5]
+            paths, links, member, group, starts = level
             v_l = np.maximum(x[links] - qp.q - q_prime_l, 0.0)
             cost, slope = _cost._flow_part(v_l, qp, system_optimum)
-            if queue_slope is not None:
-                slope = slope + queue_slope
+            slope = slope + queue_slope
             costs = member @ cost
             # each group's first cheapest path, as argmin picks it: a stable
             # sort by group, then cost
@@ -452,8 +427,6 @@ def _gp_flow_pass(
             shifting = np.bincount(group, shifts)[group]
             movable = np.maximum(f_l - held[paths], 0.0)
             delta = np.where(shifts, np.minimum(movable, gap / curvature / shifting), 0.0)
-            if not np.count_nonzero(delta):
-                continue
             # the flow change of each path: -delta, and what its group
             # moved onto the cheapest path (whose own delta is 0)
             change = -delta
@@ -744,10 +717,9 @@ def solve(
         f = _aon_initial_flows(path_set)
 
     queue_alloc = np.zeros(len(path_set.entry_link))
-    la = _LinkArrays.of(base, path_set)
-    group_levels = _group_levels(path_set, la)
-    theta = _queue_relaxation(la.gamma)
-    frozen = _frozen_queues(path_set, queue_alloc, group_levels)
+    group_levels = _group_levels(path_set)
+    theta = _queue_relaxation(base.gamma)
+    frozen = _frozen_queues(path_set, queue_alloc, group_levels, base)
 
     update_queues = options.variant != "traditional_ue"
     smoothed = options.queue_mode == "smoothed_gradient"
@@ -764,7 +736,7 @@ def solve(
 
     def history_j(f_: np.ndarray, qa_: np.ndarray) -> float:
         # the merit, undefined where a queue-carrying variant has gamma >= 1
-        return merit(f_, qa_) if not update_queues or np.all(la.gamma < 1.0) else np.nan
+        return merit(f_, qa_) if not update_queues or np.all(base.gamma < 1.0) else np.nan
 
     def state_at(f_: np.ndarray, qa_: np.ndarray) -> SolutionState:
         """Path flows f_ and per-entry queues qa_ as a priced state."""
@@ -782,7 +754,7 @@ def solve(
             if update_queues:
                 # queued links queue the change in arrivals, keeping slack C(Q) - v
                 _, q0, _, v0 = assemble_link_state(path_set, f_, qa_)
-                slack = np.where(q0 > 0, c_max - la.gamma * q0 - v0, -np.inf)
+                slack = np.where(q0 > 0, c_max - base.gamma * q0 - v0, -np.inf)
                 trial = lambda g_: (g_, sweep(g_, qa_, 1.0, slack))
             else:
                 # a variant without queues keeps the (empty) ones it has
@@ -813,7 +785,7 @@ def solve(
         j = np.nan
 
     rows: list[tuple[int, float, float, float, float, float]] = []
-    flow_change = queue_change = 0.0
+    queue_change = 0.0
     termination = "iteration_limit"
     it = 0
     od, n_od = path_set.path_od, len(path_set.od_groups)
@@ -833,7 +805,7 @@ def solve(
         for _ in range(MAX_INNER_PASSES):
             inner_passes += 1
             if frozen.queue_alloc is not queue_alloc:
-                frozen = _frozen_queues(path_set, queue_alloc, group_levels)
+                frozen = _frozen_queues(path_set, queue_alloc, group_levels, base)
             g = _gp_flow_pass(path_set, f, frozen, group_levels, options)
             f_new, queue_alloc, j = flow_step(f, queue_alloc, j, g)
             inner_change = float(np.max(np.abs(f_new - f))) if f.size else 0.0
@@ -893,8 +865,6 @@ def solve(
         termination = "infeasible"
     report = ConvergenceReport(
         iterations=it,
-        flow_change=flow_change,
-        queue_change=queue_change,
         wall_time=time.perf_counter() - t_start,
         history=rows,
         termination=termination,

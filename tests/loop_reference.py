@@ -139,20 +139,22 @@ def queue_targets_fixed_point(
     return new_alloc
 
 
-def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
-    """Takes queues feasible for `f`: no path holds back more than it carries."""
+def gp_flow_pass(path_set, f, queue_alloc, params, options):
+    """Takes queues feasible for `f`: no path holds back more than it
+    carries; `params` holds per-link arrays."""
     f = f.copy()
     x, q, q_prime, _ = assemble_link_state(path_set, f, queue_alloc)
     held = queue_alloc.sum(axis=0)
     system_optimum = options.variant == "system_optimum"
     link_idx = path_link_idx(path_set)
+    arrays = (path_set.t_f, path_set.c_max, *_cost._link_arrays(params))
 
     for gi, group in enumerate(path_set.od_groups):
         if len(group) < 2:
             continue
         glinks = path_set.od_group_links[gi]
         positions = [np.searchsorted(glinks, link_idx[j]) for j in group]
-        la_g = la_subs[gi]
+        _, c_max_g, alpha_g, _, m_g, _, gamma_g = la_g = [a[glinks] for a in arrays]
         q_g = q[glinks]
         v_g = np.maximum((x - q - q_prime)[glinks], 0.0)
         qp = _cost._queue_part(q_g, *la_g)
@@ -161,14 +163,14 @@ def gp_flow_pass(path_set, f, queue_alloc, la_subs, options):
         costs = np.array([cost[pos].sum() for pos in positions])
         local_best = int(np.argmin(costs))
         best_pos = set(positions[local_best].tolist())
-        c_g = la_g.c_max - la_g.gamma * q_g
+        c_g = c_max_g - gamma_g * q_g
         # the delay slope is taken at Q/C >= QUEUE_RATIO_FLOOR, as the solver does
         queue_slope = (
-            la_g.alpha
-            * la_g.m
-            * np.maximum(q_g / c_g, QUEUE_RATIO_FLOOR) ** (la_g.m - 1.0)
-            * (c_g + la_g.gamma * q_g)
-            / (c_g**2 * np.maximum(1.0 - la_g.gamma, 1e-3))
+            alpha_g
+            * m_g
+            * np.maximum(q_g / c_g, QUEUE_RATIO_FLOOR) ** (m_g - 1.0)
+            * (c_g + gamma_g * q_g)
+            / (c_g**2 * np.maximum(1.0 - gamma_g, 1e-3))
         )
         slope = slope + np.where(q_g > 0, queue_slope, 0.0)
         c_min = float(costs.min())

@@ -181,6 +181,26 @@ class TestErrors:
         assert rc == 1
         assert "capacity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table, column, cell", [("links.csv", "length", "abc"), ("nodes.csv", "y_coord", "oops")]
+    )
+    def test_row_error_names_its_file(
+        self, scenario_dir, tmp_path, capsys, table, column, cell
+    ):
+        # every table of a scenario has a row 2, and the error named only
+        # the row: the first data row's cell becomes no number
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / table, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index(column)] = cell
+        with open(work / table, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{work / table}: row 2: {column}={cell!r} is not a finite number" in err
+
     def test_non_finite_cost_parameter(self, scenario_dir, tmp_path, capsys):
         work = tmp_path / "scen"
         shutil.copytree(scenario_dir, work)
@@ -497,6 +517,33 @@ class TestSweep:
         argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "m"]
         assert run(argv + ["--values", "1,2", "--track", "nosuchlink"]) == 1
         assert "unknown link id in --track: nosuchlink" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_repeated_track_link_fails_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch, command
+    ):
+        # a repeated id repeated its sweep.csv columns and compare.csv rows
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_solve)
+        monkeypatch.setattr(cli, "compare_models", no_solve)
+        argv = [command, "--config", cfg, "--out", str(tmp_path), "--track", "4,2,4"]
+        if command == "sweep":
+            argv += ["--param", "gamma", "--values", "0.1"]
+        assert run(argv) == 1
+        assert "link id given twice in --track: 4" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_values_and_range_exclude_each_other(self, cfg, tmp_path, capsys):
+        # --range was dropped in silence: one point, exit 0
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--values", "0.1", "--range", "0:0.4:0.1", "--track", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--range" in err and "--values" in err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_phi_sweep_refused(self, cfg, tmp_path, capsys):

@@ -22,7 +22,6 @@ from queuenet.solver import (
     QUEUE_RATIO_FLOOR,
     VARIANTS,
     SolverOptions,
-    _LinkArrays,
     _aon_initial_flows,
     _apply_variant,
     _frozen_queues,
@@ -96,10 +95,8 @@ def _cyclic_precedence():
     # one relaxed sweep give 72 queued entries
     ps = enumerate_paths(fixtures.grid_network(size=10, n_od=40, demand=900.0), 3)
     _, c_max, params = _link_arrays(ps)
-    la = _LinkArrays.of(params, ps)
-    la_subs = [la.sub(g) for g in ps.od_group_links]
     qa = np.zeros((ps.n_links, ps.n_paths))
-    f = ref.gp_flow_pass(ps, _aon_initial_flows(ps), qa, la_subs, SolverOptions())
+    f = ref.gp_flow_pass(ps, _aon_initial_flows(ps), qa, params, SolverOptions())
     return ps, f, per_entry(ps, ref.queue_targets_fixed_point(ps, f, qa, c_max, params, 0.5))
 
 
@@ -201,10 +198,9 @@ def test_slack_keeping_sweep_matches_loop(case):
 def test_gp_flow_pass_matches_loop(case, variant):
     ps, f, qa, params = case
     _, _, params = _link_arrays(ps, params)
-    la = _LinkArrays.of(_apply_variant(params, variant), ps)
-    la_subs = [la.sub(g) for g in ps.od_group_links]
+    params = _apply_variant(params, variant)
     options = SolverOptions(variant=variant)
-    levels = _group_levels(ps, la)
-    new = _gp_flow_pass(ps, f, _frozen_queues(ps, qa, levels), levels, options)
+    levels = _group_levels(ps)
+    new = _gp_flow_pass(ps, f, _frozen_queues(ps, qa, levels, params), levels, options)
     assert np.max(np.abs(new - f)) > 0.0  # the pass moves flow
-    _close(new, ref.gp_flow_pass(ps, f, ref.dense_queues(ps, qa), la_subs, options))
+    _close(new, ref.gp_flow_pass(ps, f, ref.dense_queues(ps, qa), params, options))

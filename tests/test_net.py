@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from queuenet import fixtures
-from queuenet.cost import CostParams
 from queuenet.net import (
     Link,
     Network,
@@ -23,7 +22,7 @@ from queuenet.net import (
     load_path_set,
     write_path_set,
 )
-from queuenet.solver import SolverOptions, _LinkArrays, _group_levels, solve
+from queuenet.solver import SolverOptions, _group_levels, solve
 
 
 #: the six-node scenario's tables, in the order they load
@@ -304,8 +303,7 @@ class TestPathSet:
         # the GP pass's first level, since OD 2->4 shares link 4 with it
         links = [six_node.network.links[a].id for a in six_node.od_group_links[0]]
         assert links == ["1", "3", "4", "6"]
-        la = _LinkArrays.of(CostParams(), six_node)
-        first = _group_levels(six_node, la)[0]
+        first = _group_levels(six_node)[0]
         assert first.paths.tolist() == [0, 1]
         assert first.links.tolist() == six_node.od_group_links[0].tolist()
         assert first.member.tolist() == [[1, 0, 0, 0], [0, 1, 1, 1]]

@@ -20,7 +20,6 @@ from queuenet.solver import (
     QUEUE_CAP_FRACTION,
     SolverOptions,
     VARIANTS,
-    _LinkArrays,
     _accept_or_halve,
     _aon_initial_flows,
     _apply_variant,
@@ -120,9 +119,8 @@ def _frozen_queue_split_oracle(six_node, q4_per_path):
 
 class TestFlowPass:
     def test_frozen_queue_equilibrium_matches_grid_search(self, six_node):
-        net = six_node.network
-        la = _LinkArrays.of(CostParams().for_links(net.links), six_node)
-        levels = _group_levels(six_node, la)
+        params = CostParams().for_links(six_node.network.links)
+        levels = _group_levels(six_node)
         options = SolverOptions()
         qa = np.zeros((7, 4))
         i4 = six_node.link_index("4")
@@ -132,7 +130,7 @@ class TestFlowPass:
         f = np.array([3000.0, 0.0, 3000.0, 0.0])
         for _ in range(200):
             # the 50 veh held on paths 1 and 3 fit once flow moves onto them
-            frozen = _frozen_queues(six_node, _project_queues(six_node, f, qa), levels)
+            frozen = _frozen_queues(six_node, _project_queues(six_node, f, qa), levels, params)
             f_new = _gp_flow_pass(six_node, f, frozen, levels, options)
             if np.max(np.abs(f_new - f)) < 1e-6:
                 f = f_new
@@ -154,8 +152,7 @@ class TestFlowPass:
         t_f = np.array([l.free_flow_time for l in net.links])
         c_max = np.array([l.capacity for l in net.links])
         params = _apply_variant(CostParams().for_links(net.links), variant)
-        la = _LinkArrays.of(params, six_node)
-        levels = _group_levels(six_node, la)
+        levels = _group_levels(six_node)
         options = SolverOptions(variant=variant)
         priced = marginal_link_time if variant == "system_optimum" else link_travel_time
 
@@ -181,7 +178,11 @@ class TestFlowPass:
                     frozen = _project_queues(six_node, f, qa)
                     before = spread(f, frozen)
                     f = _gp_flow_pass(
-                        six_node, f, _frozen_queues(six_node, frozen, levels), levels, options
+                        six_node,
+                        f,
+                        _frozen_queues(six_node, frozen, levels, params),
+                        levels,
+                        options,
                     )
                     assert spread(f, frozen) <= before + 1e-9
 
@@ -217,9 +218,8 @@ class TestFlowPass:
             full.network,
             [p for j, p in enumerate(full.paths) if p.od_index != 0 or j == first_of_0],
         )
-        la = _LinkArrays.of(CostParams(), full)
         for ps in (full, cut):
-            levels = _group_levels(ps, la)
+            levels = _group_levels(ps)
             assert len(levels) == 10
             inc = incidence(ps)
             level_of = {}
@@ -247,9 +247,7 @@ class TestFlowPass:
         # OD 2->4 shares link 4 with OD 1->3, so with demand it has a level
         # of its own; at zero demand its paths carry nothing and it has none
         ps = six_node.with_demands([3000.0, demand_2_4])
-        net = ps.network
-        la = _LinkArrays.of(CostParams().for_links(net.links), ps)
-        levels = _group_levels(ps, la)
+        levels = _group_levels(ps)
         assert [level.paths.tolist() for level in levels] == [
             group.tolist() for group in ps.od_groups[:n_levels]
         ]
@@ -331,7 +329,8 @@ class TestFlowPass:
         assert cut is not before.queue_alloc
         np.testing.assert_array_equal(frozen.queue_alloc, cut)
         assert frozen.held[1] == pytest.approx(f[1]) and frozen.held[1] < before.held[1]
-        fresh = _frozen_queues(six_node, cut, levels)
+        params = CostParams().for_links(six_node.network.links)
+        fresh = _frozen_queues(six_node, cut, levels, params)
         np.testing.assert_array_equal(
             gp_flow_pass(six_node, f, frozen, levels, options),
             gp_flow_pass(six_node, f, fresh, levels, options),
