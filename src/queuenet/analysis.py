@@ -93,6 +93,10 @@ def uniqueness_probe(
     return link_spread, path_spread, states
 
 
+#: the least slope an error is measured against, in units of eps |J| / h
+FD_RESOLUTION = 1e6
+
+
 def gradient_check(
     path_set: PathSet,
     path_flows: np.ndarray,
@@ -106,28 +110,25 @@ def gradient_check(
     path flow and every entry's queue is probed by +-h with
     h = 1e-4 * max(1, |value|).  Probes stay in the feasible box: a flow
     probe stops at 0, and a queue probe that would go negative is skipped.
-    The error of one entry is |analytic - fd| / max(|fd|, 1e-8).
+    The error of one value is |analytic - fd| / max(|fd|, r, 1e-8), where
+    r = FD_RESOLUTION eps |J| / h, J the larger of the two merits: the
+    difference resolves a slope only to about eps |J| / h, the round-off of
+    its two merits, so an error at that level reads about 1e-6.
     """
-    f = np.asarray(path_flows, dtype=float)
-    qa = np.asarray(queue_alloc, dtype=float)
-    grad_f, grad_q = merit_gradient(path_set, f, qa, params)
+    n = path_set.n_paths
+    state = np.concatenate([path_flows, queue_alloc]).astype(float)
+    grad = np.concatenate(merit_gradient(path_set, state[:n], state[n:], params))
     worst = 0.0
-    for j in range(path_set.n_paths):
-        h = 1e-4 * max(1.0, abs(f[j]))
-        fp, fm = f.copy(), f.copy()
-        fp[j] += h
-        fm[j] = max(fm[j] - h, 0.0)
-        fd = (merit(path_set, fp, qa, params) - merit(path_set, fm, qa, params)) / (
-            fp[j] - fm[j]
-        )
-        worst = max(worst, abs(grad_f[j] - fd) / max(abs(fd), 1e-8))
-    for e in range(len(qa)):
-        h = 1e-4 * max(1.0, qa[e])
-        if qa[e] - h < 0:
+    for i, value in enumerate(state):
+        h = 1e-4 * max(1.0, abs(value))
+        if i >= n and value - h < 0:
             continue
-        qp, qm = qa.copy(), qa.copy()
-        qp[e] += h
-        qm[e] -= h
-        fd = (merit(path_set, f, qp, params) - merit(path_set, f, qm, params)) / (2 * h)
-        worst = max(worst, abs(grad_q[e] - fd) / max(abs(fd), 1e-8))
+        plus, minus = state.copy(), state.copy()
+        plus[i] += h
+        minus[i] = max(value - h, 0.0)
+        j_plus, j_minus = (merit(path_set, s[:n], s[n:], params) for s in (plus, minus))
+        width = plus[i] - minus[i]
+        fd = (j_plus - j_minus) / width
+        resolved = FD_RESOLUTION * np.finfo(float).eps * max(abs(j_plus), abs(j_minus))
+        worst = max(worst, abs(grad[i] - fd) / max(abs(fd), resolved / (width / 2), 1e-8))
     return worst

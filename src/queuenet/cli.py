@@ -138,11 +138,14 @@ def _load(args: argparse.Namespace):
 
 
 def _tracked_links(args: argparse.Namespace, network: Network) -> list[str]:
-    """The link ids named by --track (all links without it), each checked
-    and named once."""
-    track = args.track.split(",") if args.track else [l.id for l in network.links]
-    known, seen = {l.id for l in network.links}, set()
+    """The link ids named by --track (all links without it), each stripped,
+    checked and named once."""
+    ids = [l.id for l in network.links]
+    track = [lid.strip() for lid in args.track.split(",")] if args.track else ids
+    known, seen = set(ids), set()
     for lid in track:
+        if not lid:
+            raise ConfigError(f"empty link id in --track: {args.track!r}")
         if lid not in known:
             raise ConfigError(f"unknown link id in --track: {lid}")
         if lid in seen:
@@ -299,8 +302,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = _parse_range(args.range)
     else:
         raise ConfigError("sweep needs --values or --range")
-    if not values:
-        raise ConfigError("empty sweep value list")
     od_index = 0
     if args.param == "demand":
         if args.od:
@@ -325,13 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(out / "sweep.csv", "w") as fh:
         cols = [args.param, "converged", "termination"]
         for lid in track:
-            cols += [
-                f"flow_{lid}",
-                f"queue_{lid}",
-                f"delay_{lid}",
-                f"time_{lid}",
-                f"cost_{lid}",
-            ]
+            cols += [f"{name}_{lid}" for name in ("flow", "queue", "delay", "time", "cost")]
         fh.write(",".join(cols) + "\n")
         for row in point_rows:
             cells = [_fmt(row.value), "1" if row.converged else "0", row.termination]

@@ -16,9 +16,10 @@ equilibrium merit `cost.merit` (`_accept_or_halve`).
 
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.  They hold back part of the
-path's own traffic, so the loop keeps one invariant: after every flow
-change no path holds back more than it carries, and one projection,
-`_project_queues`, keeps it so.
+path's own traffic, so the loop keeps one invariant: no path holds back
+more than it carries.  Only the queue sweep can break it, and it ends by
+restoring it (`_project_queues`); no flow step moves held traffic, so none
+needs a cut (a smoothed flow trial takes its queues from the sweep).
 
 The loop stops when the steps vanish; the verdict comes from `kkt_report`,
 the one audit that prices the variant's relative gap and the capacity
@@ -39,9 +40,8 @@ cost (C(Q), the delay term, t_f beta n and the slope at zero flow,
 queue; each level of OD groups reads its own links' slice.  Each pass
 computes only the flow half: x, v and the running time with its slope
 (`cost._flow_part`).  The frozen terms are computed again only when the
-queues are a different array: `_project_queues` returns its input when it
-cuts nothing, so in the fixed-point mode that is once per outer iteration
-(after the queue sweep, or after a cut); the smoothed mode sweeps the
+queues are a different array: in the fixed-point mode that is once per
+outer iteration, after the queue sweep; the smoothed mode sweeps the
 queues in every flow trial, so it computes them on every pass.  A variant
 without queues keeps the ones it starts with in every trial too, and
 computes them once per solve in either mode.  The GP curvature on a queued
@@ -622,7 +622,9 @@ def _project_queues(
     """Nonnegative queues cut so no path holds back more than it carries,
     upstream queues first: each entry is capped at what arrives past the
     path's upstream queues.  Entries within that are kept exactly, so a
-    feasible input (no path holds more than its flow) comes back as it is."""
+    feasible input (no path holds more than its flow) comes back as it is.
+    Only the queue sweep calls it (no flow step can break the invariant);
+    it stays separate for queues given from outside a sweep."""
     if np.all(_path_held(path_set, queue_alloc) <= f):
         return queue_alloc
     upstream = path_set.held_upstream(queue_alloc)
@@ -759,12 +761,9 @@ def solve(
             else:
                 # a variant without queues keeps the (empty) ones it has
                 trial = lambda g_: (g_, qa_)
-            g, qa_, j_ = _accept_or_halve(
+            return _accept_or_halve(
                 trial, g, lambda g_: f_ + 0.5 * (g_ - f_), merit, j_, (f_, qa_),
             )
-            projected = _project_queues(path_set, g, qa_)
-            # a cut, if only by an ulp, leaves the state j was taken at
-            return g, projected, (j_ if projected is qa_ else merit(g, projected))
 
         def queue_step(f_, qa_, j_):
             # the sweep unrelaxed, halved until the merit does not rise
@@ -777,7 +776,7 @@ def solve(
     else:
         # plain GP passes, the theta-relaxed sweep and the damping below
         def flow_step(f_, qa_, j_, g):
-            return g, _project_queues(path_set, g, qa_), j_
+            return g, qa_, j_
 
         def queue_step(f_, qa_, j_):
             return f_, sweep(f_, qa_, theta), j_
@@ -825,10 +824,7 @@ def solve(
                 np.bincount(od, delta_prev * delta, n_od) < 0.0,  # reversed
                 np.maximum(0.05, 0.5 * damping), np.minimum(1.0, 1.25 * damping),
             )
-            damped = damping[od] < 1.0
-            if np.any(damped):
-                f = np.where(damped, f_prev + damping[od] * delta, f)
-                queue_alloc = _project_queues(path_set, f, queue_alloc)
+            f = np.where(damping[od] < 1.0, f_prev + damping[od] * delta, f)
         delta_prev = f - f_prev
 
         if history:

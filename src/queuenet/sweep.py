@@ -34,6 +34,11 @@ class SweepSpec:
             raise ValueError(f"parameter must be 'demand' or one of {PARAM_NAMES}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        for value in self.values:  # all checked before the first point is solved
+            if self.parameter != "demand":
+                CostParams(**{self.parameter: value})
+            elif not 0 <= value < np.inf:
+                raise ValueError(f"sweep value {value}: demand must be finite and >= 0")
 
 
 @dataclass

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from queuenet import cli
+from queuenet import analysis, cli
+from queuenet import sweep as sweep_module
 from queuenet.analysis import kkt_report
 from queuenet.cli import main
 from queuenet.solver import SolverOptions, solve
@@ -536,6 +537,58 @@ class TestSweep:
         assert "link id given twice in --track: 4" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_track_ids_are_stripped(self, cfg, tmp_path, command):
+        argv = [command, "--config", cfg, "--out", str(tmp_path), "--track", "4, 2"]
+        if command == "sweep":
+            argv += ["--param", "gamma", "--values", "0.1"]
+        assert run(argv) == 0
+        if command == "sweep":
+            (row,) = read_csv(tmp_path / "sweep.csv")
+            assert {"flow_4", "flow_2"} <= set(row)
+        else:
+            rows = read_csv(tmp_path / "compare.csv")
+            assert [r["link_id"] for r in rows[:2]] == ["4", "2"]
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("track", ["4,", "4,,2", " "])
+    def test_empty_track_item_fails_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch, command, track
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_solve)
+        monkeypatch.setattr(cli, "compare_models", no_solve)
+        argv = [command, "--config", cfg, "--out", str(tmp_path), "--track", track]
+        if command == "sweep":
+            argv += ["--param", "gamma", "--values", "0.1"]
+        assert run(argv) == 1
+        assert f"empty link id in --track: {track!r}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("m", "1,2,0", "m and n must be > 0"),
+            ("demand", "1000,2000,-5", "sweep value -5.0: demand must be finite and >= 0"),
+        ],
+    )
+    def test_every_value_checked_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch, param, values, message
+    ):
+        # the bad value is the last: no earlier point is solved either
+        solves = []
+        solve_point = sweep_module.solve
+        monkeypatch.setattr(
+            sweep_module, "solve", lambda *a, **k: solves.append(1) or solve_point(*a, **k)
+        )
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", param]
+        assert run(argv + ["--values", values, "--track", "4"]) == 1
+        assert message in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_values_and_range_exclude_each_other(self, cfg, tmp_path, capsys):
         # --range was dropped in silence: one point, exit 0
         argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
@@ -638,6 +691,28 @@ class TestValidate:
             run([argv[0], "--config", cfg, *argv[1:]])
         assert exc.value.code == 2
         assert argv[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(50, 60))
+    def test_seeds_pass(self, cfg, capsys, seed):
+        # seed 53 draws a flow component of -0.1 whose central difference
+        # carries round-off of 1e-6 against J = 1.4e6: a correct gradient
+        # must not fail by what the probe cannot resolve
+        assert run(["validate", "--config", cfg, "--seed", str(seed)]) == 0
+        assert "(ok)" in capsys.readouterr().out
+
+    def test_a_gradient_one_percent_off_fails(self, cfg, capsys, monkeypatch):
+        # negative control: a gradient 1% off on its first component
+        gradient = analysis.merit_gradient
+
+        def off(*args, **kwargs):
+            grad_f, grad_q = gradient(*args, **kwargs)
+            grad_f = grad_f.copy()
+            grad_f[0] *= 1.01
+            return grad_f, grad_q
+
+        monkeypatch.setattr(analysis, "merit_gradient", off)
+        assert run(["validate", "--config", cfg, "--seed", "53"]) == 1
+        assert "(FAIL)" in capsys.readouterr().out
 
     def test_seeded(self, cfg, capsys):
         assert run(["validate", "--config", cfg, "--seed", "7"]) == 0

@@ -276,12 +276,31 @@ class TestGradient:
             f, qa = feasible_random_state(six_node, rng)
             assert gradient_check(six_node, f, qa, params) <= 1e-5
 
+    def test_a_gradient_one_percent_off_fails(self, six_node, monkeypatch):
+        # negative control: the check catches a gradient 1% off on any one
+        # component it probes (a queue below the probe's step is skipped)
+        params = CostParams().for_links(six_node.network.links)
+        rng = np.random.default_rng(42)
+        n = six_node.n_paths
+        for _ in range(5):
+            f, qa = feasible_random_state(six_node, rng)
+            probed = [*range(n), *(n + np.flatnonzero(qa >= 1e-4))]
+            for k in probed:
+                def off(*args, k=k):
+                    grad = np.concatenate(merit_gradient(*args))
+                    grad[k] *= 1.01
+                    return grad[:n], grad[n:]
+
+                monkeypatch.setattr(analysis, "merit_gradient", off)
+                assert gradient_check(six_node, f, qa, params) > 1e-5, k
+
     def test_flagged_merits_match_finite_differences(self, six_node, monkeypatch):
         # the system optimum prices marginal times, and traditional UE drops
         # the capacity terms; `gradient_check` probes each flagged gradient
         # against the merit under the same flags.  The draw is criterion
-        # 9a's seed: at other draws some components are ~1e-9 against
-        # J ~ 1e4, below what central differences resolve
+        # 9a's seed: at other draws with m = 0.5 a queue a few hundred probe
+        # steps above zero can fail, the (Q/C)^(m-1) slope bending within
+        # the step (at h = 1e-5 instead of 1e-4 it passes)
         rng = np.random.default_rng(2024)
         for flags in ({"system_optimum": True}, {"capacity_bound": False}):
             monkeypatch.setattr(analysis, "merit", functools.partial(merit, **flags))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from queuenet import sweep
 from queuenet.net import PathSet
 from queuenet.solver import SolverOptions
 from queuenet.sweep import SweepSpec, demand_sweep, run_sweep, trend_check
@@ -101,6 +102,27 @@ class TestParameterSweeps:
             SweepSpec("speed", (1.0,))
         with pytest.raises(ValueError, match="at least one"):
             SweepSpec("m", ())
+
+    @pytest.mark.parametrize(
+        "parameter, values, message",
+        [
+            ("m", (1.0, 2.0, 0.0), "m and n must be > 0"),
+            ("gamma", (0.5, np.nan), "gamma must be finite"),
+            ("alpha", (0.15, -1.0), "alpha must be >= 0"),
+            ("demand", (1000.0, 2000.0, -1.0), "demand must be finite and >= 0"),
+            ("demand", (1000.0, np.inf), "demand must be finite and >= 0"),
+        ],
+    )
+    def test_every_value_checked_before_the_first_solve(
+        self, six_node, monkeypatch, parameter, values, message
+    ):
+        # a bad last value was refused only after the points before it
+        # were solved
+        solves = []
+        monkeypatch.setattr(sweep, "solve", lambda *a, **k: solves.append(1))
+        with pytest.raises(ValueError, match=message):
+            run_sweep(six_node, SweepSpec(parameter, values))
+        assert solves == []
 
     def test_phi_refused(self):
         # phi is no cost parameter: only cost.smoothed_link_time and
