@@ -1,9 +1,12 @@
 """networkx version of `net.enumerate_paths`, the one it replaced.
 
 `net.enumerate_paths` ports networkx 3.x's `shortest_simple_paths` (Yen's
-search over a bidirectional Dijkstra) to integer node indices.  This is
-the networkx original, kept as an oracle: both must return the same paths
-in the same order.
+search over a bidirectional Dijkstra) to integer node indices, and skips
+the spur searches Lawler's rule shows can only find a path already
+buffered, or none: a yielded path searches only from the spur index it
+was pushed at on.  This is the networkx original, kept as an oracle: both
+searches yield the same paths in the same order, ours with fewer spur
+searches, and both `enumerate_paths` return the same paths.
 """
 
 import math

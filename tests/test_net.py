@@ -16,6 +16,7 @@ from queuenet.net import (
     Path,
     PathError,
     PathSet,
+    _FreeFlowGraph,
     enumerate_paths,
     load_demands,
     load_network,
@@ -472,6 +473,21 @@ class TestEnumeration:
         sink = io.StringIO()
         write_path_set(ps, sink)
         assert sink.getvalue() == GRID15_ENUM_PATHS
+
+    def test_grid15_enum_spur_searches_are_counted(self, monkeypatch):
+        # a yielded path searches only from the spur index it was pushed at
+        # on; searching at every index, as Yen's search does, makes 4,127
+        shortest = _FreeFlowGraph._shortest
+        calls = 0
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return shortest(self, *args)
+
+        monkeypatch.setattr(_FreeFlowGraph, "_shortest", counted)
+        enumerate_paths(fixtures.grid_network(15, 12, 1100.0), 3)
+        assert calls == 2427
 
     def test_disconnected_od_pair(self):
         links = [Link("a", "u", "v", 0.1, 1000.0), Link("b", "w", "u", 0.1, 1000.0)]

@@ -3,16 +3,32 @@
 `path_reference` holds the networkx original: it builds the free-flow
 DiGraph and takes networkx's `shortest_simple_paths`.  Both must return the
 same paths in the same order, ties included, and raise the same
-`PathError` for a disconnected OD pair with positive demand.
+`PathError` for a disconnected OD pair with positive demand.  The search
+itself must yield networkx's paths in networkx's order, beyond the ones
+`enumerate_paths` keeps.
 """
 
+import itertools
 import random
 
+import networkx as nx
 import pytest
 
 import path_reference as ref
 from queuenet import fixtures
-from queuenet.net import Link, Network, Node, ODPair, PathError, enumerate_paths
+from queuenet.net import (
+    Link,
+    Network,
+    Node,
+    ODPair,
+    PathError,
+    _FreeFlowGraph,
+    enumerate_paths,
+)
+
+GRIDS = [(5, 3), (6, 8), (8, 12), (15, 12)]
+#: paths compared per OD pair in the yield sequence
+YIELDS = 40
 
 
 def _outcome(enumerate_, network, k):
@@ -34,7 +50,7 @@ def test_six_node(six_node, k):
     assert ours == theirs
 
 
-@pytest.mark.parametrize("size, n_od", [(5, 3), (6, 8), (8, 12), (15, 12)])
+@pytest.mark.parametrize("size, n_od", GRIDS)
 def test_grids(size, n_od):
     ours, theirs = _both(fixtures.grid_network(size, n_od, 1100.0), 3)
     assert ours == theirs
@@ -62,14 +78,37 @@ def _random_network(rng):
     return Network(nodes, tuple(links), tuple(od_pairs.values()))
 
 
-def test_random_digraphs():
+def _random_networks():
+    """300 random networks, each with the k to enumerate it at."""
     rng = random.Random(2024)
-    outcomes = {"paths": 0, "disconnected": 0}
     for _ in range(300):
         network = _random_network(rng)
-        k = rng.randint(1, 6)
+        yield network, rng.randint(1, 6)
+
+
+def test_random_digraphs():
+    outcomes = {"paths": 0, "disconnected": 0}
+    for network, k in _random_networks():
         ours, theirs = _both(network, k)
         assert ours == theirs, (network, k)
         outcomes["disconnected" if isinstance(ours, str) else "paths"] += 1
     # the seed exercises both outcomes
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_yield_sequence():
+    networks = [network for network, _ in _random_networks()]
+    networks += [fixtures.grid_network(size, n_od, 1100.0) for size, n_od in GRIDS]
+    for network in networks:
+        g = _FreeFlowGraph(network)
+        node_id = [node.id for node in network.nodes]
+        reference = ref.free_flow_graph(network)
+        for od in network.od_pairs:
+            ours = g.simple_paths(g.index[od.origin], g.index[od.destination])
+            ours = [[node_id[v] for v in path] for path in itertools.islice(ours, YIELDS)]
+            theirs = nx.shortest_simple_paths(reference, od.origin, od.destination, "weight")
+            try:
+                theirs = list(itertools.islice(theirs, YIELDS))
+            except nx.NetworkXNoPath:
+                theirs = []
+            assert ours == theirs, (network, od)
