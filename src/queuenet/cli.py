@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -27,7 +28,8 @@ from . import cost as _cost
 from .analysis import compare_models, gradient_check, kkt_report
 from .cost import PARAM_NAMES, CostParams
 from .net import (
-    Network, PathSet, enumerate_paths, input_lines, load_demands, load_network, load_path_set
+    Network, NetworkError, PathSet, enumerate_paths, input_lines, load_demands, load_network,
+    load_path_set,
 )
 from .solver import VARIANTS, SolverOptions, _random_split, solve
 from .sweep import _DIRECTIONS, SweepSpec, run_sweep, trend_check
@@ -50,23 +52,32 @@ class ConfigError(ValueError):
     pass
 
 
-def _read_config(path: str) -> dict[str, str]:
+class _Config(dict):
+    """A config file's values by key, and under `_dir` the directory its
+    file names are relative to; `line[key]` is the line that sets `key`."""
+
+    def __init__(self, path: str):
+        super().__init__(_dir=str(FsPath(path).parent))
+        self.path = path
+        self.line: dict[str, int] = {}
+
+
+def _read_config(path: str) -> _Config:
     cfg_path = FsPath(path)
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cfg: dict[str, str] = {"_dir": str(cfg_path.parent)}
-    key_line: dict[str, int] = {}
+    cfg = _Config(path)
     for line_no, line in input_lines(cfg_path.read_text().splitlines()):
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
         key, _, value = (s.strip() for s in line.partition("="))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key '{key}'")
-        if key in key_line:
+        if key in cfg.line:
             raise ConfigError(
-                f"{path}: config key '{key}' given twice, on lines {key_line[key]} and {line_no}"
+                f"{path}: config key '{key}' given twice, on lines {cfg.line[key]} and {line_no}"
             )
-        key_line[key] = line_no
+        cfg.line[key] = line_no
         cfg[key] = value
     return cfg
 
@@ -82,7 +93,7 @@ def _resolve(cfg: dict[str, str], key: str) -> FsPath:
     return p
 
 
-def _build_scenario(cfg: dict[str, str]) -> tuple[Network, PathSet]:
+def _build_scenario(cfg: _Config) -> tuple[Network, PathSet]:
     with open(_resolve(cfg, "nodes")) as nf, open(_resolve(cfg, "links")) as lf:
         network = load_network(nf, lf)
     with open(_resolve(cfg, "demands")) as df:
@@ -91,31 +102,45 @@ def _build_scenario(cfg: dict[str, str]) -> tuple[Network, PathSet]:
         with open(_resolve(cfg, "paths")) as pf:
             path_set = load_path_set(pf, network)
     elif "k" in cfg:
-        path_set = enumerate_paths(network, _config_number(cfg, "k", int))
+        path_set = _config_value(cfg, "k", int, lambda k: enumerate_paths(network, k))
     else:
         raise ConfigError("config needs 'paths' (file) or 'k' (enumeration depth)")
     return network, path_set
 
 
-def _config_number(cfg: dict[str, str], key: str, kind: type[int] | type[float]):
-    """`cfg[key]` converted by `kind`; a bad value is a ConfigError naming the key."""
+def _config_value(cfg: _Config, key: str, kind: type, use):
+    """`use(kind(cfg[key]))`.  A value `kind` cannot convert, or one that
+    `use` refuses, is a ConfigError naming the config file, the line and
+    the key; an error in the network's data (`NetworkError`) names its own
+    file."""
     try:
-        return kind(cfg[key])
-    except ValueError as exc:
-        what = "an integer" if kind is int else "numeric"
-        raise ConfigError(f"config field '{key}' is not {what}") from exc
+        value = kind(cfg[key])
+    except ValueError:
+        problem = f" is not {'an integer' if kind is int else 'numeric'}"
+    else:
+        try:
+            return use(value)
+        except NetworkError:
+            raise
+        except ValueError as exc:
+            problem = f": {exc}"
+    raise ConfigError(f"{cfg.path}:{cfg.line[key]}: config field '{key}'{problem}")
 
 
-def _build_params(cfg: dict[str, str]) -> CostParams:
-    return CostParams(
-        **{key: _config_number(cfg, key, float) for key in PARAM_NAMES if key in cfg}
-    )
+def _build_params(cfg: _Config) -> CostParams:
+    """The cost parameters the config sets, one key at a time, so that
+    `CostParams` refuses a bad value on its line."""
+    params = CostParams()
+    for key in PARAM_NAMES:
+        if key in cfg:
+            params = _config_value(cfg, key, float, lambda v: params.replace(**{key: v}))
+    return params
 
 
-def _build_options(cfg: dict[str, str], args: argparse.Namespace) -> SolverOptions:
+def _build_options(cfg: _Config, args: argparse.Namespace) -> SolverOptions:
     """The options a flag or its config key gives, the flag first; the rest
-    keep their `SolverOptions` defaults."""
-    given = {}
+    keep their `SolverOptions` defaults, which check each value as it is set."""
+    options = SolverOptions()
     for name, key, kind in (
         ("queue_mode", "mode", str),
         ("variant", "variant", str),
@@ -123,11 +148,11 @@ def _build_options(cfg: dict[str, str], args: argparse.Namespace) -> SolverOptio
     ):
         # compare takes no --variant: `compare_models` sets each variant
         value = getattr(args, key, None)
-        if value is None and key in cfg:
-            value = cfg[key] if kind is str else _config_number(cfg, key, kind)
         if value is not None:
-            given[name] = value
-    return SolverOptions(**given)
+            options = replace(options, **{name: value})
+        elif key in cfg:
+            options = _config_value(cfg, key, kind, lambda v: replace(options, **{name: v}))
+    return options
 
 
 def _load(args: argparse.Namespace):

@@ -13,19 +13,20 @@ read-only.
 Every input file follows one line rule, `input_lines`: blank lines and
 lines whose first non-blank character is `#` are skipped, and a line keeps
 its number in the file.  The node, link, demand and path tables are CSV
-read by one row parser, `_table`: the first line is the header, and every
-row error names the row's line, and its file when the source has a name
-(`_naming`).
+read by one row parser, `_table`: the first line is the header.  A loader
+only parses: it makes each row a `Node`, `Link`, `ODPair` or `Path`, and
+the record checks its own values.  One reader, `_read_table`, runs it over
+the rows; an error a row raises names the row's line, and every error in a
+table names its file when the source has a name.
 """
 from __future__ import annotations
 
 import copy
 import csv
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -69,6 +70,12 @@ class Node:
 
 @dataclass(frozen=True)
 class Link:
+    """A directed link that checks its own values, with a `NetworkError`
+    naming it: free-flow time and capacity finite and > 0, length and free
+    speed too where given, and with both a free-flow time within
+    `TIME_CONSISTENCY_TOL` of length/free_speed.  Each override sets one
+    `PARAM_NAMES` field on this link to a value `CostParams` accepts."""
+
     id: str
     tail: str
     head: str
@@ -93,6 +100,11 @@ class Link:
                     f"link {self.id}: free_flow_time {self.free_flow_time} "
                     f"inconsistent with length/free_speed {implied:.4f}"
                 )
+        if self.overrides:
+            try:  # CostParams raises a TypeError for a name it has no field for
+                CostParams(**dict(self.overrides))
+            except (TypeError, ValueError) as exc:
+                raise NetworkError(f"link {self.id}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -296,20 +308,34 @@ def _table(source: Iterable[str], columns: Sequence[str] = ()) -> Iterator[tuple
         yield row_no, dict(zip(header, cells))
 
 
-@contextmanager
-def _naming(source: Iterable[str]) -> Iterator[None]:
-    """Prefix the errors raised while reading `source` with its file name,
-    if it has one (an opened file's `name`)."""
+def _read_table(source: Iterable[str], parse: Callable, finish: Callable, columns=()):
+    """`finish` of {row's line: `parse(row)`} over the rows of the table
+    `source` (`_table`).  An error `parse` raises names its row, and every
+    error raised here, `finish`'s too, names the file when the source has
+    a name (an opened file's `name`)."""
     try:
-        yield
-    except NetworkError as exc:
+        records = {}
+        for row_no, row in _table(source, columns):
+            try:
+                records[row_no] = parse(row)
+            except ValueError as exc:
+                raise type(exc)(f"row {row_no}: {exc}") from None
+        return finish(records)
+    except ValueError as exc:
         name = getattr(source, "name", None)
         if name is None:
             raise
         raise type(exc)(f"{name}: {exc}") from None
 
 
-def _number(row: Mapping[str, str], key: str, row_no: int, required=False) -> float | None:
+def _some(rows: dict, kind: str) -> tuple:
+    """A table's records in row order; there must be at least one."""
+    if not rows:
+        raise NetworkError(f"no {kind}")
+    return tuple(rows.values())
+
+
+def _number(row: Mapping[str, str], key: str, required=False) -> float | None:
     """The cell `key` as a finite float; None if it is empty and not `required`."""
     raw = (row.get(key) or "").strip()
     if not raw and not required:
@@ -319,7 +345,7 @@ def _number(row: Mapping[str, str], key: str, row_no: int, required=False) -> fl
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise NetworkError(f"row {row_no}: {key}={raw!r} is not a finite number")
+        raise NetworkError(f"{key}={raw!r} is not a finite number")
     return value
 
 
@@ -339,98 +365,69 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
     free_flow_time from length/free_speed.  Extra columns are ignored,
     except per-link overrides, one column per `CostParams` field.
     """
-    nodes: list[Node] = []
-    with _naming(node_source):
-        for row_no, row in _table(node_source):
-            nid = _pick(row, "node_id", "id")
-            if nid is None:
-                raise NetworkError(f"row {row_no}: missing node_id")
-            nodes.append(
-                Node(
-                    id=nid,
-                    x=_number(row, "x_coord" if _pick(row, "x_coord") else "x", row_no),
-                    y=_number(row, "y_coord" if _pick(row, "y_coord") else "y", row_no),
-                )
-            )
-        if not nodes:
-            raise NetworkError("no nodes")
+    return Network(
+        _read_table(node_source, _node, lambda rows: _some(rows, "nodes")),
+        _read_table(link_source, _link, lambda rows: _some(rows, "links")),
+    )
 
-    links: list[Link] = []
-    with _naming(link_source):
-        for row_no, row in _table(link_source):
-            lid = _pick(row, "link_id", "id")
-            if lid is None:
-                raise NetworkError(f"row {row_no}: missing link_id")
-            tail = _pick(row, "from_node", "from_node_id", "tail")
-            head = _pick(row, "to_node", "to_node_id", "head")
-            if tail is None or head is None:
-                raise NetworkError(f"row {row_no}: link {lid} missing from_node/to_node")
-            capacity = _number(row, "capacity", row_no, required=True)
-            if capacity <= 0:
-                raise NetworkError(f"row {row_no}: link {lid} has capacity <= 0")
-            length = _number(row, "length", row_no)
-            free_speed = _number(row, "free_speed", row_no)
-            t_f = _number(row, "free_flow_time", row_no)
-            if t_f is None:
-                if length is None or free_speed is None or free_speed <= 0:
-                    raise NetworkError(
-                        f"row {row_no}: link {lid} needs free_flow_time or "
-                        "length + free_speed"
-                    )
-                t_f = length / free_speed
-            if t_f <= 0:
-                raise NetworkError(f"row {row_no}: link {lid} has free_flow_time <= 0")
-            if free_speed is None and length is not None:
-                free_speed = length / t_f
-            overrides = tuple(
-                (k, v)
-                for k in PARAM_NAMES
-                if k in row and (v := _number(row, k, row_no)) is not None
-            )
-            if overrides:
-                try:
-                    CostParams(**dict(overrides))
-                except ValueError as exc:
-                    raise NetworkError(f"row {row_no}: link {lid}: {exc}") from None
-            links.append(
-                Link(
-                    id=lid,
-                    tail=tail,
-                    head=head,
-                    free_flow_time=t_f,
-                    capacity=capacity,
-                    length=length,
-                    free_speed=free_speed,
-                    overrides=overrides,
-                )
-            )
-        if not links:
-            raise NetworkError("no links")
-    return Network(tuple(nodes), tuple(links))
+
+def _node(row: Mapping[str, str]) -> Node:
+    nid = _pick(row, "node_id", "id")
+    if nid is None:
+        raise NetworkError("missing node_id")
+    x = _number(row, "x_coord" if _pick(row, "x_coord") else "x")
+    y = _number(row, "y_coord" if _pick(row, "y_coord") else "y")
+    return Node(nid, x, y)
+
+
+def _link(row: Mapping[str, str]) -> Link:
+    lid = _pick(row, "link_id", "id")
+    if lid is None:
+        raise NetworkError("missing link_id")
+    tail = _pick(row, "from_node", "from_node_id", "tail")
+    head = _pick(row, "to_node", "to_node_id", "head")
+    if tail is None or head is None:
+        raise NetworkError(f"link {lid} missing from_node/to_node")
+    capacity = _number(row, "capacity", required=True)
+    length = _number(row, "length")
+    free_speed = _number(row, "free_speed")
+    t_f = _number(row, "free_flow_time")
+    if t_f is None:
+        if length is None or free_speed is None or free_speed <= 0:
+            raise NetworkError(f"link {lid} needs free_flow_time or length + free_speed")
+        t_f = length / free_speed
+    if free_speed is None and length is not None and t_f != 0:  # Link refuses t_f = 0
+        free_speed = length / t_f
+    overrides = tuple(
+        (k, v) for k in PARAM_NAMES if k in row and (v := _number(row, k)) is not None
+    )
+    return Link(lid, tail, head, t_f, capacity, length, free_speed, overrides)
 
 
 def load_demands(source: IO[str], network: Network) -> Network:
     """Attach OD demands from a CSV table (origin, destination, demand),
     one row per OD pair."""
-    od_pairs: list[ODPair] = []
-    od_row: dict[tuple[str, str], int] = {}
-    with _naming(source):
-        for row_no, row in _table(source):
-            origin = _pick(row, "origin", "o_zone_id", "from_node")
-            destination = _pick(row, "destination", "d_zone_id", "to_node")
-            if origin is None or destination is None:
-                raise NetworkError(f"row {row_no}: missing origin/destination")
-            if (origin, destination) in od_row:
+
+    def attach(rows: dict[int, ODPair]) -> Network:
+        first_row: dict[tuple[str, str], int] = {}
+        for row_no, od in rows.items():
+            first = first_row.setdefault((od.origin, od.destination), row_no)
+            if first != row_no:
                 raise NetworkError(
-                    f"OD pair {origin}->{destination} given twice, on rows "
-                    f"{od_row[origin, destination]} and {row_no}"
+                    f"OD pair {od.origin}->{od.destination} given twice, on rows "
+                    f"{first} and {row_no}"
                 )
-            od_row[origin, destination] = row_no
-            demand = _number(row, "demand", row_no, required=True)
-            od_pairs.append(ODPair(origin, destination, demand))
-        if not od_pairs:
-            raise NetworkError("no OD pairs")
-    return network.with_demands(od_pairs)
+        return network.with_demands(_some(rows, "OD pairs"))
+
+    return _read_table(source, _od_pair, attach)
+
+
+def _od_pair(row: Mapping[str, str]) -> ODPair:
+    origin = _pick(row, "origin", "o_zone_id", "from_node")
+    destination = _pick(row, "destination", "d_zone_id", "to_node")
+    if origin is None or destination is None:
+        raise NetworkError("missing origin/destination")
+    return ODPair(origin, destination, _number(row, "demand", required=True))
 
 
 class _FreeFlowGraph:
@@ -642,21 +639,20 @@ def enumerate_paths(network: Network, k: int) -> PathSet:
 def load_path_set(source: IO[str], network: Network) -> PathSet:
     """Read paths from a CSV table with the header `origin,destination,links`
     and one path per row, its link ids joined by `;` (`write_path_set`)."""
-    od_index = {
-        (od.origin, od.destination): i for i, od in enumerate(network.od_pairs)
-    }
-    paths: list[Path] = []
-    with _naming(source):
-        for row_no, row in _table(source, ("origin", "destination", "links")):
-            key = (_pick(row, "origin"), _pick(row, "destination"))
-            if key not in od_index:
-                raise PathError(f"row {row_no}: unknown OD pair {key[0]}->{key[1]}")
-            chain = (_pick(row, "links") or "").strip("[]")
-            link_ids = tuple(s.strip() for s in chain.split(";") if s.strip())
-            if not link_ids:
-                raise PathError(f"row {row_no}: empty link sequence")
-            paths.append(Path(od_index=od_index[key], links=link_ids))
-    return PathSet(network, paths)
+    od_index = {(od.origin, od.destination): i for i, od in enumerate(network.od_pairs)}
+
+    def path(row: Mapping[str, str]) -> Path:
+        key = (_pick(row, "origin"), _pick(row, "destination"))
+        if key not in od_index:
+            raise PathError(f"unknown OD pair {key[0]}->{key[1]}")
+        chain = (_pick(row, "links") or "").strip("[]")
+        link_ids = tuple(s.strip() for s in chain.split(";") if s.strip())
+        if not link_ids:
+            raise PathError("empty link sequence")
+        return Path(od_index[key], link_ids)
+
+    columns = ("origin", "destination", "links")
+    return _read_table(source, path, lambda rows: PathSet(network, rows.values()), columns)
 
 
 def write_path_set(path_set: PathSet, sink: IO[str]) -> None:

@@ -233,6 +233,73 @@ class TestErrors:
         assert rc == 1
         assert f"config field '{key}' {what}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [
+            ("gamma", "-1", "gamma must be >= 0"),
+            ("max_iter", "0", "max_outer_iterations must be >= 1"),
+            ("mode", "foo", "unknown queue_mode: foo"),
+            ("k", "0", "k must be an integer >= 1"),
+        ],
+    )
+    def test_bad_config_value_names_its_line(
+        self, scenario_dir, tmp_path, capsys, key, value, what
+    ):
+        # the value's own check named neither the file, the line nor the
+        # key, and for max_iter a field the config does not have
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        text = (work / "scenario.cfg").read_text()
+        if key == "k":
+            text = text.replace("paths=paths.csv\n", "")
+        text += f"{key}={value}\n"
+        (work / "scenario.cfg").write_text(text)
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        where = f"{work / 'scenario.cfg'}:{len(text.splitlines())}"
+        assert f"{where}: config field '{key}': {what}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_enumeration_error_is_no_config_value_error(self, scenario_dir, tmp_path, capsys):
+        # k is checked where the paths are enumerated; an OD pair that no
+        # path joins is the network's fault, not k's
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / "nodes.csv", "a") as fh:
+            fh.write("7,9,9\n")
+        with open(work / "demands.csv", "a") as fh:
+            fh.write("1,7,100\n")
+        text = (work / "scenario.cfg").read_text()
+        (work / "scenario.cfg").write_text(text.replace("paths=paths.csv\n", "k=2\n"))
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: OD 1->7 is disconnected\n"
+
+    @pytest.mark.parametrize(
+        "table, row, bad_row, what",
+        [
+            (
+                "paths.csv", "1,3,3;4;6", "1,3,4;3;6",
+                "path ('4', '3', '6'): first link tail 5 != origin 1",
+            ),
+            ("demands.csv", "2,4,3000", "2,9,3000", "OD 2->9 references undeclared node"),
+        ],
+        ids=["broken-chain", "undeclared-node"],
+    )
+    def test_table_error_names_its_file(
+        self, scenario_dir, tmp_path, capsys, table, row, bad_row, what
+    ):
+        # `PathSet` and `Network.with_demands` check the table as a whole,
+        # after its rows are read, and their errors named no file
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        text = (work / table).read_text()
+        assert row in text
+        (work / table).write_text(text.replace(row, bad_row))
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{work / table}: {what}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["gama=0.9", "phi=2", "epsilon=1e-3"])
     def test_unknown_config_key_refused(self, scenario_dir, tmp_path, capsys, line):
         # a misspelt key used to solve at the default; phi is no cost

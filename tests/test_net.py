@@ -78,6 +78,21 @@ class TestDataModel:
         with pytest.raises(NetworkError, match="free_speed"):
             Link("a", "u", "v", 0.1, 100.0, length=1.0, free_speed=0.0)
 
+    @pytest.mark.parametrize(
+        "override, what",
+        [
+            (("gama", 0.9), "unexpected keyword argument 'gama'"),
+            (("gamma", -1.0), "gamma must be >= 0"),
+            (("m", "x"), ""),
+        ],
+        ids=["misspelt-name", "negative-gamma", "no-number"],
+    )
+    def test_link_checks_its_overrides(self, override, what):
+        # a misspelt name was accepted, and the solve failed on a KeyError
+        with pytest.raises(NetworkError, match=f"link a: .*{what}"):
+            Link("a", "u", "v", 0.1, 100.0, overrides=(override,))
+        Link("a", "u", "v", 0.1, 100.0, overrides=(("gamma", 0.9), ("m", 2.0)))
+
     def test_time_speed_consistency(self):
         # 10 km at 50 km/h is 0.2 h; a declared 0.5 h contradicts it
         with pytest.raises(NetworkError, match="inconsistent"):
@@ -224,8 +239,14 @@ class TestLoading:
             ("links.csv", "8,1,3,0.417,29.17,70,oops", "capacity='oops'"),
             ("demands.csv", "1,4,oops", "demand='oops'"),
             ("paths.csv", "1,4,1", "unknown OD pair 1->4"),
+            # the records' own errors named no row
+            ("demands.csv", "1,4,-5", "OD 1->4: demand must be finite and >= 0"),
+            ("demands.csv", "3,3,100", "OD pair with origin == destination (3)"),
+            ("links.csv", "8,1,3,0.5,29.17,70,1800", "link 8: free_flow_time 0.5 inconsistent"),
+            ("links.csv", "8,1,3,0.417,0,70,1800", "link 8: length and free_speed must be"),
         ],
-        ids=TABLES,
+        ids=TABLES
+        + ("demand-negative", "origin-is-destination", "time-inconsistent", "length-zero"),
     )
     def test_row_error_names_its_line(self, tables, table, row, what):
         texts = dict(tables)
