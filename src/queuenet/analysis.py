@@ -107,9 +107,10 @@ def gradient_check(
     differences of `cost.merit`, at one state.
 
     `queue_alloc` and grad_q hold one value per path-link entry.  Every
-    path flow and every entry's queue is probed by +-h with
-    h = 1e-4 * max(1, |value|).  Probes stay in the feasible box: a flow
-    probe stops at 0, and a queue probe that would go negative is skipped.
+    path flow f is probed by +-h with h = 1e-4 * max(1, |f|), stopping at 0.
+    Every queue Q > 0 is probed by +-1e-4 * Q: a fixed step would be a large
+    share of a queue below one vehicle, where (Q/C)**(m-1) bends within it.
+    An empty queue is not probed.
     The error of one value is |analytic - fd| / max(|fd|, r, 1e-8), where
     r = FD_RESOLUTION eps |J| / h, J the larger of the two merits: the
     difference resolves a slope only to about eps |J| / h, the round-off of
@@ -120,8 +121,8 @@ def gradient_check(
     grad = np.concatenate(merit_gradient(path_set, state[:n], state[n:], params))
     worst = 0.0
     for i, value in enumerate(state):
-        h = 1e-4 * max(1.0, abs(value))
-        if i >= n and value - h < 0:
+        h = 1e-4 * (max(1.0, abs(value)) if i < n else value)
+        if not h > 0:  # an empty queue
             continue
         plus, minus = state.copy(), state.copy()
         plus[i] += h

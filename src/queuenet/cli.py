@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path as FsPath
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from . import cost as _cost
 from .analysis import compare_models, gradient_check, kkt_report
 from .cost import PARAM_NAMES, CostParams
 from .net import (
-    Network, NetworkError, PathSet, enumerate_paths, input_lines, load_demands, load_network,
-    load_path_set,
+    _PATH_COLUMNS, Network, NetworkError, PathSet, _path_cells, _write_table, enumerate_paths,
+    input_lines, load_demands, load_network, load_path_set,
 )
 from .solver import VARIANTS, SolverOptions, _random_split, solve
 from .sweep import _DIRECTIONS, SweepSpec, run_sweep, trend_check
@@ -185,54 +186,41 @@ def _out_dir(cfg: dict[str, str], args: argparse.Namespace) -> FsPath:
     return out
 
 
+def _write_csv(path: FsPath, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """An output table (`net._write_table`), each float cell as `_fmt` gives it."""
+    rows = ([_fmt(c) if isinstance(c, float) else c for c in row] for row in rows)
+    with open(path, "w", newline="") as fh:
+        _write_table(fh, header, rows)
+
+
 def _write_result_bundle(out: FsPath, state, report) -> None:
     network = state.path_set.network
     rep = kkt_report(state)
     congested = set(rep.congested_links)
-    with open(out / "links.csv", "w") as fh:
-        fh.write(
-            "link_id,flow,queue,capacity,travel_time,queuing_delay,"
-            "generalized_cost,congested\n"
-        )
-        caps = _cost.capacity(state.link_queues, state.c_max, state.params)
-        delays = _cost.queuing_delay(state.link_queues, state.c_max, state.params)
-        for i, link in enumerate(network.links):
-            fh.write(
-                ",".join(
-                    [
-                        link.id,
-                        _fmt(state.throughflows[i]),
-                        _fmt(state.link_queues[i]),
-                        _fmt(caps[i]),
-                        _fmt(state.link_times[i] - delays[i]),
-                        _fmt(delays[i]),
-                        _fmt(state.link_times[i]),
-                        "1" if link.id in congested else "0",
-                    ]
-                )
-                + "\n"
-            )
-    costs = state.path_costs()
-    completing = state.completing_flows()
-    with open(out / "paths.csv", "w") as fh:
-        fh.write(
-            "origin,destination,links,oversaturated_flow,completing_flow,"
-            "generalized_cost\n"
-        )
-        for j, p in enumerate(state.path_set.paths):
-            od = network.od_pairs[p.od_index]
-            fh.write(
-                f"{od.origin},{od.destination},{';'.join(p.links)},"
-                f"{_fmt(state.path_flows[j])},{_fmt(completing[j])},"
-                f"{_fmt(costs[j])}\n"
-            )
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("iteration,merit_half,merit,flow_change,queue_change,gap\n")
-        for it, j_half, j_full, df, dq, gap in report.history:
-            fh.write(
-                f"{it},{_fmt(j_half)},{_fmt(j_full)},{_fmt(df)},{_fmt(dq)},"
-                f"{_fmt(gap)}\n"
-            )
+    caps = _cost.capacity(state.link_queues, state.c_max, state.params)
+    delays = _cost.queuing_delay(state.link_queues, state.c_max, state.params)
+    _write_csv(
+        out / "links.csv",
+        ("link_id", "flow", "queue", "capacity", "travel_time", "queuing_delay",
+         "generalized_cost", "congested"),
+        zip(
+            [l.id for l in network.links], state.throughflows, state.link_queues, caps,
+            state.link_times - delays, delays, state.link_times,
+            [int(l.id in congested) for l in network.links],
+        ),
+    )
+    # a path table that `load_path_set` reads back, with three more columns
+    numbers = zip(state.path_flows, state.completing_flows(), state.path_costs())
+    _write_csv(
+        out / "paths.csv",
+        _PATH_COLUMNS + ("oversaturated_flow", "completing_flow", "generalized_cost"),
+        (cells + row for cells, row in zip(_path_cells(state.path_set), numbers)),
+    )
+    _write_csv(
+        out / "convergence.csv",
+        ("iteration", "merit_half", "merit", "flow_change", "queue_change", "gap"),
+        report.history,
+    )
     with open(out / "summary.txt", "w") as fh:
         fh.write(
             f"status: {'converged' if report.converged else report.termination}\n"
@@ -266,24 +254,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant: {v}")
     rows = compare_models(path_set, params, options, variants)
+    at = [path_set.link_index(lid) for lid in track]
+    cells = []
+    for row in rows:
+        st = row.state
+        caps = _cost.capacity(st.link_queues, st.c_max, st.params)
+        delays = _cost.queuing_delay(st.link_queues, st.c_max, st.params)
+        cells += zip([row.variant] * len(at), track, st.throughflows[at], caps[at],
+                     st.link_queues[at], delays[at], st.link_times[at])
     out = _out_dir(cfg, args)
-    all_converged = True
-    with open(out / "compare.csv", "w") as fh:
-        fh.write("variant,link_id,flow,capacity,queue,queuing_delay,generalized_cost\n")
-        for row in rows:
-            all_converged &= row.report.converged
-            st = row.state
-            caps = _cost.capacity(st.link_queues, st.c_max, st.params)
-            delays = _cost.queuing_delay(st.link_queues, st.c_max, st.params)
-            for lid in track:
-                i = path_set.link_index(lid)
-                fh.write(
-                    f"{row.variant},{lid},{_fmt(st.throughflows[i])},"
-                    f"{_fmt(caps[i])},{_fmt(st.link_queues[i])},"
-                    f"{_fmt(delays[i])},{_fmt(st.link_times[i])}\n"
-                )
+    _write_csv(
+        out / "compare.csv",
+        ("variant", "link_id", "flow", "capacity", "queue", "queuing_delay", "generalized_cost"),
+        cells,
+    )
     print(f"wrote {out / 'compare.csv'} ({len(rows)} variants x {len(track)} links)")
-    return 0 if all_converged else 2
+    return 0 if all(row.report.converged for row in rows) else 2
 
 
 def _parse_range(spec: str) -> tuple[float, ...]:
@@ -346,31 +332,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     track = _tracked_links(args, network)
 
     point_rows = run_sweep(path_set, spec, params, options)
-    idx = {lid: path_set.link_index(lid) for lid in track}
+    at = [path_set.link_index(lid) for lid in track]
     out = _out_dir(cfg, args)
-    with open(out / "sweep.csv", "w") as fh:
-        cols = [args.param, "converged", "termination"]
-        for lid in track:
-            cols += [f"{name}_{lid}" for name in ("flow", "queue", "delay", "time", "cost")]
-        fh.write(",".join(cols) + "\n")
-        for row in point_rows:
-            cells = [_fmt(row.value), "1" if row.converged else "0", row.termination]
-            for lid in track:
-                i = idx[lid]
-                cells += [
-                    _fmt(row.throughflows[i]),
-                    _fmt(row.link_queues[i]),
-                    _fmt(row.queue_delays[i]),
-                    _fmt(row.link_times[i] - row.queue_delays[i]),
-                    _fmt(row.link_times[i]),
-                ]
-            fh.write(",".join(cells) + "\n")
+    names = ("flow", "queue", "delay", "time", "cost")
+    header = [args.param, "converged", "termination"]
+    header += [f"{name}_{lid}" for lid in track for name in names]
+    rows = []
+    for r in point_rows:
+        # per tracked link, the columns `names` heads
+        per_link = (r.throughflows, r.link_queues, r.queue_delays,
+                    r.link_times - r.queue_delays, r.link_times)
+        cells = np.column_stack(per_link)[at].ravel()
+        rows.append([r.value, int(r.converged), r.termination, *cells])
+    _write_csv(out / "sweep.csv", header, rows)
 
     all_converged = all(r.converged for r in point_rows)
     trends_ok = True
     if expectations:
-        lid = track[0]
-        i = idx[lid]
+        lid, i = track[0], at[0]
         series = {
             name: [getattr(r, field)[i] for r in point_rows]
             for name, field in _TREND_SERIES.items()

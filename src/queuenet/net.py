@@ -17,7 +17,8 @@ read by one row parser, `_table`: the first line is the header.  A loader
 only parses: it makes each row a `Node`, `Link`, `ODPair` or `Path`, and
 the record checks its own values.  One reader, `_read_table`, runs it over
 the rows; an error a row raises names the row's line, and every error in a
-table names its file when the source has a name.
+table names its file when the source has a name.  One writer,
+`_write_table`, writes every table the package writes, as `_table` reads it.
 """
 from __future__ import annotations
 
@@ -172,6 +173,12 @@ class Path:
     od_index: int
     links: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if not self.links:
+            raise PathError("empty link sequence")
+        if len(set(self.links)) != len(self.links):
+            raise PathError(f"path {self.links} repeats a link")
+
 
 class PathSet:
     """Fixed path set with its flat path-link entries and OD groups, and
@@ -192,13 +199,9 @@ class PathSet:
             if p.od_index < 0 or p.od_index >= len(network.od_pairs):
                 raise PathError(f"path {p.links}: od_index {p.od_index} out of range")
             od = network.od_pairs[p.od_index]
-            if not p.links:
-                raise PathError(f"empty path for OD {od.origin}->{od.destination}")
             for lid in p.links:
                 if lid not in link_by_id:
                     raise PathError(f"path references unknown link id: {lid}")
-            if len(set(p.links)) != len(p.links):
-                raise PathError(f"path {p.links} repeats a link")
             chain = [link_by_id[lid] for lid in p.links]
             if chain[0].tail != od.origin:
                 raise PathError(
@@ -306,6 +309,14 @@ def _table(source: Iterable[str], columns: Sequence[str] = ()) -> Iterator[tuple
         if len(cells) > len(header):
             raise NetworkError(f"row {row_no}: {len(cells)} cells, header has {len(header)}")
         yield row_no, dict(zip(header, cells))
+
+
+def _write_table(sink: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The header, then each row, as a CSV table that `_table` reads back: a
+    cell is quoted only where it holds a comma, a quote or a line break."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _read_table(source: Iterable[str], parse: Callable, finish: Callable, columns=()):
@@ -636,9 +647,20 @@ def enumerate_paths(network: Network, k: int) -> PathSet:
     return PathSet(network, paths)
 
 
+_PATH_COLUMNS = ("origin", "destination", "links")
+
+
+def _path_cells(path_set: PathSet) -> Iterator[tuple[str, str, str]]:
+    """Per path: its origin, destination and link ids joined by `;`."""
+    for p in path_set.paths:
+        od = path_set.network.od_pairs[p.od_index]
+        yield od.origin, od.destination, ";".join(p.links)
+
+
 def load_path_set(source: IO[str], network: Network) -> PathSet:
     """Read paths from a CSV table with the header `origin,destination,links`
-    and one path per row, its link ids joined by `;` (`write_path_set`)."""
+    and one path per row, its link ids joined by `;` (`write_path_set`).
+    Other columns are ignored, so a solve's paths.csv reads back too."""
     od_index = {(od.origin, od.destination): i for i, od in enumerate(network.od_pairs)}
 
     def path(row: Mapping[str, str]) -> Path:
@@ -646,18 +668,11 @@ def load_path_set(source: IO[str], network: Network) -> PathSet:
         if key not in od_index:
             raise PathError(f"unknown OD pair {key[0]}->{key[1]}")
         chain = (_pick(row, "links") or "").strip("[]")
-        link_ids = tuple(s.strip() for s in chain.split(";") if s.strip())
-        if not link_ids:
-            raise PathError("empty link sequence")
-        return Path(od_index[key], link_ids)
+        return Path(od_index[key], tuple(s.strip() for s in chain.split(";") if s.strip()))
 
-    columns = ("origin", "destination", "links")
-    return _read_table(source, path, lambda rows: PathSet(network, rows.values()), columns)
+    return _read_table(source, path, lambda rows: PathSet(network, rows.values()), _PATH_COLUMNS)
 
 
 def write_path_set(path_set: PathSet, sink: IO[str]) -> None:
-    """Write paths in the load_path_set row format (round-trip safe)."""
-    sink.write("origin,destination,links\n")
-    for p in path_set.paths:
-        od = path_set.network.od_pairs[p.od_index]
-        sink.write(f"{od.origin},{od.destination},{';'.join(p.links)}\n")
+    """Write paths as the table `load_path_set` reads (`_write_table`)."""
+    _write_table(sink, _PATH_COLUMNS, _path_cells(path_set))

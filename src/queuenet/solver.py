@@ -79,7 +79,7 @@ import numpy as np
 
 from . import cost as _cost
 from .cost import CostParams
-from .net import PathSet
+from .net import Network, PathSet
 
 __all__ = [
     "SolverOptions",
@@ -166,7 +166,7 @@ class ConvergenceReport:
     #: `history=True` (empty otherwise):
     #: (iteration, J after flow step, J after queue step, max |df|, max |dQ|, gap)
     #: J is `cost.merit` in both modes (the smoothed-gradient mode descends
-    #: it), NaN where a queue-carrying variant has gamma >= 1
+    #: it), NaN where the merit is undefined (`_merit_defined`)
     history: list[tuple[int, float, float, float, float, float]] = field(
         default_factory=list
     )
@@ -676,6 +676,23 @@ def _apply_variant(params: CostParams, variant: str) -> CostParams:
     return params
 
 
+def _merit_defined(base: CostParams, variant: str) -> bool:
+    """Whether `cost.merit` is defined at the per-link parameters `base`,
+    `variant` applied: with queues it needs gamma < 1."""
+    return variant == "traditional_ue" or bool(np.all(base.gamma < 1.0))
+
+
+def _check_merit_defined(network: Network, params, options: SolverOptions) -> None:
+    """The smoothed mode descends the merit, so it refuses `params` where the
+    merit is undefined; the fixed-point mode solves at any gamma."""
+    if options.queue_mode == "smoothed_gradient":
+        base = _apply_variant((params or CostParams()).for_links(network.links), options.variant)
+        if not _merit_defined(base, options.variant):
+            raise ValueError(
+                f"the smoothed_gradient mode needs gamma < 1 with the {options.variant} variant"
+            )
+
+
 def solve(
     path_set: PathSet,
     params: CostParams | None = None,
@@ -695,6 +712,7 @@ def solve(
     """
     options = options or SolverOptions()
     network = path_set.network
+    _check_merit_defined(network, params, options)
     base = (params or CostParams()).for_links(network.links)
     base = _apply_variant(base, options.variant)
     t_f, c_max = path_set.t_f, path_set.c_max
@@ -725,6 +743,7 @@ def solve(
 
     update_queues = options.variant != "traditional_ue"
     smoothed = options.queue_mode == "smoothed_gradient"
+    merit_defined = _merit_defined(base, options.variant)
 
     def merit(f_: np.ndarray, qa_: np.ndarray) -> float:
         return _cost.merit(
@@ -737,8 +756,7 @@ def solve(
         return _queue_targets_fixed_point(path_set, f_, qa_, base, step, slack)
 
     def history_j(f_: np.ndarray, qa_: np.ndarray) -> float:
-        # the merit, undefined where a queue-carrying variant has gamma >= 1
-        return merit(f_, qa_) if not update_queues or np.all(base.gamma < 1.0) else np.nan
+        return merit(f_, qa_) if merit_defined else np.nan
 
     def state_at(f_: np.ndarray, qa_: np.ndarray) -> SolutionState:
         """Path flows f_ and per-entry queues qa_ as a priced state."""

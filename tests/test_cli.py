@@ -12,6 +12,7 @@ from queuenet import analysis, cli
 from queuenet import sweep as sweep_module
 from queuenet.analysis import kkt_report
 from queuenet.cli import main
+from queuenet.net import load_path_set
 from queuenet.solver import SolverOptions, solve
 
 
@@ -27,6 +28,15 @@ def read_csv(path):
 @pytest.fixture
 def cfg(scenario_dir):
     return str(scenario_dir / "scenario.cfg")
+
+
+def copy_scenario(scenario_dir, work, lines=()):
+    """The six-node scenario copied to `work`, its config extended by
+    `lines`; returns the config's path."""
+    shutil.copytree(scenario_dir, work)
+    with open(work / "scenario.cfg", "a") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+    return str(work / "scenario.cfg")
 
 
 class TestSolve:
@@ -125,6 +135,30 @@ class TestSolve:
             smoothed = rows["smoothed_gradient"][link_id]
             for column in ("flow", "queue"):
                 assert float(smoothed[column]) == pytest.approx(float(fixed[column]), abs=1.0)
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    def test_link_id_with_a_comma_reads_back(self, scenario_dir, tmp_path, mode):
+        # link 4 renamed `4,x`, written by the csv module so that the id is
+        # quoted: the bundle wrote it unquoted, so links.csv read as link 4
+        # with flow x and paths.csv as rows with a cell too many
+        config = copy_scenario(scenario_dir, tmp_path / "scen")
+        for name, column in (("links.csv", "link_id"), ("paths.csv", "links")):
+            with open(tmp_path / "scen" / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            at = rows[0].index(column)
+            for row in rows[1:]:
+                row[at] = ";".join("4,x" if lid == "4" else lid for lid in row[at].split(";"))
+            with open(tmp_path / "scen" / name, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", config, "--out", str(out), "--mode", mode]) == 0
+        rows = {r["link_id"]: r for r in read_csv(out / "links.csv")}
+        assert float(rows["4,x"]["flow"]) == pytest.approx(2350.0, abs=5.0)
+        # the bundle's paths.csv is a path table of the solve's paths
+        network, path_set = cli._build_scenario(cli._read_config(config))
+        with open(out / "paths.csv", newline="") as fh:
+            assert load_path_set(fh, network).paths == path_set.paths
+        assert ("3", "4,x", "6") in [p.links for p in path_set.paths]
 
     def test_variant_flag(self, cfg, tmp_path):
         rc = run(
@@ -656,6 +690,23 @@ class TestSweep:
         assert solves == []
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_smoothed_mode_checks_gamma_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch
+    ):
+        # the smoothed mode descends the merit, which needs gamma < 1:
+        # gamma = 0.5 was solved before gamma = 1 was refused
+        solves = []
+        solve_point = sweep_module.solve
+        monkeypatch.setattr(
+            sweep_module, "solve", lambda *a, **k: solves.append(1) or solve_point(*a, **k)
+        )
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
+        argv += ["--mode", "smoothed_gradient", "--values", "0.5,1.0", "--track", "4"]
+        assert run(argv) == 1
+        assert "gamma < 1" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_values_and_range_exclude_each_other(self, cfg, tmp_path, capsys):
         # --range was dropped in silence: one point, exit 0
         argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
@@ -765,6 +816,13 @@ class TestValidate:
         # carries round-off of 1e-6 against J = 1.4e6: a correct gradient
         # must not fail by what the probe cannot resolve
         assert run(["validate", "--config", cfg, "--seed", str(seed)]) == 0
+        assert "(ok)" in capsys.readouterr().out
+
+    def test_small_queues_pass_at_m_below_one(self, scenario_dir, tmp_path, capsys):
+        # a queue probe of +-1e-4 veh is a large share of a queue below one
+        # vehicle, where (Q/C)^(m-1) bends at m = 0.5: seed 25 read 2e-2
+        config = copy_scenario(scenario_dir, tmp_path / "scen", ["m=0.5", "gamma=0.9"])
+        assert run(["validate", "--config", config, "--seed", "25"]) == 0
         assert "(ok)" in capsys.readouterr().out
 
     def test_a_gradient_one_percent_off_fails(self, cfg, capsys, monkeypatch):

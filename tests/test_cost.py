@@ -298,9 +298,9 @@ class TestGradient:
         # the system optimum prices marginal times, and traditional UE drops
         # the capacity terms; `gradient_check` probes each flagged gradient
         # against the merit under the same flags.  The draw is criterion
-        # 9a's seed: at other draws with m = 0.5 a queue a few hundred probe
-        # steps above zero can fail, the (Q/C)^(m-1) slope bending within
-        # the step (at h = 1e-5 instead of 1e-4 it passes)
+        # 9a's seed; a queue is probed by a step in proportion to it, so at
+        # m = 0.5 the (Q/C)^(m-1) slope does not bend within the step of a
+        # queue near zero
         rng = np.random.default_rng(2024)
         for flags in ({"system_optimum": True}, {"capacity_bound": False}):
             monkeypatch.setattr(analysis, "merit", functools.partial(merit, **flags))

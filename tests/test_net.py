@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from queuenet import fixtures
 from queuenet.net import (
@@ -187,6 +189,33 @@ class TestLoading:
         again = load_path_set(buf, six_node.network)
         assert [p.links for p in again.paths] == [p.links for p in six_node.paths]
 
+    @given(st.data())
+    def test_written_path_table_reads_back(self, data):
+        # ids that hold a comma or a quote: the cells were written unquoted,
+        # so such a row read back with a cell too many
+        ids = st.text(st.sampled_from('ab1,"# '), min_size=1, max_size=5).filter(
+            lambda s: s == s.strip() and not s.startswith("#")
+        )
+        nodes = data.draw(st.lists(ids, min_size=2, max_size=5, unique=True))
+        n = len(nodes) - 1
+        links = data.draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+        # a chain of nodes; OD pair i runs from node i to the last node
+        network = _net(
+            nodes,
+            [Link(lid, nodes[i], nodes[i + 1], 0.1, 1000.0) for i, lid in enumerate(links)],
+            [ODPair(node, nodes[-1], 100.0) for node in nodes[:-1]],
+        )
+        ps = PathSet(network, [Path(i, tuple(links[i:])) for i in range(n)])
+        sink = io.StringIO()
+        write_path_set(ps, sink)
+        assert load_path_set(io.StringIO(sink.getvalue()), network).paths == ps.paths
+
+    def test_path_checks_its_links(self):
+        with pytest.raises(PathError, match="empty link sequence"):
+            Path(0, ())
+        with pytest.raises(PathError, match=re.escape("path ('a', 'b', 'a') repeats a link")):
+            Path(0, ("a", "b", "a"))
+
     def test_load_path_set_comments_and_header(self, six_node):
         text = "origin,destination,links\n# comment\n1,3,1\n1,3,3;4;6\n2,4,2\n2,4,5;4;7\n"
         ps = load_path_set(io.StringIO(text), six_node.network)
@@ -244,9 +273,12 @@ class TestLoading:
             ("demands.csv", "3,3,100", "OD pair with origin == destination (3)"),
             ("links.csv", "8,1,3,0.5,29.17,70,1800", "link 8: free_flow_time 0.5 inconsistent"),
             ("links.csv", "8,1,3,0.417,0,70,1800", "link 8: length and free_speed must be"),
+            # a path checks its own links
+            ("paths.csv", "1,3,1;1", "path ('1', '1') repeats a link"),
         ],
         ids=TABLES
-        + ("demand-negative", "origin-is-destination", "time-inconsistent", "length-zero"),
+        + ("demand-negative", "origin-is-destination", "time-inconsistent", "length-zero")
+        + ("path-repeats-link",),
     )
     def test_row_error_names_its_line(self, tables, table, row, what):
         texts = dict(tables)
