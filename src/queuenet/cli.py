@@ -163,21 +163,22 @@ def _load(args: argparse.Namespace):
     return cfg, network, path_set, _build_params(cfg), _build_options(cfg, args)
 
 
-def _tracked_links(args: argparse.Namespace, network: Network) -> list[str]:
-    """The link ids named by --track (all links without it), each stripped,
-    checked and named once."""
-    ids = [l.id for l in network.links]
-    track = [lid.strip() for lid in args.track.split(",")] if args.track else ids
-    known, seen = set(ids), set()
-    for lid in track:
-        if not lid:
-            raise ConfigError(f"empty link id in --track: {args.track!r}")
-        if lid not in known:
-            raise ConfigError(f"unknown link id in --track: {lid}")
-        if lid in seen:
-            raise ConfigError(f"link id given twice in --track: {lid}")
-        seen.add(lid)
-    return track
+def _items(flag: str, text: str | None, what: str, known=None, key=lambda item: item) -> list:
+    """The items of a comma-separated list flag, each stripped, or without
+    the flag every `known` item.  An empty item, one not in `known` (where
+    given) and one whose `key` an earlier item has are refused."""
+    if not text:
+        return list(known)
+    items, seen = [s.strip() for s in text.split(",")], set()
+    for item in items:
+        if not item:
+            raise ConfigError(f"empty {what} in {flag}: {text!r}")
+        if known is not None and item not in known:
+            raise ConfigError(f"unknown {what} in {flag}: {item}")
+        if key(item) in seen:
+            raise ConfigError(f"{what} given twice in {flag}: {item}")
+        seen.add(key(item))
+    return items
 
 
 def _out_dir(cfg: dict[str, str], args: argparse.Namespace) -> FsPath:
@@ -248,11 +249,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg, network, path_set, params, options = _load(args)
-    track = _tracked_links(args, network)
-    variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant: {v}")
+    track = _items("--track", args.track, "link id", [l.id for l in network.links])
+    variants = _items("--variants", args.variants, "variant", VARIANTS)
     rows = compare_models(path_set, params, options, variants)
     at = [path_set.link_index(lid) for lid in track]
     cells = []
@@ -283,10 +281,18 @@ def _parse_range(spec: str) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
+def _sweep_value(item: str) -> float:
+    try:
+        return float(item)
+    except ValueError:
+        raise ConfigError(f"--values must be comma-separated numbers, got {item!r}") from None
+
+
 def _parse_trends(text: str) -> dict[str, str]:
-    """--trend as {series: direction}, each item checked."""
+    """--trend as {series: direction}, each item checked (`_items`)."""
     expectations = {}
-    for item in text.split(","):
+    items = _items("--trend", text, "series", key=lambda item: item.partition(":")[0].strip())
+    for item in items:
         name, _, direction = (s.strip() for s in item.partition(":"))
         if name not in _TREND_SERIES or direction not in _DIRECTIONS:
             raise ConfigError(
@@ -305,10 +311,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--od applies only to --param demand")
     expectations = _parse_trends(args.trend) if args.trend else {}
     if args.values:
-        try:
-            values = tuple(float(s) for s in args.values.split(",") if s.strip())
-        except ValueError as exc:
-            raise ConfigError("--values must be comma-separated numbers") from exc
+        values = tuple(map(float, _items("--values", args.values, "value", key=_sweep_value)))
     elif args.range:
         values = _parse_range(args.range)
     else:
@@ -329,7 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             od_index = matches[0]
     spec = SweepSpec(args.param, values, od_index)
     # checked before any point is solved
-    track = _tracked_links(args, network)
+    track = _items("--track", args.track, "link id", [l.id for l in network.links])
 
     point_rows = run_sweep(path_set, spec, params, options)
     at = [path_set.link_index(lid) for lid in track]
@@ -363,9 +366,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
-    network, path_set = _build_scenario(cfg)
-    params = _build_params(cfg).for_links(network.links)
+    _, network, path_set, params, _ = _load(args)
+    params = params.for_links(network.links)
     rng = np.random.default_rng(args.seed)
 
     f = _random_split(path_set, rng)

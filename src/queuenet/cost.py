@@ -42,7 +42,6 @@ __all__ = [
     "link_travel_time",
     "queuing_delay",
     "smoothed_link_time",
-    "running_time_slope",
     "marginal_link_time",
     "objective",
     "merit",
@@ -222,17 +221,6 @@ def link_travel_time(
 ) -> np.ndarray:
     """Generalized link time: running time against C(Q) plus queuing delay."""
     return _checked_cost(v, q, t_f, c_max, params, False)[0]
-
-
-def running_time_slope(
-    v: ArrayLike, q: ArrayLike, t_f: ArrayLike, c_max: ArrayLike, params: CostParams
-) -> np.ndarray:
-    """d/dv of the running-time term: t_f * beta * n * v**(n-1) / C(Q)**n.
-
-    At v = 0 with n < 1 the slope is +inf; it is only used as local
-    curvature, so it is flushed to 0 there, as for n > 1.
-    """
-    return _checked_cost(v, q, t_f, c_max, params, False)[1]
 
 
 def marginal_link_time(

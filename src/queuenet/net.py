@@ -144,12 +144,6 @@ class Network:
                 raise NetworkError(f"link {l.id} references undeclared node")
         _check_od_nodes(self.od_pairs, known)
 
-    def link_by_id(self, link_id: str) -> Link:
-        for l in self.links:
-            if l.id == link_id:
-                return l
-        raise NetworkError(f"unknown link id: {link_id}")
-
     def with_demands(self, od_pairs: Iterable[ODPair]) -> "Network":
         """This network with other OD pairs.  It shares the node and link
         tuples, already checked, and checks only the new OD pairs' nodes."""
@@ -190,7 +184,6 @@ class PathSet:
     def __init__(self, network: Network, paths: Sequence[Path]):
         self.network = network
         self.paths = tuple(paths)
-        link_by_id = {l.id: l for l in network.links}
         self._link_index = {l.id: i for i, l in enumerate(network.links)}
         self.n_links = len(network.links)
         self.n_paths = len(self.paths)
@@ -200,9 +193,9 @@ class PathSet:
                 raise PathError(f"path {p.links}: od_index {p.od_index} out of range")
             od = network.od_pairs[p.od_index]
             for lid in p.links:
-                if lid not in link_by_id:
+                if lid not in self._link_index:
                     raise PathError(f"path references unknown link id: {lid}")
-            chain = [link_by_id[lid] for lid in p.links]
+            chain = [network.links[self._link_index[lid]] for lid in p.links]
             if chain[0].tail != od.origin:
                 raise PathError(
                     f"path {p.links}: first link tail {chain[0].tail} != origin {od.origin}"
@@ -372,9 +365,8 @@ def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
 
     Nodes need node_id (x_coord/y_coord optional).  Links need link_id,
     from_node, to_node, capacity, and free_flow_time or length+free_speed.
-    Missing free_speed is derived from length/free_flow_time; missing
-    free_flow_time from length/free_speed.  Extra columns are ignored,
-    except per-link overrides, one column per `CostParams` field.
+    Missing free_flow_time is derived from length/free_speed.  Extra columns
+    are ignored, except per-link overrides, one column per `CostParams` field.
     """
     return Network(
         _read_table(node_source, _node, lambda rows: _some(rows, "nodes")),
@@ -407,8 +399,6 @@ def _link(row: Mapping[str, str]) -> Link:
         if length is None or free_speed is None or free_speed <= 0:
             raise NetworkError(f"link {lid} needs free_flow_time or length + free_speed")
         t_f = length / free_speed
-    if free_speed is None and length is not None and t_f != 0:  # Link refuses t_f = 0
-        free_speed = length / t_f
     overrides = tuple(
         (k, v) for k in PARAM_NAMES if k in row and (v := _number(row, k)) is not None
     )
@@ -667,7 +657,7 @@ def load_path_set(source: IO[str], network: Network) -> PathSet:
         key = (_pick(row, "origin"), _pick(row, "destination"))
         if key not in od_index:
             raise PathError(f"unknown OD pair {key[0]}->{key[1]}")
-        chain = (_pick(row, "links") or "").strip("[]")
+        chain = _pick(row, "links") or ""
         return Path(od_index[key], tuple(s.strip() for s in chain.split(";") if s.strip()))
 
     return _read_table(source, path, lambda rows: PathSet(network, rows.values()), _PATH_COLUMNS)

@@ -494,7 +494,6 @@ class EquilibriumReport:
     max_complementarity_residual: float
     max_capacity_residual: float
     congested_links: tuple[str, ...]
-    complementarity_residuals: np.ndarray = field(repr=False, default=None)
     capacity_residuals: np.ndarray = field(repr=False, default=None)
 
 
@@ -544,7 +543,6 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
         max_complementarity_residual=float(comp.max()) if comp.size else 0.0,
         max_capacity_residual=float(cap.max()) if cap.size else 0.0,
         congested_links=congested,
-        complementarity_residuals=comp,
         capacity_residuals=cap,
     )
 
@@ -580,11 +578,11 @@ def _queue_targets_fixed_point(
     start = np.asarray(queue_alloc, dtype=float)
     held = start
     flow_e = f[path_set.entry_path]
-    # gamma -> 0+ overflows the capacity cap to inf, which is no cap
+    # gamma = 0 (of either sign) or -> 0+ makes the capacity cap +inf, no cap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the per-link constants of the map, the same in every round
-        saturates, eroding, one_minus_gamma = gamma >= 1.0, gamma > 0, 1.0 - gamma
-        cap = QUEUE_CAP_FRACTION * c_max / gamma
+        saturates, one_minus_gamma = gamma >= 1.0, 1.0 - gamma
+        cap = QUEUE_CAP_FRACTION * c_max / np.abs(gamma)
         for _ in range(n_links + 1):
             # per-path flow still arriving after upstream queues (last round)
             arriving = np.maximum(flow_e - path_set.held_upstream(held), 0.0)
@@ -598,8 +596,7 @@ def _queue_targets_fixed_point(
                 np.maximum(0.0, surplus / one_minus_gamma),
             )
             # never hold back more than arrives, nor beyond the capacity cap
-            target = np.minimum(target, inflow)
-            target = np.where(eroding, np.minimum(target, cap), target)
+            target = np.minimum(np.minimum(target, inflow), cap)
             # relax per (link, path): sudden re-attribution between paths is
             # as destabilizing downstream as a sudden change in the link
             # total; a path never holds back more than it brings to the link

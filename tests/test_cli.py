@@ -510,6 +510,35 @@ class TestCompare:
             2400.0, abs=5.0
         )
 
+    def test_variants_are_stripped(self, cfg, tmp_path):
+        # " traditional_ue" was refused as an unknown variant
+        argv = ["compare", "--config", cfg, "--out", str(tmp_path), "--track", "4"]
+        assert run(argv + ["--variants", "queue_dependent, traditional_ue"]) == 0
+        rows = read_csv(tmp_path / "compare.csv")
+        assert [r["variant"] for r in rows] == ["queue_dependent", "traditional_ue"]
+
+    @pytest.mark.parametrize(
+        "variants, message",
+        [
+            ("queue_dependent,queue_dependent", "variant given twice in --variants: queue_dependent"),
+            ("queue_dependent,", "empty variant in --variants: 'queue_dependent,'"),
+            ("queue_dependent,bogus", "unknown variant in --variants: bogus"),
+        ],
+        ids=["repeated", "empty", "unknown"],
+    )
+    def test_bad_variants_fail_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch, variants, message
+    ):
+        # a repeated variant was solved twice and wrote its rows twice
+        def no_solve(*args, **kwargs):
+            raise AssertionError("compare_models called")
+
+        monkeypatch.setattr(cli, "compare_models", no_solve)
+        argv = ["compare", "--config", cfg, "--out", str(tmp_path), "--variants", variants]
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSweep:
     def test_gamma_sweep_with_trends(self, cfg, tmp_path):
@@ -739,6 +768,34 @@ class TestSweep:
         assert f"bad --trend item '{trend}'" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--values", "0.1,,0.5", "empty value in --values: '0.1,,0.5'"),
+            ("--values", "0.1,0.5,", "empty value in --values: '0.1,0.5,'"),
+            ("--values", "0.5,0.50", "value given twice in --values: 0.50"),
+            ("--values", "0.1,abc", "--values must be comma-separated numbers, got 'abc'"),
+            ("--trend", "flow:increasing,flow:flat", "series given twice in --trend: flow:flat"),
+            ("--trend", "flow:decreasing,", "empty series in --trend: 'flow:decreasing,'"),
+        ],
+    )
+    def test_bad_list_item_fails_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch, flag, text, message
+    ):
+        # an empty value was dropped and a series' last direction kept, in
+        # silence; a repeated value solved the same point twice
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_solve)
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
+        argv += ["--track", "4", flag, text]
+        if flag != "--values":
+            argv += ["--values", "0,0.5"]
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_od_needs_demand_sweep(self, cfg, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("run_sweep called")
@@ -779,6 +836,21 @@ class TestValidate:
         rc = run(["validate", "--config", cfg])
         assert rc == 0
         assert "ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_bad_solver_option_refused_by_validate_too(
+        self, scenario_dir, tmp_path, capsys, command
+    ):
+        # validate loaded the scenario and the parameters but not the solver
+        # options, so it passed a config that solve refuses
+        config = copy_scenario(scenario_dir, tmp_path / "scen", ["max_iter=abc"])
+        argv = [command, "--config", config]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "out")]
+        assert run(argv) == 1
+        lines = (tmp_path / "scen" / "scenario.cfg").read_text().splitlines()
+        where = f"{config}:{len(lines)}"
+        assert f"{where}: config field 'max_iter' is not an integer" in capsys.readouterr().err
 
     def test_seed_is_validate_only(self, cfg, capsys):
         # only validate draws random numbers, so only validate takes a seed

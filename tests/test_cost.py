@@ -14,6 +14,7 @@ from queuenet.analysis import gradient_check
 from queuenet.cost import (
     PARAM_NAMES,
     CostParams,
+    _checked_cost,
     capacity,
     gamma_of_flow,
     link_travel_time,
@@ -22,7 +23,6 @@ from queuenet.cost import (
     merit_gradient,
     objective,
     queuing_delay,
-    running_time_slope,
     smoothed_link_time,
 )
 
@@ -133,13 +133,14 @@ class TestTravelTime:
         assert link_travel_time(v, q + 50.0, t_f, c, P) >= base
 
     def test_running_slope_is_derivative(self):
+        # the slope the GP step divides by
         v, q, t_f, c = 1500.0, 80.0, 0.2, 1800.0
         h = 1e-4 * v
         fd = (
             link_travel_time(v + h, q, t_f, c, P)
             - link_travel_time(v - h, q, t_f, c, P)
         ) / (2 * h)
-        assert running_time_slope(v, q, t_f, c, P) == pytest.approx(fd, rel=1e-6)
+        assert _checked_cost(v, q, t_f, c, P, False)[1] == pytest.approx(fd, rel=1e-6)
 
     def test_marginal_exceeds_average(self):
         v, q = 1500.0, 80.0

@@ -860,6 +860,17 @@ class TestQueueSweep:
         assert np.all(np.bincount(ps.entry_path, new, ps.n_paths) <= f + 1e-9)
         assemble_link_state(ps, f, new)
 
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    def test_negative_zero_gamma_solves_as_zero(self, six_node, mode):
+        # CostParams accepts gamma = -0.0 (it is not < 0); a capacity cap of
+        # C_max / gamma is -inf there, which made every queue NaN
+        options = SolverOptions(queue_mode=mode)
+        state, report = solve(six_node, CostParams(gamma=-0.0), options)
+        zero, zero_report = solve(six_node, CostParams(gamma=0.0), options)
+        assert report.termination == zero_report.termination == "tolerance"
+        assert np.array_equal(state.queue_alloc, zero.queue_alloc)
+        assert np.array_equal(state.path_flows, zero.path_flows)
+
 
 class TestProjectQueues:
     @given(
