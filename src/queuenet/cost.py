@@ -1,8 +1,10 @@
 """Link performance functions with queue-dependent capacity.
 
 A residual queue Q at a link entrance reduces the discharge capacity to
-C(Q) = C_max - gamma*Q.  Generalized link time is a polynomial running-time
-term evaluated against C(Q) plus an explicit queuing-delay term
+C(Q) = C_max - gamma*Q, 0 <= gamma < 1 (only below 1 does arrival rate y
+above C_max have a steady queue, (y - C_max)/(1 - gamma)).  Generalized
+link time is a polynomial running-time term evaluated against C(Q) plus an
+explicit queuing-delay term
 
     t(v, Q) = t_f * (1 + beta * (v / C(Q))**n) + alpha * (Q / C(Q))**m.
 
@@ -59,7 +61,7 @@ class CostParams:
     beta   running-time congestion coefficient
     m      queuing-delay exponent
     n      running-time exponent
-    gamma  capacity loss per unit queue (dimensionless)
+    gamma  capacity loss per unit queue (dimensionless), 0 <= gamma < 1
     """
 
     alpha: float | np.ndarray = 0.5
@@ -75,6 +77,8 @@ class CostParams:
         for name in ("alpha", "beta", "gamma"):
             if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0")
+        if np.any(np.asarray(self.gamma) >= 1):
+            raise ValueError("gamma must be < 1")
         if np.any(np.asarray(self.m) <= 0) or np.any(np.asarray(self.n) <= 0):
             raise ValueError("m and n must be > 0")
 
@@ -434,11 +438,6 @@ def _merit(
 
     if capacity_bound:
         gamma = np.asarray(params.gamma, dtype=float)
-        if np.any(gamma >= 1.0):
-            raise ValueError(
-                "the merit needs gamma < 1: with gamma >= 1 no queue brings v "
-                "under C(Q) once arrivals exceed C_max"
-            )
         kappa = _merit_weights(t_f, c_max)
         slack = c_max - gamma * q - v  # C(Q) - v
         spare = np.maximum(0.0, c_max - y)
@@ -503,7 +502,7 @@ def merit(
     of the queue that it has of the arrivals, as the fixed-point sweep
     shares it.  So the zeros of J are exactly the equilibria, and J is C^1.
     kappa (`_merit_weights`) only sets how the descent trades the residuals
-    against each other.  gamma must be < 1.
+    against each other.
 
     c_p is the generalized time, or with `system_optimum` the marginal
     time.  Without `capacity_bound` (traditional UE) J is W alone.

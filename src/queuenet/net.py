@@ -62,11 +62,23 @@ class PathError(NetworkError):
     """Invalid path definition (disconnected chain, unknown links)."""
 
 
+def _check_id(kind: str, id_: str) -> None:
+    """Refuse an id that a table would not read back: a `#` first makes its
+    row a comment (`input_lines`); `;` joins a path's link ids (`load_path_set`)."""
+    if not (id_ == id_.strip() != "" and id_.isprintable()) or id_[0] == "#":
+        raise NetworkError(f"{kind} {id_!r}: an id must be unpadded printable text not led by '#'")
+    if kind == "link" and ";" in id_:
+        raise NetworkError(f"link {id_!r}: an id must not hold ';'")
+
+
 @dataclass(frozen=True)
 class Node:
     id: str
     x: float | None = None
     y: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_id("node", self.id)
 
 
 @dataclass(frozen=True)
@@ -75,7 +87,8 @@ class Link:
     naming it: free-flow time and capacity finite and > 0, length and free
     speed too where given, and with both a free-flow time within
     `TIME_CONSISTENCY_TOL` of length/free_speed.  Each override sets one
-    `PARAM_NAMES` field on this link to a value `CostParams` accepts."""
+    `PARAM_NAMES` field on this link to a value `CostParams` accepts, and
+    its id reads back from a table (`_check_id`)."""
 
     id: str
     tail: str
@@ -87,6 +100,7 @@ class Link:
     overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_id("link", self.id)
         if not 0 < self.free_flow_time < math.inf:
             raise NetworkError(f"link {self.id}: free_flow_time must be finite and > 0")
         if not 0 < self.capacity < math.inf:

@@ -79,7 +79,7 @@ import numpy as np
 
 from . import cost as _cost
 from .cost import CostParams
-from .net import Network, PathSet
+from .net import PathSet
 
 __all__ = [
     "SolverOptions",
@@ -165,8 +165,7 @@ class ConvergenceReport:
     #: per-iteration rows, filled only when `solve` is called with
     #: `history=True` (empty otherwise):
     #: (iteration, J after flow step, J after queue step, max |df|, max |dQ|, gap)
-    #: J is `cost.merit` in both modes (the smoothed-gradient mode descends
-    #: it), NaN where the merit is undefined (`_merit_defined`)
+    #: J is `cost.merit` in both modes (the smoothed-gradient mode descends it)
     history: list[tuple[int, float, float, float, float, float]] = field(
         default_factory=list
     )
@@ -581,7 +580,6 @@ def _queue_targets_fixed_point(
     # gamma = 0 (of either sign) or -> 0+ makes the capacity cap +inf, no cap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the per-link constants of the map, the same in every round
-        saturates, one_minus_gamma = gamma >= 1.0, 1.0 - gamma
         cap = QUEUE_CAP_FRACTION * c_max / np.abs(gamma)
         for _ in range(n_links + 1):
             # per-path flow still arriving after upstream queues (last round)
@@ -590,11 +588,7 @@ def _queue_targets_fixed_point(
             surplus = inflow - c_max
             if slack is not None:
                 surplus = surplus + slack
-            target = np.where(
-                saturates,
-                np.where(surplus > 0, np.inf, 0.0),
-                np.maximum(0.0, surplus / one_minus_gamma),
-            )
+            target = np.maximum(0.0, surplus / (1.0 - gamma))
             # never hold back more than arrives, nor beyond the capacity cap
             target = np.minimum(np.minimum(target, inflow), cap)
             # relax per (link, path): sudden re-attribution between paths is
@@ -673,23 +667,6 @@ def _apply_variant(params: CostParams, variant: str) -> CostParams:
     return params
 
 
-def _merit_defined(base: CostParams, variant: str) -> bool:
-    """Whether `cost.merit` is defined at the per-link parameters `base`,
-    `variant` applied: with queues it needs gamma < 1."""
-    return variant == "traditional_ue" or bool(np.all(base.gamma < 1.0))
-
-
-def _check_merit_defined(network: Network, params, options: SolverOptions) -> None:
-    """The smoothed mode descends the merit, so it refuses `params` where the
-    merit is undefined; the fixed-point mode solves at any gamma."""
-    if options.queue_mode == "smoothed_gradient":
-        base = _apply_variant((params or CostParams()).for_links(network.links), options.variant)
-        if not _merit_defined(base, options.variant):
-            raise ValueError(
-                f"the smoothed_gradient mode needs gamma < 1 with the {options.variant} variant"
-            )
-
-
 def solve(
     path_set: PathSet,
     params: CostParams | None = None,
@@ -708,9 +685,7 @@ def solve(
     the iterates are the same either way.
     """
     options = options or SolverOptions()
-    network = path_set.network
-    _check_merit_defined(network, params, options)
-    base = (params or CostParams()).for_links(network.links)
+    base = (params or CostParams()).for_links(path_set.network.links)
     base = _apply_variant(base, options.variant)
     t_f, c_max = path_set.t_f, path_set.c_max
 
@@ -740,7 +715,6 @@ def solve(
 
     update_queues = options.variant != "traditional_ue"
     smoothed = options.queue_mode == "smoothed_gradient"
-    merit_defined = _merit_defined(base, options.variant)
 
     def merit(f_: np.ndarray, qa_: np.ndarray) -> float:
         return _cost.merit(
@@ -751,9 +725,6 @@ def solve(
 
     def sweep(f_: np.ndarray, qa_: np.ndarray, step: float, slack=None) -> np.ndarray:
         return _queue_targets_fixed_point(path_set, f_, qa_, base, step, slack)
-
-    def history_j(f_: np.ndarray, qa_: np.ndarray) -> float:
-        return merit(f_, qa_) if merit_defined else np.nan
 
     def state_at(f_: np.ndarray, qa_: np.ndarray) -> SolutionState:
         """Path flows f_ and per-entry queues qa_ as a priced state."""
@@ -843,7 +814,7 @@ def solve(
         delta_prev = f - f_prev
 
         if history:
-            j_half = history_j(f, queue_alloc)
+            j_half = merit(f, queue_alloc)
         # queue half-step, with the flows frozen
         if update_queues:
             f, queue_alloc, j = queue_step(f, queue_alloc, j)
@@ -852,7 +823,7 @@ def solve(
         link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
         queue_change = float(np.max(np.abs(link_q - q_prev)))
         if history:
-            j_full = history_j(f, queue_alloc)
+            j_full = merit(f, queue_alloc)
             gap = kkt_report(state_at(f, queue_alloc)).relative_gap
             rows.append((it, j_half, j_full, flow_change, queue_change, gap))
         if max(flow_change, queue_change) <= STEP_TOL:

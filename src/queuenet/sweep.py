@@ -9,7 +9,7 @@ import numpy as np
 from . import cost as _cost
 from .cost import PARAM_NAMES, CostParams
 from .net import PathSet
-from .solver import SolverOptions, _check_merit_defined, _min_od_costs, solve
+from .solver import SolverOptions, _min_od_costs, solve
 
 __all__ = [
     "SweepSpec",
@@ -84,24 +84,20 @@ def run_sweep(
     options: SolverOptions | None = None,
 ) -> list[SweepRow]:
     """Solve once per sweep value and collect the solution summaries.
-    Every point is checked before the first is solved."""
+    Every point is checked before the first is solved (`SweepSpec`)."""
     params = params or CostParams()
     options = options or SolverOptions()
     by_demand = spec.parameter == "demand"
     if by_demand and not 0 <= spec.od_index < len(path_set.demand):
         raise ValueError("od_index out of range")
-    point_params = [
-        params if by_demand else params.replace(**{spec.parameter: float(value)})
-        for value in spec.values
-    ]
-    for point in point_params:
-        _check_merit_defined(path_set.network, point, options)
     rows: list[SweepRow] = []
-    for value, point in zip(spec.values, point_params):
-        demands = None
+    for value in spec.values:
+        point, demands = params, None
         if by_demand:
             demands = path_set.demand.copy()
             demands[spec.od_index] = value
+        else:
+            point = params.replace(**{spec.parameter: float(value)})
         state, report = solve(path_set, point, options, demands=demands)
         rows.append(_row(value, state, report, path_set))
     return rows

@@ -114,11 +114,7 @@ def queue_targets_fixed_point(
             surplus = inflow - c_max[a]
             if slack is not None:
                 surplus += slack[a]
-            if g >= 1.0:
-                target = np.inf if surplus > 0 else 0.0
-            else:
-                target = max(0.0, surplus / (1.0 - g))
-            target = min(target, inflow)
+            target = min(max(0.0, surplus / (1.0 - g)), inflow)
             if g > 0:
                 target = min(target, QUEUE_CAP_FRACTION * c_max[a] / g)
             if target > 0 and inflow > 0:

@@ -294,6 +294,30 @@ class TestErrors:
         assert f"{where}: config field '{key}': {what}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("gamma", ["1", "1.5", "1e6"])
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    def test_gamma_from_one_refused_where_it_is_given(
+        self, scenario_dir, tmp_path, capsys, mode, gamma
+    ):
+        # the fixed-point mode solved gamma >= 1: 2000 outer iterations to
+        # an infeasible end wherever a link was loaded past C_max
+        config = copy_scenario(scenario_dir, tmp_path / "cfg", [f"gamma={gamma}"])
+        argv = ["solve", "--mode", mode, "--out", str(tmp_path / "out"), "--config"]
+        assert run(argv + [config]) == 1
+        where = f"{config}:{len(Path(config).read_text().splitlines())}"
+        assert f"{where}: config field 'gamma': gamma must be < 1" in capsys.readouterr().err
+        # a gamma column in links.csv, gamma on link 4 (row 5) alone
+        config = copy_scenario(scenario_dir, tmp_path / "links")
+        links = Path(config).parent / "links.csv"
+        lines = links.read_text().splitlines()
+        lines = [lines[0] + ",gamma"] + [
+            line + ("," + gamma if line.startswith("4,") else ",0.5") for line in lines[1:]
+        ]
+        links.write_text("\n".join(lines) + "\n")
+        assert run(argv + [config]) == 1
+        assert f"{links}: row 5: link 4: gamma must be < 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_enumeration_error_is_no_config_value_error(self, scenario_dir, tmp_path, capsys):
         # k is checked where the paths are enumerated; an OD pair that no
         # path joins is the network's fault, not k's
@@ -719,20 +743,21 @@ class TestSweep:
         assert solves == []
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_smoothed_mode_checks_gamma_before_solving(
-        self, cfg, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    def test_gamma_from_one_refused_before_solving(
+        self, cfg, tmp_path, capsys, monkeypatch, mode
     ):
-        # the smoothed mode descends the merit, which needs gamma < 1:
-        # gamma = 0.5 was solved before gamma = 1 was refused
+        # the smoothed mode solved gamma = 0.5 before it refused gamma = 1;
+        # the fixed-point mode solved both, 2000 outer iterations at gamma = 1
         solves = []
         solve_point = sweep_module.solve
         monkeypatch.setattr(
             sweep_module, "solve", lambda *a, **k: solves.append(1) or solve_point(*a, **k)
         )
         argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
-        argv += ["--mode", "smoothed_gradient", "--values", "0.5,1.0", "--track", "4"]
+        argv += ["--mode", mode, "--values", "0.5,1.0", "--track", "4"]
         assert run(argv) == 1
-        assert "gamma < 1" in capsys.readouterr().err
+        assert "gamma must be < 1" in capsys.readouterr().err
         assert solves == []
         assert not (tmp_path / "sweep.csv").exists()
 

@@ -53,6 +53,16 @@ class TestParams:
         with pytest.raises(ValueError, match="phi must be finite and >= 1"):
             objective(v, q, t_f, c, P, phi=0.5)
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 1e6])
+    def test_gamma_from_one_refused(self, gamma):
+        # the steady queue (y - C_max)/(1 - gamma) exists only below 1
+        with pytest.raises(ValueError, match="gamma must be < 1"):
+            CostParams(gamma=gamma)
+        with pytest.raises(ValueError, match="gamma must be < 1"):
+            CostParams(gamma=np.array([0.5, gamma, 0.0]))
+        CostParams(gamma=0.999)
+        CostParams(gamma=np.array([0.5, 0.999, 0.0]))
+
     def test_per_link_overrides(self):
         net = fixtures.six_node_network()
         expanded = P.for_links(net.links)

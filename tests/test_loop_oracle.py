@@ -69,12 +69,12 @@ def _six_node_fixed_capacity():
 
 
 def _six_node_mixed_gamma():
-    # per-link gamma 0, 0.5 and 1.0, with demands above the network's
+    # per-link gamma 0, 0.5 and 0.9, with demands above the network's
     # capacity so that a link of each kind overflows: link 1 (gamma 0.5)
-    # and link 2 (gamma 0) by 50 veh/h, the bottleneck link 4 (gamma 1.0,
-    # where any surplus queues up to the capacity cap) by 500 veh/h
+    # and link 2 (gamma 0) by 50 veh/h, the bottleneck link 4 (gamma 0.9)
+    # by 500 veh/h, whose steady queue 500 / (1 - 0.9) is past the capacity cap
     ps = fixtures.six_node_path_set().with_demands([3300.0, 3300.0])
-    gamma = np.array([0.5, 0.0, 0.5, 1.0, 0.0, 0.5, 0.0])
+    gamma = np.array([0.5, 0.0, 0.5, 0.9, 0.0, 0.5, 0.0])
     qa = np.zeros((ps.n_links, ps.n_paths))
     qa[ps.link_index("4"), [1, 3]] = 50.0
     qa[ps.link_index("1"), 0] = 20.0
@@ -149,13 +149,13 @@ def test_sub_linear_delay_case_reaches_the_ratio_floor():
 
 def test_mixed_gamma_case_queues_a_link_of_each_kind():
     # gamma 0.5 queues surplus / (1 - gamma), gamma 0 the surplus, and
-    # gamma 1.0 all that arrives, down to the capacity cap
+    # gamma 0.9 the capacity cap, below both surplus / (1 - gamma) and inflow
     ps, f, qa, params = _six_node_mixed_gamma()
     _, c_max, params = _link_arrays(ps, params)
     swept = _queue_targets_fixed_point(ps, f, qa, params, 1.0)
     _, q, _, _ = assemble_link_state(ps, f, swept)
     links = [ps.link_index(i) for i in ("1", "2", "4")]
-    np.testing.assert_allclose(q[links], [100.0, 50.0, QUEUE_CAP_FRACTION * 2400.0])
+    np.testing.assert_allclose(q[links], [100.0, 50.0, QUEUE_CAP_FRACTION * 2400.0 / 0.9])
 
 
 def _close(actual, expected):

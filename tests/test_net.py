@@ -45,6 +45,15 @@ def _load_tables(texts):
     return load_path_set(io.StringIO(texts["paths.csv"]), network)
 
 
+def _accepted(record, id_, *fields):
+    """Whether `record` takes `id_` as its id."""
+    try:
+        record(id_, *fields)
+    except NetworkError:
+        return False
+    return True
+
+
 def _net(nodes, links, ods=()):
     return Network(
         tuple(Node(n) for n in nodes),
@@ -95,6 +104,19 @@ class TestDataModel:
         with pytest.raises(NetworkError, match=f"link a: .*{what}"):
             Link("a", "u", "v", 0.1, 100.0, overrides=(override,))
         Link("a", "u", "v", 0.1, 100.0, overrides=(("gamma", 0.9), ("m", 2.0)))
+
+    @pytest.mark.parametrize(
+        "record, id_",
+        [(Node, "#u"), (Link, "#a"), (Link, "a;b"), (Node, " u"), (Link, "a\n"), (Node, "")],
+        ids=["node-hash", "link-hash", "link-semicolon", "node-padded", "link-line-break"]
+        + ["empty"],
+    )
+    def test_id_that_would_not_read_back_refused(self, record, id_):
+        # a row led by "#" read back as a comment, a link "a;b" in a path
+        # table as links a and b, a padded id without its blanks
+        kind = record.__name__.lower()
+        with pytest.raises(NetworkError, match=re.escape(f"{kind} {id_!r}: an id must")):
+            record(id_, *(("u", "v", 0.1, 100.0) if record is Link else ()))
 
     def test_time_speed_consistency(self):
         # 10 km at 50 km/h is 0.2 h; a declared 0.5 h contradicts it
@@ -171,9 +193,12 @@ class TestLoading:
             ("gamma", "nan", "gamma='nan' is not a finite number"),
             ("gamma", "inf", "gamma='inf' is not a finite number"),
             ("gamma", "-1", "link c: gamma must be >= 0"),
+            ("gamma", "1", "link c: gamma must be < 1"),
+            ("gamma", "1e6", "link c: gamma must be < 1"),
             ("m", "0", "link c: m and n must be > 0"),
         ],
-        ids=["length-abc", "gamma-0.9x", "gamma-nan", "gamma-inf", "gamma-negative", "m-zero"],
+        ids=["length-abc", "gamma-0.9x", "gamma-nan", "gamma-inf", "gamma-negative"]
+        + ["gamma-one", "gamma-1e6", "m-zero"],
     )
     def test_bad_link_number_names_row_and_column(self, key, cell, what):
         # a cell that did not parse escaped as a bare ValueError, and a
@@ -197,13 +222,15 @@ class TestLoading:
     def test_written_path_table_reads_back(self, data):
         # ids that hold a comma or a quote: the cells were written unquoted,
         # so such a row read back with a cell too many; a first link id
-        # that starts with "[" or a last one that ends with "]" lost it
-        ids = st.text(st.sampled_from('ab1,"# []'), min_size=1, max_size=5).filter(
-            lambda s: s == s.strip() and not s.startswith("#")
-        )
-        nodes = data.draw(st.lists(ids, min_size=2, max_size=5, unique=True))
+        # that starts with "[" or a last one that ends with "]" lost it.
+        # Every id that Node and Link accept reads back: a node "#u" read
+        # back as a comment, a link "a;b" as the two links a and b
+        text = st.text(st.sampled_from('ab1,"#; []\t'), min_size=0, max_size=5)
+        node_ids = text.filter(lambda s: _accepted(Node, s))
+        link_ids = text.filter(lambda s: _accepted(Link, s, "u", "v", 0.1, 1000.0))
+        nodes = data.draw(st.lists(node_ids, min_size=2, max_size=5, unique=True))
         n = len(nodes) - 1
-        links = data.draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+        links = data.draw(st.lists(link_ids, min_size=n, max_size=n, unique=True))
         # a chain of nodes; OD pair i runs from node i to the last node
         network = _net(
             nodes,
