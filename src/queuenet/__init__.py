@@ -27,7 +27,6 @@ from .cost import (
     link_travel_time,
     marginal_link_time,
     merit,
-    merit_gradient,
     objective,
     queuing_delay,
     smoothed_link_time,

@@ -18,10 +18,12 @@ from .solver import (
     SolutionState,
     SolverOptions,
     _random_split,
+    assemble_link_state,
     kkt_report,
     solve,
 )
-from .cost import CostParams, merit, merit_gradient
+from . import cost as _cost
+from .cost import CostParams
 
 __all__ = [
     "EquilibriumReport",
@@ -93,43 +95,41 @@ def uniqueness_probe(
     return link_spread, path_spread, states
 
 
-#: the least slope an error is measured against, in units of eps |J| / h
-FD_RESOLUTION = 1e6
-
-
 def gradient_check(
     path_set: PathSet,
     path_flows: np.ndarray,
     queue_alloc: np.ndarray,
     params: CostParams,
 ) -> float:
-    """Worst relative error of `cost.merit_gradient` against central finite
-    differences of `cost.merit`, at one state.
-
-    `queue_alloc` and grad_q hold one value per path-link entry.  Every
-    path flow f is probed by +-h with h = 1e-4 * max(1, |f|), stopping at 0.
-    Every queue Q > 0 is probed by +-1e-4 * Q: a fixed step would be a large
-    share of a queue below one vehicle, where (Q/C)**(m-1) bends within it.
-    An empty queue is not probed.
-    The error of one value is |analytic - fd| / max(|fd|, r, 1e-8), where
-    r = FD_RESOLUTION eps |J| / h, J the larger of the two merits: the
-    difference resolves a slope only to about eps |J| / h, the round-off of
-    its two merits, so an error at that level reads about 1e-6.
-    """
-    n = path_set.n_paths
-    state = np.concatenate([path_flows, queue_alloc]).astype(float)
-    grad = np.concatenate(merit_gradient(path_set, state[:n], state[n:], params))
-    worst = 0.0
-    for i, value in enumerate(state):
-        h = 1e-4 * (max(1.0, abs(value)) if i < n else value)
-        if not h > 0:  # an empty queue
-            continue
-        plus, minus = state.copy(), state.copy()
-        plus[i] += h
-        minus[i] = max(value - h, 0.0)
-        j_plus, j_minus = (merit(path_set, s[:n], s[n:], params) for s in (plus, minus))
-        width = plus[i] - minus[i]
-        fd = (j_plus - j_minus) / width
-        resolved = FD_RESOLUTION * np.finfo(float).eps * max(abs(j_plus), abs(j_minus))
-        worst = max(worst, abs(grad[i] - fd) / max(abs(fd), resolved / (width / 2), 1e-8))
-    return worst
+    """Worst relative error |analytic - fd| / |fd|, over all links at one
+    state, of the slopes the GP step divides by against central differences:
+    `cost._flow_part`'s flow slope under both pricings (generalized and
+    marginal time) where v > 0, probed by v +- 1e-4 v, and
+    `cost._queue_response_slope`, d(delay)/dy along the steady queue
+    Q = (y - C_max)/(1 - gamma), where Q/C >= QUEUE_RATIO_FLOOR, probed by
+    moving Q by +-1e-4 Q.  Steps in proportion to v and Q stay within the
+    scale on which v**(n-1) and (Q/C)**(m-1) bend.  Scaling t_f by 2**-500
+    and beta by 2**500 keeps t_f beta r**n and drops the terms that do not
+    move with v, t_f + delay, whose round-off, eps (t_f + delay) / h, would
+    bury the slope of a lightly loaded link."""
+    _, q, _, v = assemble_link_state(path_set, path_flows, queue_alloc)
+    alpha, _, m, _, gamma = arrays = _cost._link_arrays(params)
+    qp = _cost._queue_part(q, path_set.t_f, path_set.c_max, *arrays)
+    scale = 2.0**-500
+    moving = qp._replace(t_f=qp.t_f * scale, beta=qp.beta / scale, delay=np.zeros_like(q))
+    h, dq = 1e-4 * v, 1e-4 * q
+    analytic, fd = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for system_optimum in (False, True):
+            analytic.append(_cost._flow_part(v, qp, system_optimum)[1])
+            above, below = (_cost._flow_part(v + s, moving, system_optimum)[0] for s in (h, -h))
+            fd.append((above - below) / (2.0 * h))
+        above, below = (
+            _cost._queue_part(q + s, path_set.t_f, path_set.c_max, *arrays).delay
+            for s in (dq, -dq)
+        )
+        analytic.append(_cost._queue_response_slope(qp, alpha, m, gamma))
+        fd.append((above - below) / (2.0 * dq * (1.0 - gamma)))
+        error = np.abs(np.subtract(analytic, fd)) / np.maximum(np.abs(fd), np.finfo(float).tiny)
+        probed = np.array([v > 0, v > 0, q / qp.c >= _cost.QUEUE_RATIO_FLOOR])
+    return float(error[probed].max(initial=0.0))

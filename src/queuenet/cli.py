@@ -275,6 +275,8 @@ def _parse_range(spec: str) -> tuple[float, ...]:
         lo, hi, step = (float(s) for s in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"--range must be lo:hi:step, got {spec!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"--range needs a finite lo, hi and step, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("--range requires step > 0 and hi >= lo")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -378,7 +380,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ok = max_rel <= 1e-5
     print(
         f"validation: {len(network.links)} links, {path_set.n_paths} paths; "
-        f"gradient max relative error {max_rel:.2e} "
+        f"slope max relative error {max_rel:.2e} "
         f"({'ok' if ok else 'FAIL'})"
     )
     return 0 if ok else 1
@@ -432,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"declared trends ({'|'.join(_TREND_SERIES)}:direction) for the "
         "first tracked link, e.g. 'flow:decreasing,queue:increasing'",
     )
-    p_val = sub.add_parser("validate", parents=[config], help="input + gradient checks")
+    p_val = sub.add_parser("validate", parents=[config], help="input + slope checks")
     p_val.add_argument(
         "--seed", type=int, default=42, help="seed of the random test state (default 42)"
     )

@@ -12,8 +12,8 @@ explicit queuing-delay term
 Two scalar functions of a state are defined here.  `merit`, read off the
 path set's t_f and C_max, is a sum of squared equilibrium residuals: it is
 zero exactly at the model's equilibrium, both solver modes' history rows
-record it, and the smoothed-gradient mode takes no step that raises it
-(`merit_gradient` is its gradient).
+record it as J, and the smoothed-gradient mode's accept-or-halve rule
+takes no step that raises it.
 `objective` is the Beckmann potential of the running time with the
 exponent smoothed in the queue, n~ = n * phi**(-Q); `smoothed_link_time` is
 its flow derivative.  At Q = 0 it is the classical Beckmann function,
@@ -23,8 +23,10 @@ Only the benchmark's probe and tests read it.  No function can serve as an
 exact potential for this model: `merit` explains why.  Their smoothing
 base phi (default e) is an argument, not a model parameter.
 
-Per-(link, path) queues Q_ap, and gradients in them, are vectors over the
-path set's flat path-link entries (`PathSet.entry_link`, `entry_path`).
+Per-(link, path) queues Q_ap are vectors over the path set's flat
+path-link entries (`PathSet.entry_link`, `entry_path`).  The slopes the
+solver's gradient-projection step divides by are `_flow_part`'s flow slope
+and, on a queued link, `_queue_response_slope`.
 """
 from __future__ import annotations
 
@@ -47,7 +49,6 @@ __all__ = [
     "marginal_link_time",
     "objective",
     "merit",
-    "merit_gradient",
 ]
 
 ArrayLike = "float | np.ndarray"
@@ -200,6 +201,29 @@ def _flow_part(
     return t + load * t_v, 2.0 * t_v + load * t_vv
 
 
+#: with m < 1 the queuing-delay slope (Q/C)^(m-1) grows without bound as
+#: Q -> 0+; `_queue_response_slope` evaluates it at no less than this Q/C,
+#: so a dissolving queue's rounding residue cannot freeze the steps through it
+QUEUE_RATIO_FLOOR = 1e-6
+
+
+def _queue_response_slope(
+    qp: _QueuePart, alpha: np.ndarray, m: np.ndarray, gamma: np.ndarray
+) -> np.ndarray:
+    """d(delay)/dy along the steady queue Q = (y - C_max)/(1 - gamma), the
+    delay's response to a queued link's arrivals y, which the GP step adds
+    to the flow slope there; 0 on a link without a queue.  Q/C is taken at
+    >= QUEUE_RATIO_FLOOR and 1 - gamma at >= 1e-3.  Callers run it with
+    numpy's divide and invalid warnings off."""
+    q, c = qp.q, qp.c
+    ratio = np.maximum(q / c, QUEUE_RATIO_FLOOR)
+    slope = (
+        alpha * m * ratio ** (m - 1.0) * (c + gamma * q)
+        / (c**2 * np.maximum(1.0 - gamma, 1e-3))
+    )
+    return np.where(q > 0, slope, 0.0)
+
+
 def _checked_cost(
     v: ArrayLike,
     q: ArrayLike,
@@ -336,7 +360,8 @@ def objective(
     vehicles of queue, so J first rises with a queue, and past that it falls
     because held traffic drops out of the downstream running-time terms.
     It has no capacity bound, and on the six-node scenario it is lower at
-    Q = 0 than at the equilibrium queue.  The solver descends `merit`.
+    Q = 0 than at the equilibrium queue.  The solver's safeguard reads
+    `merit` instead.
     """
     v = np.asarray(v, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -357,119 +382,14 @@ def objective(
     return float(np.sum(running + queue))
 
 
-def _path_cost_terms(
-    v: np.ndarray,
-    q: np.ndarray,
-    t_f: np.ndarray,
-    c_max: np.ndarray,
-    params: CostParams,
-    system_optimum: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The priced cost and its flow slope, as `_flow_part` gives them,
-    and, third, the priced cost's queue slope.
-
-    Slopes whose power of v or Q would be negative at v = 0 or Q = 0 are
-    flushed to 0 there.
-    """
-    alpha, beta, m, n, gamma = arrays = _link_arrays(params)
-    qp = _queue_part(q, t_f, c_max, *arrays)
-    c = qp.c
-    r = v / c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t, t_v = _flow_part(v, qp, False)
-        delay_q = np.where(
-            q > 0,
-            alpha * m * (q / c) ** (m - 1.0) * c_max / c**2,
-            np.where(m == 1.0, alpha * c_max / c**2, 0.0),
-        )
-        t_q = qp.tbn * r**n * gamma / c + delay_q
-        if not system_optimum:
-            return t, t_v, t_q
-        t_vq = np.where(v > 0, t_f * beta * n**2 * gamma * r ** (n - 1.0) / c**2, 0.0)
-        cost, cost_v = _flow_part(v, qp, True)
-    return cost, cost_v, t_q + t_v + (v + q) * t_vq
-
-
 def _merit_weights(t_f: np.ndarray, c_max: np.ndarray) -> np.ndarray:
     """kappa_a: a complementarity residual of 1% of C_max weighs like C_max
     travellers each misjudging their path cost by t_f.  This puts closing
     a capacity violation far ahead of the path-cost imbalance its queue
-    delay causes, so the descent forms queues first and then rebalances
-    flows instead of settling for an overloaded link with no queue."""
+    delay causes, so the smoothed mode's accept-or-halve safeguard lets
+    queues form first and flows rebalance after, instead of settling for an
+    overloaded link with no queue."""
     return c_max * (t_f / (0.01 * c_max)) ** 2
-
-
-def _merit(
-    path_set: "PathSet",
-    path_flows: np.ndarray,
-    queue_alloc: np.ndarray,
-    params: CostParams,
-    system_optimum: bool,
-    capacity_bound: bool,
-    gradient: bool,
-):
-    """`merit`, and with `gradient` also its (grad_f, grad_q)."""
-    ps = path_set
-    f = np.asarray(path_flows, dtype=float)
-    t_f, c_max = ps.t_f, ps.c_max
-    link_e, path_e = ps.entry_link, ps.entry_path
-    n_links, n_paths, n_od = ps.n_links, ps.n_paths, len(ps.network.od_pairs)
-
-    # a path's arrivals at a link are its flow less what its queues
-    # upstream of the link hold back; a link's arrivals y are x - Q'
-    held = np.asarray(queue_alloc, dtype=float)
-    arriving = f[path_e] - ps.held_upstream(held)
-    y = np.bincount(link_e, arriving, n_links)
-    q = np.bincount(link_e, held, n_links)
-    v = y - q
-    if np.any(v < -1e-9) or np.any(q < 0):
-        raise ValueError("infeasible state: negative throughflow or queue")
-    v = np.maximum(v, 0.0)
-
-    # Wardrop residual against the flow-weighted mean cost of each OD pair
-    cost, cost_v, cost_q = _path_cost_terms(v, q, t_f, c_max, params, system_optimum)
-    path_cost = np.bincount(path_e, cost[link_e], n_paths)
-    od = ps.path_od
-    demand = np.bincount(od, f, n_od)
-    mean = np.bincount(od, f * path_cost, n_od) / np.where(demand > 0, demand, 1.0)
-    excess = np.where(demand[od] > 0, path_cost - mean[od], 0.0)
-    under = np.maximum(0.0, -excess)
-    value = float(f @ excess**2 + demand[od] @ under**2)
-
-    if capacity_bound:
-        gamma = np.asarray(params.gamma, dtype=float)
-        kappa = _merit_weights(t_f, c_max)
-        slack = c_max - gamma * q - v  # C(Q) - v
-        spare = np.maximum(0.0, c_max - y)
-        complementarity = (slack**2 - spare**2) / (2.0 * (1.0 - gamma))
-        # FIFO sharing: each path's share of the queue is its share of arrivals
-        share_res = held * y[link_e] - q[link_e] * arriving
-        sharing = np.bincount(link_e, share_res**2, n_links) / c_max**2
-        value += float(kappa @ (complementarity + sharing))
-    if not gradient:
-        return value
-
-    # d(value)/d(path cost) and d(value)/d(f) at fixed path costs
-    under_sum = np.bincount(od, under, n_od)[od]
-    d_cost = 2.0 * f * (excess + under_sum) - 2.0 * demand[od] * under
-    grad_f = excess**2 + np.bincount(od, under**2, n_od)[od] + 2.0 * under_sum * excess
-    weight = np.bincount(link_e, d_cost[path_e], n_links)
-    # per path entry: marginal of one more unit through the link (flow_e)
-    # and of one unit held in its queue instead of discharged (queue_e)
-    flow_e = (weight * cost_v)[link_e]
-    queue_e = (weight * (cost_q - cost_v))[link_e]
-    if capacity_bound:
-        flow_e = flow_e + (kappa * (spare - slack) / (1.0 - gamma))[link_e]
-        queue_e = queue_e + (kappa * slack)[link_e]
-        scale = (2.0 * kappa / c_max**2)[link_e]
-        s1 = np.bincount(link_e, share_res * held, n_links)[link_e]
-        s2 = np.bincount(link_e, share_res * arriving, n_links)[link_e]
-        flow_e = flow_e + scale * (s1 - share_res * q[link_e])
-        queue_e = queue_e + scale * (share_res * y[link_e] - s2)
-    grad_f = grad_f + np.bincount(path_e, flow_e, n_paths)
-    # a unit held at a link is missing from it and from every later link
-    after = np.bincount(path_e, flow_e, n_paths)[path_e] - ps.running_sum(flow_e)
-    return value, grad_f, queue_e - after
 
 
 def merit(
@@ -501,8 +421,8 @@ def merit(
     g_ap is path p's arrivals at a.  It is 0 iff every path holds the share
     of the queue that it has of the arrivals, as the fixed-point sweep
     shares it.  So the zeros of J are exactly the equilibria, and J is C^1.
-    kappa (`_merit_weights`) only sets how the descent trades the residuals
-    against each other.
+    kappa (`_merit_weights`) only sets how the safeguard trades the
+    residuals against each other.
 
     c_p is the generalized time, or with `system_optimum` the marginal
     time.  Without `capacity_bound` (traditional UE) J is W alone.
@@ -515,29 +435,43 @@ def merit(
     the cost of p after a, and stationarity in Q_ap then balances that
     downstream cost instead of enforcing v = C(Q).
     """
-    return _merit(
-        path_set, path_flows, queue_alloc, params,
-        system_optimum, capacity_bound, gradient=False,
-    )
+    ps = path_set
+    f = np.asarray(path_flows, dtype=float)
+    t_f, c_max = ps.t_f, ps.c_max
+    link_e, path_e = ps.entry_link, ps.entry_path
+    n_links, n_paths, n_od = ps.n_links, ps.n_paths, len(ps.network.od_pairs)
 
+    # a path's arrivals at a link are its flow less what its queues
+    # upstream of the link hold back; a link's arrivals y are x - Q'
+    held = np.asarray(queue_alloc, dtype=float)
+    arriving = f[path_e] - ps.held_upstream(held)
+    y = np.bincount(link_e, arriving, n_links)
+    q = np.bincount(link_e, held, n_links)
+    v = y - q
+    if np.any(v < -1e-9) or np.any(q < 0):
+        raise ValueError("infeasible state: negative throughflow or queue")
+    v = np.maximum(v, 0.0)
 
-def merit_gradient(
-    path_set: "PathSet",
-    path_flows: np.ndarray,
-    queue_alloc: np.ndarray,
-    params: CostParams,
-    system_optimum: bool = False,
-    capacity_bound: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of `merit` in (path flows, per-path link queues).
+    # Wardrop residual against the flow-weighted mean cost of each OD pair
+    qp = _queue_part(q, t_f, c_max, *_link_arrays(params))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = _flow_part(v, qp, system_optimum)[0]
+    path_cost = np.bincount(path_e, cost[link_e], n_paths)
+    od = ps.path_od
+    demand = np.bincount(od, f, n_od)
+    mean = np.bincount(od, f * path_cost, n_od) / np.where(demand > 0, demand, 1.0)
+    excess = np.where(demand[od] > 0, path_cost - mean[od], 0.0)
+    under = np.maximum(0.0, -excess)
+    value = float(f @ excess**2 + demand[od] @ under**2)
 
-    Returns (grad_f, grad_q) with grad_f of shape (n_paths,) and grad_q of
-    shape (n_entries,), one value per path-link entry.  A unit of Q_ap
-    moves a unit of path p's traffic at link a from the throughflow into
-    the queue and removes it from every later link of p.
-    """
-    _, grad_f, grad_q = _merit(
-        path_set, path_flows, queue_alloc, params,
-        system_optimum, capacity_bound, gradient=True,
-    )
-    return grad_f, grad_q
+    if capacity_bound:
+        gamma = np.asarray(params.gamma, dtype=float)
+        kappa = _merit_weights(t_f, c_max)
+        slack = c_max - gamma * q - v  # C(Q) - v
+        spare = np.maximum(0.0, c_max - y)
+        complementarity = (slack**2 - spare**2) / (2.0 * (1.0 - gamma))
+        # FIFO sharing: each path's share of the queue is its share of arrivals
+        share_res = held * y[link_e] - q[link_e] * arriving
+        sharing = np.bincount(link_e, share_res**2, n_links) / c_max**2
+        value += float(kappa @ (complementarity + sharing))
+    return value

@@ -304,13 +304,16 @@ def input_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 def _table(source: Iterable[str], columns: Sequence[str] = ()) -> Iterator[tuple[int, dict]]:
     """(line number, {column: cell}) per row of a CSV table read by
-    `input_lines`.  Its first line is the header, which must name `columns`;
-    a row with more cells than the header is refused."""
+    `input_lines`.  Its first line is the header, which must name `columns`
+    and no column twice; a row with more cells than the header is refused."""
     numbered = list(input_lines(source))
     rows = csv.reader([line for _, line in numbered])
     header = [name.strip() for name in next(rows, ())]
     if not set(columns) <= set(header):
         raise NetworkError(f"header {','.join(header)!r} must name {', '.join(columns)}")
+    if len(set(header)) < len(header):
+        name = next(name for i, name in enumerate(header) if name in header[:i])
+        raise NetworkError(f"header names column {name!r} twice")
     for cells in rows:
         row_no = numbered[rows.line_num - 1][0]
         if len(cells) > len(header):

@@ -36,18 +36,16 @@ hold the per-entry queues frozen, so everything the pricing reads of them
 is computed once, by `_frozen_queues`: per link Q and Q', per path its
 queued traffic, and over all links at once the queue half of the priced
 cost (C(Q), the delay term, t_f beta n and the slope at zero flow,
-`cost._queue_part`) and the queue-slope curvature, 0 on a link without a
-queue; each level of OD groups reads its own links' slice.  Each pass
+`cost._queue_part`) and the queue-response slope the GP curvature adds,
+0 on a link without a queue (`cost._queue_response_slope`); each level of
+OD groups reads its own links' slice.  Each pass
 computes only the flow half: x, v and the running time with its slope
 (`cost._flow_part`).  The frozen terms are computed again only when the
 queues are a different array: in the fixed-point mode that is once per
 outer iteration, after the queue sweep; the smoothed mode sweeps the
 queues in every flow trial, so it computes them on every pass.  A variant
 without queues keeps the ones it starts with in every trial too, and
-computes them once per solve in either mode.  The GP curvature on a queued
-link carries the queuing-delay slope alpha m (Q/C)^(m-1), evaluated at
-Q/C >= QUEUE_RATIO_FLOOR so that with m < 1 a dissolving queue's rounding
-residue cannot make it unbounded.
+computes them once per solve in either mode.
 
 The solver works on the flat path-link entries of `PathSet`: one entry
 per (link, path) pair (`entry_link`, `entry_path`); the queues are one
@@ -134,11 +132,6 @@ INNER_TOL_SHARE = 0.03
 #: this (veh); exact equality can cycle in the last bit
 SWEEP_TOL = 1e-9
 
-#: with m < 1 the queuing-delay slope (Q/C)^(m-1) grows without bound as
-#: Q -> 0+; the GP curvature evaluates it at no less than this Q/C, so a
-#: dissolving queue's rounding residue cannot freeze the steps through it
-QUEUE_RATIO_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -165,7 +158,8 @@ class ConvergenceReport:
     #: per-iteration rows, filled only when `solve` is called with
     #: `history=True` (empty otherwise):
     #: (iteration, J after flow step, J after queue step, max |df|, max |dQ|, gap)
-    #: J is `cost.merit` in both modes (the smoothed-gradient mode descends it)
+    #: J is `cost.merit` in both modes (the smoothed-gradient mode's
+    #: accept-or-halve rule reads it)
     history: list[tuple[int, float, float, float, float, float]] = field(
         default_factory=list
     )
@@ -341,19 +335,7 @@ def _frozen_queues(
     alpha, _, m, _, gamma = arrays = _cost._link_arrays(params)
     with np.errstate(divide="ignore", invalid="ignore"):
         qp = _cost._queue_part(q, path_set.t_f, path_set.c_max, *arrays)
-        # on queued links extra inflow feeds the queue (amplified by
-        # 1/(1-gamma)), so the equilibrium cost responds through the
-        # queuing-delay term as well; fold that into the curvature so
-        # steps stay small where the queue, not the running time, reacts
-        queue_slope = np.where(
-            q > 0,
-            alpha
-            * m
-            * np.maximum(q / qp.c, QUEUE_RATIO_FLOOR) ** (m - 1.0)
-            * (qp.c + gamma * q)
-            / (qp.c**2 * np.maximum(1.0 - gamma, 1e-3)),
-            0.0,
-        )
+        queue_slope = _cost._queue_response_slope(qp, alpha, m, gamma)
     frozen_levels = [
         (
             q_prime[level.links],

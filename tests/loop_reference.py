@@ -15,12 +15,8 @@ import networkx as nx
 import numpy as np
 
 from queuenet import cost as _cost
-from queuenet.solver import (
-    CURVATURE_FLOOR,
-    QUEUE_CAP_FRACTION,
-    QUEUE_RATIO_FLOOR,
-    SWEEP_TOL,
-)
+from queuenet.cost import QUEUE_RATIO_FLOOR
+from queuenet.solver import CURVATURE_FLOOR, QUEUE_CAP_FRACTION, SWEEP_TOL
 
 
 def path_link_idx(path_set):

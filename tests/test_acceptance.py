@@ -279,11 +279,12 @@ def test_criterion_08_capacity_arithmetic():
 
 
 def test_criterion_09a_gradient_check(six_node):
-    c = Checker("9a", "analytic gradients match central finite differences")
+    c = Checker("9a", "the GP step's slopes match central finite differences")
     params = CostParams().for_links(six_node.network.links)
     rng = np.random.default_rng(2024)
 
-    # the merit is the function the smoothed-gradient mode descends
+    # every link's flow slope under both pricings, and its queue-response
+    # slope where it queues, at each random state
     worst = 0.0
     for _ in range(100):
         f, qa = conftest.feasible_random_state(six_node, rng)

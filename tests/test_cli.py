@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from queuenet import analysis, cli
+from queuenet import cli, cost
 from queuenet import sweep as sweep_module
 from queuenet.analysis import kkt_report
 from queuenet.cli import main
@@ -831,6 +831,15 @@ class TestSweep:
         assert "--od applies only to --param demand" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["0:inf:1", "nan:1:1", "0:1:inf", "-inf:0:1"])
+    def test_non_finite_range_refused(self, cfg, tmp_path, capsys, spec):
+        # 0:inf:1 raised OverflowError, nan:1:1 printed "cannot convert float
+        # NaN to integer", and 0:1:inf reported a sweep value nan
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "gamma"]
+        assert run(argv + [f"--range={spec}"]) == 1
+        assert "--range needs a finite lo, hi and step" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_sweep_argument_errors(self, cfg, capsys):
         assert run(["sweep", "--config", cfg, "--values", "1,2"]) == 1
         assert run(["sweep", "--config", cfg, "--param", "m"]) == 1
@@ -909,32 +918,48 @@ class TestValidate:
 
     @pytest.mark.parametrize("seed", range(50, 60))
     def test_seeds_pass(self, cfg, capsys, seed):
-        # seed 53 draws a flow component of -0.1 whose central difference
-        # carries round-off of 1e-6 against J = 1.4e6: a correct gradient
-        # must not fail by what the probe cannot resolve
+        # a correct slope passes at every seed: the check differences each
+        # link's cost without its constant terms, whose round-off would
+        # bury the slope of a lightly loaded link
         assert run(["validate", "--config", cfg, "--seed", str(seed)]) == 0
         assert "(ok)" in capsys.readouterr().out
 
     def test_small_queues_pass_at_m_below_one(self, scenario_dir, tmp_path, capsys):
-        # a queue probe of +-1e-4 veh is a large share of a queue below one
-        # vehicle, where (Q/C)^(m-1) bends at m = 0.5: seed 25 read 2e-2
+        # a queue is probed by +-1e-4 Q: a fixed step would be a large share
+        # of a queue below one vehicle, where (Q/C)^(m-1) bends at m = 0.5
         config = copy_scenario(scenario_dir, tmp_path / "scen", ["m=0.5", "gamma=0.9"])
         assert run(["validate", "--config", config, "--seed", "25"]) == 0
         assert "(ok)" in capsys.readouterr().out
 
     def test_a_gradient_one_percent_off_fails(self, cfg, capsys, monkeypatch):
-        # negative control: a gradient 1% off on its first component
-        gradient = analysis.merit_gradient
+        # negative control: the first link's flow slope under either
+        # pricing, or its queue-response slope, 1% off
+        flow_part, response = cost._flow_part, cost._queue_response_slope
 
-        def off(*args, **kwargs):
-            grad_f, grad_q = gradient(*args, **kwargs)
-            grad_f = grad_f.copy()
-            grad_f[0] *= 1.01
-            return grad_f, grad_q
+        def flow_off(pricing):
+            def off(v, qp, system_optimum):
+                t, t_v = flow_part(v, qp, system_optimum)
+                if system_optimum == pricing:
+                    t_v = t_v.copy()
+                    t_v[0] *= 1.01
+                return t, t_v
 
-        monkeypatch.setattr(analysis, "merit_gradient", off)
-        assert run(["validate", "--config", cfg, "--seed", "53"]) == 1
-        assert "(FAIL)" in capsys.readouterr().out
+            return off
+
+        def response_off(*args):
+            out = response(*args).copy()
+            out[0] *= 1.01
+            return out
+
+        for name, off in (
+            ("_flow_part", flow_off(False)),
+            ("_flow_part", flow_off(True)),
+            ("_queue_response_slope", response_off),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(cost, name, off)
+                assert run(["validate", "--config", cfg, "--seed", "53"]) == 1
+            assert "(FAIL)" in capsys.readouterr().out
 
     def test_seeded(self, cfg, capsys):
         assert run(["validate", "--config", cfg, "--seed", "7"]) == 0

@@ -1,6 +1,5 @@
-"""Link cost model: capacity response, travel times, objective, gradients."""
+"""Link cost model: capacity response, travel times, objective, slopes."""
 
-import functools
 import math
 from dataclasses import replace
 
@@ -9,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuenet import analysis, fixtures
+from queuenet import cost, fixtures
 from queuenet.analysis import gradient_check
 from queuenet.cost import (
     PARAM_NAMES,
+    QUEUE_RATIO_FLOOR,
     CostParams,
     _checked_cost,
     capacity,
@@ -20,11 +20,12 @@ from queuenet.cost import (
     link_travel_time,
     marginal_link_time,
     merit,
-    merit_gradient,
     objective,
     queuing_delay,
     smoothed_link_time,
 )
+from queuenet.net import enumerate_paths
+from queuenet.solver import assemble_link_state
 
 from conftest import feasible_random_state, per_entry
 from loop_reference import dense_queues
@@ -278,48 +279,79 @@ class TestMerit:
         ) + 1.0
 
 
+#: criterion 9a's parameters, a linear running time under a quadratic
+#: delay, the m = 0.5, gamma = 0.9 case whose (Q/C)**(m-1) is steep near
+#: Q = 0, a running time concave in v, and a steep one
+SLOPE_PARAMS = (
+    {}, {"m": 2.0, "n": 1.0}, {"m": 0.5, "gamma": 0.9}, {"n": 0.5}, {"n": 8.0, "beta": 2.0},
+)
+
+
+def _grid():
+    return enumerate_paths(fixtures.grid_network(6, 8, 1200.0), k=3)
+
+
+def _one_link_off(k, slope):
+    """(name, function) of `cost` to patch so that link k's `slope` is 1%
+    off: "generalized" or "marginal", `_flow_part`'s flow slope under that
+    pricing, or "queue", `_queue_response_slope`."""
+    if slope == "queue":
+        response = cost._queue_response_slope
+
+        def off(*args):
+            out = response(*args).copy()
+            out[k] *= 1.01
+            return out
+
+        return "_queue_response_slope", off
+    flow_part = cost._flow_part
+
+    def off(v, qp, system_optimum):
+        t, t_v = flow_part(v, qp, system_optimum)
+        if system_optimum == (slope == "marginal"):
+            t_v = t_v.copy()
+            t_v[k] *= 1.01
+        return t, t_v
+
+    return "_flow_part", off
+
+
 class TestGradient:
     def test_matches_finite_differences(self, six_node):
-        # the merit is the function the smoothed-gradient mode descends
-        params = CostParams().for_links(six_node.network.links)
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            f, qa = feasible_random_state(six_node, rng)
-            assert gradient_check(six_node, f, qa, params) <= 1e-5
+        # the slopes the GP step divides by, on every link, over criterion
+        # 9a's draw on six-node and on a 6x6 grid
+        for path_set in (six_node, _grid()):
+            rng = np.random.default_rng(2024)
+            for overrides in SLOPE_PARAMS:
+                params = CostParams(**overrides).for_links(path_set.network.links)
+                for _ in range(20):
+                    f, qa = feasible_random_state(path_set, rng)
+                    assert gradient_check(path_set, f, qa, params) <= 1e-5, overrides
 
     def test_a_gradient_one_percent_off_fails(self, six_node, monkeypatch):
-        # negative control: the check catches a gradient 1% off on any one
-        # component it probes (a queue below the probe's step is skipped)
-        params = CostParams().for_links(six_node.network.links)
-        rng = np.random.default_rng(42)
-        n = six_node.n_paths
-        for _ in range(5):
-            f, qa = feasible_random_state(six_node, rng)
-            probed = [*range(n), *(n + np.flatnonzero(qa >= 1e-4))]
-            for k in probed:
-                def off(*args, k=k):
-                    grad = np.concatenate(merit_gradient(*args))
-                    grad[k] *= 1.01
-                    return grad[:n], grad[n:]
-
-                monkeypatch.setattr(analysis, "merit_gradient", off)
-                assert gradient_check(six_node, f, qa, params) > 1e-5, k
-
-    def test_flagged_merits_match_finite_differences(self, six_node, monkeypatch):
-        # the system optimum prices marginal times, and traditional UE drops
-        # the capacity terms; `gradient_check` probes each flagged gradient
-        # against the merit under the same flags.  The draw is criterion
-        # 9a's seed; a queue is probed by a step in proportion to it, so at
-        # m = 0.5 the (Q/C)^(m-1) slope does not bend within the step of a
-        # queue near zero
+        # negative control: the check catches any one link's slope 1% off,
+        # the flow slope under either pricing and the queue-response slope;
+        # it probes a flow slope where v > 0 and a queue slope where
+        # Q/C >= QUEUE_RATIO_FLOOR
         rng = np.random.default_rng(2024)
-        for flags in ({"system_optimum": True}, {"capacity_bound": False}):
-            monkeypatch.setattr(analysis, "merit", functools.partial(merit, **flags))
-            monkeypatch.setattr(
-                analysis, "merit_gradient", functools.partial(merit_gradient, **flags)
-            )
-            for overrides in ({}, {"m": 2.0, "n": 1.0}, {"m": 0.5, "gamma": 0.9}):
-                params = CostParams(**overrides).for_links(six_node.network.links)
-                for _ in range(20):
-                    f, qa = feasible_random_state(six_node, rng)
-                    assert gradient_check(six_node, f, qa, params) <= 1e-5, flags
+        for path_set in (six_node, _grid()):
+            for overrides in ({}, {"m": 0.5, "gamma": 0.9}):
+                params = CostParams(**overrides).for_links(path_set.network.links)
+                f, qa = feasible_random_state(path_set, rng)
+                _, q, _, v = assemble_link_state(path_set, f, qa)
+                ratio = q / capacity(q, path_set.c_max, params)
+                probed = [
+                    (k, slope)
+                    for k in range(path_set.n_links)
+                    for slope, on in (
+                        ("generalized", v[k] > 0),
+                        ("marginal", v[k] > 0),
+                        ("queue", ratio[k] >= QUEUE_RATIO_FLOOR),
+                    )
+                    if on
+                ]
+                assert {slope for _, slope in probed} == {"generalized", "marginal", "queue"}
+                for k, slope in probed:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(cost, *_one_link_off(k, slope))
+                        assert gradient_check(path_set, f, qa, params) > 1e-5, (k, slope)

@@ -15,11 +15,10 @@ import pytest
 import loop_reference as ref
 from conftest import _grid20_staircase_path_set, per_entry
 from queuenet import fixtures
-from queuenet.cost import CostParams
+from queuenet.cost import QUEUE_RATIO_FLOOR, CostParams
 from queuenet.net import ODPair, enumerate_paths
 from queuenet.solver import (
     QUEUE_CAP_FRACTION,
-    QUEUE_RATIO_FLOOR,
     VARIANTS,
     SolverOptions,
     _aon_initial_flows,

@@ -287,6 +287,22 @@ class TestLoading:
         ps = _load_tables(texts)
         assert ps.network == plain.network and ps.paths == plain.paths
 
+    @pytest.mark.parametrize(
+        "columns, cells",
+        [("capacity,capacity", "1800,900"), ("capacity,gamma,gamma", "1800,0.2,0.9")],
+        ids=["capacity", "gamma"],
+    )
+    def test_header_naming_a_column_twice_refused(self, tmp_path, columns, cells):
+        # the later cell won without a word: capacity 900, gamma 0.9
+        nodes = io.StringIO("node_id\nu\nv\n")
+        path = tmp_path / "links.csv"
+        path.write_text(f"link_id,from_node,to_node,free_flow_time,{columns}\na,u,v,0.25,{cells}\n")
+        name = columns.rsplit(",", 1)[1]
+        with open(path) as links, pytest.raises(
+            NetworkError, match=re.escape(f"{path}: header names column '{name}' twice")
+        ):
+            load_network(nodes, links)
+
     def test_repeated_od_pair_names_its_lines(self, six_node):
         # blank lines used to shift the reported rows to 2 and 4
         text = "origin,destination,demand\n\n1,3,3000\n\n2,4,3000\n1,3,500\n"
