@@ -43,6 +43,8 @@ _CONFIG_KEYS = frozenset(
 #: the series `sweep --trend` can check on the first tracked link, and
 #: the `SweepRow` field each one reads
 _TREND_SERIES = {"flow": "throughflows", "queue": "link_queues", "cost": "link_times"}
+#: the most values one `sweep --range` may hold
+_MAX_RANGE_POINTS = 10_000
 
 
 def _fmt(value: float) -> str:
@@ -279,8 +281,11 @@ def _parse_range(spec: str) -> tuple[float, ...]:
         raise ConfigError(f"--range needs a finite lo, hi and step, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("--range requires step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return tuple(lo + i * step for i in range(count))
+    # not finite when (hi - lo) / step overflows
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_RANGE_POINTS:
+        raise ConfigError(f"--range may hold at most {_MAX_RANGE_POINTS} values, got {spec!r}")
+    return tuple(lo + i * step for i in range(int(span) + 1))
 
 
 def _sweep_value(item: str) -> float:

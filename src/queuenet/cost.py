@@ -213,14 +213,11 @@ def _queue_response_slope(
     """d(delay)/dy along the steady queue Q = (y - C_max)/(1 - gamma), the
     delay's response to a queued link's arrivals y, which the GP step adds
     to the flow slope there; 0 on a link without a queue.  Q/C is taken at
-    >= QUEUE_RATIO_FLOOR and 1 - gamma at >= 1e-3.  Callers run it with
-    numpy's divide and invalid warnings off."""
+    >= QUEUE_RATIO_FLOOR.  Callers run it with numpy's divide and invalid
+    warnings off."""
     q, c = qp.q, qp.c
     ratio = np.maximum(q / c, QUEUE_RATIO_FLOOR)
-    slope = (
-        alpha * m * ratio ** (m - 1.0) * (c + gamma * q)
-        / (c**2 * np.maximum(1.0 - gamma, 1e-3))
-    )
+    slope = alpha * m * ratio ** (m - 1.0) * (c + gamma * q) / (c**2 * (1.0 - gamma))
     return np.where(q > 0, slope, 0.0)
 
 

@@ -507,12 +507,7 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
     total = float(ps.demand[best >= 0] @ priced[best[best >= 0]])
 
     gamma = np.asarray(state.params.gamma, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slack = np.where(
-            gamma > 0,
-            (c_max - v) / np.where(gamma > 0, gamma, 1.0) - q,
-            c_max - v,
-        )
+    slack = np.where(gamma > 0, _cost.gamma_of_flow(v, c_max, state.params) - q, c_max - v)
     comp = np.abs(q * slack)
     cap = np.maximum(0.0, v - _cost.capacity(q, c_max, state.params))
     congested = tuple(

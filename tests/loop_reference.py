@@ -162,7 +162,7 @@ def gp_flow_pass(path_set, f, queue_alloc, params, options):
             * m_g
             * np.maximum(q_g / c_g, QUEUE_RATIO_FLOOR) ** (m_g - 1.0)
             * (c_g + gamma_g * q_g)
-            / (c_g**2 * np.maximum(1.0 - gamma_g, 1e-3))
+            / (c_g**2 * (1.0 - gamma_g))
         )
         slope = slope + np.where(q_g > 0, queue_slope, 0.0)
         c_min = float(costs.min())

@@ -2,7 +2,9 @@
 
 import csv
 import math
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from queuenet import sweep as sweep_module
 from queuenet.analysis import kkt_report
 from queuenet.cli import main
 from queuenet.net import load_path_set
-from queuenet.solver import SolverOptions, solve
+from queuenet.solver import VARIANTS, SolverOptions, solve
 
 
 def run(argv):
@@ -74,14 +76,28 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
     def test_convergence_csv_has_a_row_per_iteration(self, cfg, tmp_path, mode):
         # solve fills the history only on request; the CLI asks for it
-        assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--mode", mode]) == 0
-        summary = (tmp_path / "summary.txt").read_text().splitlines()
-        iterations = int(next(l for l in summary if l.startswith("iterations: ")).split(": ")[1])
-        rows = read_csv(tmp_path / "convergence.csv")
-        assert len(rows) == iterations > 0
-        for row in rows:
-            for column in ("merit_half", "merit", "gap"):
-                assert math.isfinite(float(row[column])), (row["iteration"], column)
+        for variant in VARIANTS:
+            out = tmp_path / variant
+            argv = ["solve", "--config", cfg, "--out", str(out), "--mode", mode]
+            assert run(argv + ["--variant", variant]) == 0, variant
+            summary = dict(
+                l.split(": ", 1) for l in (out / "summary.txt").read_text().splitlines()
+            )
+            rows = read_csv(out / "convergence.csv")
+            assert len(rows) == int(summary["iterations"]) > 0, variant
+            for row in rows:
+                for column in ("merit_half", "merit", "gap"):
+                    assert math.isfinite(float(row[column])), (variant, row["iteration"], column)
+            # summary.txt counts the links that links.csv flags congested
+            flagged = [r for r in read_csv(out / "links.csv") if r["congested"] == "1"]
+            assert int(summary["congested_links"]) == len(flagged), variant
+            assert {"max_capacity_residual", "max_complementarity_residual"} <= set(summary)
+            # a converged run has the audit's gap within the solver's bound
+            # and ends with J near 0, which checks complementarity and FIFO
+            # queue sharing where the gap cannot see them
+            assert float(summary["relative_gap"]) <= 1e-4, variant
+            assert float(rows[-1]["merit_half"]) <= 1e-4, variant
+            assert float(rows[-1]["merit"]) <= 1e-4, variant
 
     @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
     def test_summary_residuals_are_the_audit(self, cfg, tmp_path, six_node, mode):
@@ -98,12 +114,21 @@ class TestSolve:
             eq.max_complementarity_residual
         )
 
-    def test_deterministic_output(self, cfg, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["solve", "--config", cfg, "--out", str(a)]) == 0
-        assert run(["solve", "--config", cfg, "--out", str(b)]) == 0
-        for name in ("links.csv", "paths.csv", "convergence.csv", "summary.txt"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+    def test_deterministic_output(self, scenario_dir, cfg, tmp_path):
+        # the same bundle from a second run, and from k=3, which enumerates
+        # the scenario's paths.csv
+        k3 = copy_scenario(scenario_dir, tmp_path / "k3")
+        text = Path(k3).read_text()
+        assert "paths=paths.csv\n" in text
+        Path(k3).write_text(text.replace("paths=paths.csv\n", "k=3\n"))
+        for mode in ("fixed_point", "smoothed_gradient"):
+            bundles = []
+            for label, config in (("a", cfg), ("b", cfg), ("k3", k3)):
+                out = tmp_path / f"{mode}_{label}"
+                assert run(["solve", "--config", config, "--out", str(out), "--mode", mode]) == 0
+                names = ("links.csv", "paths.csv", "convergence.csv", "summary.txt")
+                bundles.append({name: (out / name).read_bytes() for name in names})
+            assert bundles[1] == bundles[0] and bundles[2] == bundles[0], mode
 
     def test_iteration_limit_exit_code(self, cfg, tmp_path):
         rc = run(
@@ -159,6 +184,16 @@ class TestSolve:
         with open(out / "paths.csv", newline="") as fh:
             assert load_path_set(fh, network).paths == path_set.paths
         assert ("3", "4,x", "6") in [p.links for p in path_set.paths]
+
+    def test_module_entry_point(self, cfg, tmp_path):
+        # `python -m queuenet.cli`, which the console script does not run
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error::RuntimeWarning")
+        argv = [sys.executable, "-m", "queuenet.cli", "solve", "--config", cfg]
+        done = subprocess.run(argv + ["--out", str(tmp_path)], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        assert (tmp_path / "summary.txt").is_file()
 
     def test_variant_flag(self, cfg, tmp_path):
         rc = run(
@@ -341,8 +376,10 @@ class TestErrors:
                 "path ('4', '3', '6'): first link tail 5 != origin 1",
             ),
             ("demands.csv", "2,4,3000", "2,9,3000", "OD 2->9 references undeclared node"),
+            # a record's own check, which names the row
+            ("demands.csv", "2,4,3000", "2,4,-5", "row 3: OD 2->4: demand must be finite and >= 0"),
         ],
-        ids=["broken-chain", "undeclared-node"],
+        ids=["broken-chain", "undeclared-node", "negative-demand"],
     )
     def test_table_error_names_its_file(
         self, scenario_dir, tmp_path, capsys, table, row, bad_row, what
@@ -645,6 +682,16 @@ class TestSweep:
             ("0", "iteration_limit")
         ] * 3
 
+    def test_od_swept_through_zero(self, cfg, tmp_path):
+        # at demand 0 the OD pair's links (2 direct; 5 and 7 around link 4)
+        # carry nothing, and every point converges
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "demand"]
+        assert run(argv + ["--od", "2,4", "--values", "0,1500,3000", "--track", "2,5,7"]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [r["termination"] for r in rows] == ["tolerance"] * 3
+        assert float(rows[0]["demand"]) == 0.0
+        assert [float(rows[0][f"flow_{link}"]) for link in (2, 5, 7)] == [0.0] * 3
+
     def test_sweep_output_is_deterministic(self, cfg, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         args = [
@@ -840,6 +887,20 @@ class TestSweep:
         assert "--range needs a finite lo, hi and step" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["0:1e308:1e-308", "0:1:1e-300"])
+    def test_range_past_the_point_cap_refused(self, cfg, tmp_path, capsys, spec):
+        # 0:1e308:1e-308 raised OverflowError; 0:1:1e-300 set out to build
+        # 1e300 values
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--param", "demand"]
+        assert run(argv + ["--od", "1,3", f"--range={spec}"]) == 1
+        assert f"--range may hold at most 10000 values, got {spec!r}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_range_at_the_point_cap_accepted(self):
+        values = cli._parse_range("0:9999:1")
+        assert len(values) == cli._MAX_RANGE_POINTS == 10_000
+        assert values[-1] == 9999.0
+
     def test_sweep_argument_errors(self, cfg, capsys):
         assert run(["sweep", "--config", cfg, "--values", "1,2"]) == 1
         assert run(["sweep", "--config", cfg, "--param", "m"]) == 1
@@ -928,7 +989,15 @@ class TestValidate:
         # a queue is probed by +-1e-4 Q: a fixed step would be a large share
         # of a queue below one vehicle, where (Q/C)^(m-1) bends at m = 0.5
         config = copy_scenario(scenario_dir, tmp_path / "scen", ["m=0.5", "gamma=0.9"])
-        assert run(["validate", "--config", config, "--seed", "25"]) == 0
+        for seed in range(20, 30):
+            assert run(["validate", "--config", config, "--seed", str(seed)]) == 0, seed
+            assert "(ok)" in capsys.readouterr().out
+
+    def test_gamma_near_one_passes(self, scenario_dir, tmp_path, capsys):
+        # the GP's queue-response slope took 1 - gamma at >= 1e-3, so at
+        # gamma = 0.9995 it was half the slope the check differences: 5.00e-01
+        config = copy_scenario(scenario_dir, tmp_path / "scen", ["gamma=0.9995"])
+        assert run(["validate", "--config", config]) == 0
         assert "(ok)" in capsys.readouterr().out
 
     def test_a_gradient_one_percent_off_fails(self, cfg, capsys, monkeypatch):
