@@ -29,8 +29,8 @@ from . import cost as _cost
 from .analysis import compare_models, gradient_check, kkt_report
 from .cost import PARAM_NAMES, CostParams
 from .net import (
-    _PATH_COLUMNS, Network, NetworkError, PathSet, _path_cells, _write_table, enumerate_paths,
-    input_lines, load_demands, load_network, load_path_set,
+    _PATH_COLUMNS, _PATH_RESULT_COLUMNS, Network, NetworkError, PathSet, _path_cells, _write_table,
+    enumerate_paths, input_lines, load_demands, load_network, load_path_set,
 )
 from .solver import VARIANTS, SolverOptions, _random_split, solve
 from .sweep import _DIRECTIONS, SweepSpec, run_sweep, trend_check
@@ -216,7 +216,7 @@ def _write_result_bundle(out: FsPath, state, report) -> None:
     numbers = zip(state.path_flows, state.completing_flows(), state.path_costs())
     _write_csv(
         out / "paths.csv",
-        _PATH_COLUMNS + ("oversaturated_flow", "completing_flow", "generalized_cost"),
+        _PATH_COLUMNS + _PATH_RESULT_COLUMNS,
         (cells + row for cells, row in zip(_path_cells(state.path_set), numbers)),
     )
     _write_csv(

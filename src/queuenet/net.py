@@ -1,4 +1,4 @@
-"""Road network and path-set data model with GMNS-style CSV ingestion.
+"""Road network and path-set data model with CSV ingestion.
 
 Links carry free-flow time (hours) and physical capacity (veh/hr).  Paths
 are fixed, enumerated link chains per OD pair; the path set records which
@@ -13,12 +13,15 @@ read-only.
 Every input file follows one line rule, `input_lines`: blank lines and
 lines whose first non-blank character is `#` are skipped, and a line keeps
 its number in the file.  The node, link, demand and path tables are CSV
-read by one row parser, `_table`: the first line is the header.  A loader
-only parses: it makes each row a `Node`, `Link`, `ODPair` or `Path`, and
-the record checks its own values.  One reader, `_read_table`, runs it over
-the rows; an error a row raises names the row's line, and every error in a
-table names its file when the source has a name.  One writer,
-`_write_table`, writes every table the package writes, as `_table` reads it.
+read by one row parser, `_table`, under each table's one declaration of
+its required and optional columns (`_NODE_COLUMNS`, `_LINK_COLUMNS`,
+`_DEMAND_COLUMNS`, and `_PATH_COLUMNS` with `_PATH_RESULT_COLUMNS`).  A
+loader only parses: it makes each row a `Node`, `Link`, `ODPair` or
+`Path`, and the record checks its own values.  One reader, `_read_table`,
+runs it over the rows; an error a row raises names the row's line, and
+every error in a table names its file when the source has a name.  One
+writer, `_write_table`, writes every table the package writes, as `_table`
+reads it.
 """
 from __future__ import annotations
 
@@ -55,7 +58,7 @@ TIME_CONSISTENCY_TOL = 1e-3
 
 
 class NetworkError(ValueError):
-    """Invalid network data (bad ids, missing columns, broken invariants)."""
+    """Invalid network data (bad ids, missing or unknown columns, broken invariants)."""
 
 
 class PathError(NetworkError):
@@ -302,23 +305,32 @@ def input_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def _table(source: Iterable[str], columns: Sequence[str] = ()) -> Iterator[tuple[int, dict]]:
-    """(line number, {column: cell}) per row of a CSV table read by
-    `input_lines`.  Its first line is the header, which must name `columns`
-    and no column twice; a row with more cells than the header is refused."""
+def _table(source: Iterable[str], columns) -> Iterator[tuple[int, dict]]:
+    """(line number, {column: stripped cell}) per row of a CSV table read by
+    `input_lines`, whose `columns` are declared as (required, optional).  The
+    header must name every required column, no undeclared one and none
+    twice.  A row may not have more cells than the header, nor an empty
+    required cell; a short row lacks its last cells, which read as empty."""
+    required, optional = columns
     numbered = list(input_lines(source))
     rows = csv.reader([line for _, line in numbered])
     header = [name.strip() for name in next(rows, ())]
-    if not set(columns) <= set(header):
-        raise NetworkError(f"header {','.join(header)!r} must name {', '.join(columns)}")
+    if not set(required) <= set(header):
+        raise NetworkError(f"header {','.join(header)!r} must name {', '.join(required)}")
     if len(set(header)) < len(header):
         name = next(name for i, name in enumerate(header) if name in header[:i])
         raise NetworkError(f"header names column {name!r} twice")
+    if unknown := [name for name in header if name not in required and name not in optional]:
+        raise NetworkError(f"header names unknown column {unknown[0]!r}")
     for cells in rows:
         row_no = numbered[rows.line_num - 1][0]
         if len(cells) > len(header):
             raise NetworkError(f"row {row_no}: {len(cells)} cells, header has {len(header)}")
-        yield row_no, dict(zip(header, cells))
+        row = dict(zip(header, map(str.strip, cells)))
+        for name in required:
+            if not row.get(name):
+                raise NetworkError(f"row {row_no}: {name} is empty")
+        yield row_no, row
 
 
 def _write_table(sink: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -329,11 +341,11 @@ def _write_table(sink: IO[str], header: Sequence[str], rows: Iterable[Sequence])
     writer.writerows(rows)
 
 
-def _read_table(source: Iterable[str], parse: Callable, finish: Callable, columns=()):
+def _read_table(source: Iterable[str], columns, parse: Callable, finish: Callable):
     """`finish` of {row's line: `parse(row)`} over the rows of the table
-    `source` (`_table`).  An error `parse` raises names its row, and every
-    error raised here, `finish`'s too, names the file when the source has
-    a name (an opened file's `name`)."""
+    `source` with the declared `columns` (`_table`).  An error `parse`
+    raises names its row, and every error raised here, `finish`'s too,
+    names the file when the source has a name (an opened file's `name`)."""
     try:
         records = {}
         for row_no, row in _table(source, columns):
@@ -356,10 +368,10 @@ def _some(rows: dict, kind: str) -> tuple:
     return tuple(rows.values())
 
 
-def _number(row: Mapping[str, str], key: str, required=False) -> float | None:
-    """The cell `key` as a finite float; None if it is empty and not `required`."""
-    raw = (row.get(key) or "").strip()
-    if not raw and not required:
+def _number(row: Mapping[str, str], key: str) -> float | None:
+    """The cell `key` as a finite float; None if it is empty or missing."""
+    raw = row.get(key)
+    if not raw:
         return None
     try:
         value = float(raw)
@@ -370,45 +382,36 @@ def _number(row: Mapping[str, str], key: str, required=False) -> float | None:
     return value
 
 
-def _pick(row: Mapping[str, str], *names: str) -> str | None:
-    for name in names:
-        if name in row and (row[name] or "").strip():
-            return (row[name] or "").strip()
-    return None
+#: each table's (required, optional) columns; `_table` refuses any other
+_NODE_COLUMNS = ("node_id",), ("x_coord", "y_coord")
+_LINK_COLUMNS = (
+    ("link_id", "from_node", "to_node", "capacity"),
+    ("free_flow_time", "length", "free_speed", *PARAM_NAMES),
+)
+_DEMAND_COLUMNS = ("origin", "destination", "demand"), ()
 
 
 def load_network(node_source: IO[str], link_source: IO[str]) -> Network:
-    """Build a Network from GMNS-style node and link CSV tables.
+    """Build a Network from node and link CSV tables.
 
-    Nodes need node_id (x_coord/y_coord optional).  Links need link_id,
-    from_node, to_node, capacity, and free_flow_time or length+free_speed.
-    Missing free_flow_time is derived from length/free_speed.  Extra columns
-    are ignored, except per-link overrides, one column per `CostParams` field.
+    Nodes have node_id and optionally x_coord and y_coord.  Links have
+    link_id, from_node, to_node and capacity, and free_flow_time or
+    length + free_speed; a missing free_flow_time is length/free_speed.
+    A link may also override any `CostParams` field in a column of that
+    name.  Any other column is refused (`_table`).
     """
     return Network(
-        _read_table(node_source, _node, lambda rows: _some(rows, "nodes")),
-        _read_table(link_source, _link, lambda rows: _some(rows, "links")),
+        _read_table(node_source, _NODE_COLUMNS, _node, lambda rows: _some(rows, "nodes")),
+        _read_table(link_source, _LINK_COLUMNS, _link, lambda rows: _some(rows, "links")),
     )
 
 
 def _node(row: Mapping[str, str]) -> Node:
-    nid = _pick(row, "node_id", "id")
-    if nid is None:
-        raise NetworkError("missing node_id")
-    x = _number(row, "x_coord" if _pick(row, "x_coord") else "x")
-    y = _number(row, "y_coord" if _pick(row, "y_coord") else "y")
-    return Node(nid, x, y)
+    return Node(row["node_id"], _number(row, "x_coord"), _number(row, "y_coord"))
 
 
 def _link(row: Mapping[str, str]) -> Link:
-    lid = _pick(row, "link_id", "id")
-    if lid is None:
-        raise NetworkError("missing link_id")
-    tail = _pick(row, "from_node", "from_node_id", "tail")
-    head = _pick(row, "to_node", "to_node_id", "head")
-    if tail is None or head is None:
-        raise NetworkError(f"link {lid} missing from_node/to_node")
-    capacity = _number(row, "capacity", required=True)
+    lid, capacity = row["link_id"], _number(row, "capacity")
     length = _number(row, "length")
     free_speed = _number(row, "free_speed")
     t_f = _number(row, "free_flow_time")
@@ -416,10 +419,8 @@ def _link(row: Mapping[str, str]) -> Link:
         if length is None or free_speed is None or free_speed <= 0:
             raise NetworkError(f"link {lid} needs free_flow_time or length + free_speed")
         t_f = length / free_speed
-    overrides = tuple(
-        (k, v) for k in PARAM_NAMES if k in row and (v := _number(row, k)) is not None
-    )
-    return Link(lid, tail, head, t_f, capacity, length, free_speed, overrides)
+    overrides = tuple((k, v) for k in PARAM_NAMES if (v := _number(row, k)) is not None)
+    return Link(lid, row["from_node"], row["to_node"], t_f, capacity, length, free_speed, overrides)
 
 
 def load_demands(source: IO[str], network: Network) -> Network:
@@ -437,15 +438,11 @@ def load_demands(source: IO[str], network: Network) -> Network:
                 )
         return network.with_demands(_some(rows, "OD pairs"))
 
-    return _read_table(source, _od_pair, attach)
+    return _read_table(source, _DEMAND_COLUMNS, _od_pair, attach)
 
 
 def _od_pair(row: Mapping[str, str]) -> ODPair:
-    origin = _pick(row, "origin", "o_zone_id", "from_node")
-    destination = _pick(row, "destination", "d_zone_id", "to_node")
-    if origin is None or destination is None:
-        raise NetworkError("missing origin/destination")
-    return ODPair(origin, destination, _number(row, "demand", required=True))
+    return ODPair(row["origin"], row["destination"], _number(row, "demand"))
 
 
 class _FreeFlowGraph:
@@ -655,6 +652,8 @@ def enumerate_paths(network: Network, k: int) -> PathSet:
 
 
 _PATH_COLUMNS = ("origin", "destination", "links")
+#: the columns a solve's paths.csv adds to a path table; not read back
+_PATH_RESULT_COLUMNS = ("oversaturated_flow", "completing_flow", "generalized_cost")
 
 
 def _path_cells(path_set: PathSet) -> Iterator[tuple[str, str, str]]:
@@ -667,17 +666,18 @@ def _path_cells(path_set: PathSet) -> Iterator[tuple[str, str, str]]:
 def load_path_set(source: IO[str], network: Network) -> PathSet:
     """Read paths from a CSV table with the header `origin,destination,links`
     and one path per row, its link ids joined by `;` (`write_path_set`).
-    Other columns are ignored, so a solve's paths.csv reads back too."""
+    It may also have the columns a solve's paths.csv adds
+    (`_PATH_RESULT_COLUMNS`), so such a file reads back too."""
     od_index = {(od.origin, od.destination): i for i, od in enumerate(network.od_pairs)}
 
     def path(row: Mapping[str, str]) -> Path:
-        key = (_pick(row, "origin"), _pick(row, "destination"))
+        key = (row["origin"], row["destination"])
         if key not in od_index:
             raise PathError(f"unknown OD pair {key[0]}->{key[1]}")
-        chain = _pick(row, "links") or ""
-        return Path(od_index[key], tuple(s.strip() for s in chain.split(";") if s.strip()))
+        return Path(od_index[key], tuple(s.strip() for s in row["links"].split(";") if s.strip()))
 
-    return _read_table(source, path, lambda rows: PathSet(network, rows.values()), _PATH_COLUMNS)
+    columns = _PATH_COLUMNS, _PATH_RESULT_COLUMNS
+    return _read_table(source, columns, path, lambda rows: PathSet(network, rows.values()))
 
 
 def write_path_set(path_set: PathSet, sink: IO[str]) -> None:

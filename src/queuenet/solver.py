@@ -601,8 +601,8 @@ def _project_queues(
 
 def _queue_relaxation(gamma: np.ndarray) -> float:
     """The fixed-point mode's queue relaxation: slower as queues erode
-    capacity faster, clip(0.5 (1 - max gamma), 0.05, 0.5)."""
-    return float(np.clip(0.5 * (1.0 - gamma.max()), 0.05, 0.5))
+    capacity faster, 0.5 (1 - max gamma), in (0, 0.5] since 0 <= gamma < 1."""
+    return float(0.5 * (1.0 - gamma.max()))
 
 
 def _accept_or_halve(trial, step, halve, merit, j, current):

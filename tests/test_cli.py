@@ -395,6 +395,58 @@ class TestErrors:
         assert rc == 1
         assert f"{work / table}: {what}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table, column, cell, what",
+        [
+            ("links.csv", "gama", "0.9", "header names unknown column 'gama'"),
+            ("nodes.csv", "x", "1", "header names unknown column 'x'"),
+            ("paths.csv", "note", "a", "header names unknown column 'note'"),
+            ("links.csv", "capacity", "", "row 2: capacity is empty"),
+        ],
+        ids=["misspelt-gamma", "node-x", "path-note", "empty-capacity"],
+    )
+    def test_undeclared_column_or_empty_required_cell_refused(
+        self, scenario_dir, tmp_path, capsys, table, column, cell, what
+    ):
+        # a misspelt `gama` column was dropped, so the solve ran at the
+        # default gamma 0.5 and exited 0; `x` was read where x_coord was
+        # empty, and a paths.csv column nothing reads was ignored
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / table, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if column not in rows[0]:
+            rows = [rows[0] + [column]] + [row + [cell] for row in rows[1:]]
+        rows[1][rows[0].index(column)] = cell
+        with open(work / table, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = run(["solve", "--config", str(work / "scenario.cfg"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{work / table}: {what}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_short_link_row_loads(self, scenario_dir, cfg, tmp_path):
+        # a row may stop before its optional cells, which read as empty:
+        # links without length and free_speed solve as the scenario does
+        work = tmp_path / "scen"
+        shutil.copytree(scenario_dir, work)
+        with open(work / "links.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        order = [header.index(c) for c in ("link_id", "from_node", "to_node", "capacity")]
+        order += [header.index(c) for c in ("free_flow_time", "length", "free_speed")]
+        rows = [[row[i] for i in order] for row in [header] + rows]
+        rows[2:] = [row[:5] for row in rows[2:]]
+        with open(work / "links.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert len(rows[1]) == 7 and len(rows[2]) == 5
+        bundles = []
+        for label, config in (("plain", cfg), ("short", str(work / "scenario.cfg"))):
+            assert run(["solve", "--config", config, "--out", str(tmp_path / label)]) == 0
+            names = ("links.csv", "paths.csv", "convergence.csv", "summary.txt")
+            bundles.append({name: (tmp_path / label / name).read_bytes() for name in names})
+        assert bundles[1] == bundles[0]
+
     @pytest.mark.parametrize("line", ["gama=0.9", "phi=2", "epsilon=1e-3"])
     def test_unknown_config_key_refused(self, scenario_dir, tmp_path, capsys, line):
         # a misspelt key used to solve at the default; phi is no cost

@@ -153,11 +153,11 @@ class TestLoading:
         assert a.free_flow_time == 0.25
 
     def test_load_network_keeps_zero_coordinates(self):
-        # the alias column is read only where the first one is left empty
-        nodes = io.StringIO("node_id,x_coord,y_coord,x,y\na,0,0,5,5\nb,,,3,4\n")
+        # a zero coordinate is kept; an empty or missing cell gives none
+        nodes = io.StringIO("node_id,x_coord,y_coord\na,0,0\nb,,\nc,0\n")
         links = io.StringIO("link_id,from_node,to_node,capacity,free_flow_time\nl,a,b,1800,0.25\n")
         net = load_network(nodes, links)
-        assert [(n.x, n.y) for n in net.nodes] == [(0.0, 0.0), (3.0, 4.0)]
+        assert [(n.x, n.y) for n in net.nodes] == [(0.0, 0.0), (None, None), (0.0, None)]
 
     def test_load_network_length_speed(self):
         nodes = io.StringIO("node_id\nu\nv\n")
@@ -342,6 +342,15 @@ class TestLoading:
         texts[table] = "\n".join(lines + [lines[-1] + ",extra"]) + "\n"
         n_cells = lines[-1].count(",") + 2
         with pytest.raises(NetworkError, match=f"row {len(lines) + 1}: {n_cells} cells"):
+            _load_tables(texts)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_undeclared_column_refused_in_every_table(self, tables, table):
+        # a column no loader read was dropped without a word
+        texts = dict(tables)
+        header, rows = texts[table].split("\n", 1)
+        texts[table] = header + ",id\n" + rows
+        with pytest.raises(NetworkError, match="header names unknown column 'id'"):
             _load_tables(texts)
 
     def test_path_table_needs_its_header(self, tables, six_node):

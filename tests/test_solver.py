@@ -670,6 +670,17 @@ class TestSmoothedMode:
     def test_six_node_matches_fixed_point(self, six_node, gamma, m):
         _assert_smoothed_matches_fixed_point(six_node, CostParams(gamma=gamma, m=m))
 
+    def test_six_node_near_gamma_one_matches_fixed_point(self, six_node):
+        # the fixed-point relaxation was floored at 0.05, where each unit of
+        # surplus becomes 1/(1 - gamma) = 100 veh of queue: the mode ended
+        # infeasible after 2000 iterations with link 4 unqueued.  Unfloored
+        # it converges in 684, 0.009 veh/h from the smoothed answer
+        params = CostParams(gamma=0.99)
+        state, report = solve(six_node, params)
+        assert report.converged and report.termination == "tolerance"
+        smoothed, _ = solve(six_node, params, SolverOptions(queue_mode="smoothed_gradient"))
+        _assert_same_link_state(smoothed, state)
+
     def test_grid6_matches_fixed_point(self):
         ps = enumerate_paths(fixtures.grid_network(6, 8, 1200.0), 3)
         _assert_smoothed_matches_fixed_point(ps, CostParams())
