@@ -97,6 +97,11 @@ def _resolve(cfg: dict[str, str], key: str) -> FsPath:
 
 
 def _build_scenario(cfg: _Config) -> tuple[Network, PathSet]:
+    if "paths" in cfg and "k" in cfg:
+        raise ConfigError(
+            f"{cfg.path}: config sets both 'paths' (line {cfg.line['paths']}) and 'k' "
+            f"(line {cfg.line['k']}); give one"
+        )
     with open(_resolve(cfg, "nodes")) as nf, open(_resolve(cfg, "links")) as lf:
         network = load_network(nf, lf)
     with open(_resolve(cfg, "demands")) as df:

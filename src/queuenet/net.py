@@ -368,6 +368,16 @@ def _some(rows: dict, kind: str) -> tuple:
     return tuple(rows.values())
 
 
+def _once(rows: dict, key: Callable, what: Callable) -> None:
+    """Refuse two records in {row's line: record} with the same `key`,
+    naming the record by `what` and both rows."""
+    first_row: dict = {}
+    for row_no, record in rows.items():
+        first = first_row.setdefault(key(record), row_no)
+        if first != row_no:
+            raise NetworkError(f"{what(record)} given twice, on rows {first} and {row_no}")
+
+
 def _number(row: Mapping[str, str], key: str) -> float | None:
     """The cell `key` as a finite float; None if it is empty or missing."""
     raw = row.get(key)
@@ -425,17 +435,14 @@ def _link(row: Mapping[str, str]) -> Link:
 
 def load_demands(source: IO[str], network: Network) -> Network:
     """Attach OD demands from a CSV table (origin, destination, demand),
-    one row per OD pair."""
+    one row per OD pair; a pair listed twice is refused, with both rows."""
 
     def attach(rows: dict[int, ODPair]) -> Network:
-        first_row: dict[tuple[str, str], int] = {}
-        for row_no, od in rows.items():
-            first = first_row.setdefault((od.origin, od.destination), row_no)
-            if first != row_no:
-                raise NetworkError(
-                    f"OD pair {od.origin}->{od.destination} given twice, on rows "
-                    f"{first} and {row_no}"
-                )
+        _once(
+            rows,
+            lambda od: (od.origin, od.destination),
+            lambda od: f"OD pair {od.origin}->{od.destination}",
+        )
         return network.with_demands(_some(rows, "OD pairs"))
 
     return _read_table(source, _DEMAND_COLUMNS, _od_pair, attach)
@@ -455,7 +462,9 @@ class _FreeFlowGraph:
     yields first is fixed by that order, by the search's steps and by the
     order in which it sums the floats.  It yields the same paths in the
     same order as networkx's `shortest_simple_paths`, which
-    `tests/path_reference.py` keeps, with fewer spur searches.
+    `tests/path_reference.py` keeps, with fewer spur searches; given the k
+    that `enumerate_paths` keeps, it also skips the spur searches that can
+    only find paths `enumerate_paths` would not reach.
     """
 
     def __init__(self, network: Network):
@@ -472,7 +481,9 @@ class _FreeFlowGraph:
                 self.succ[u].append((v, link.free_flow_time))
                 self.pred[v].append((u, link.free_flow_time))
 
-    def simple_paths(self, source: int, target: int) -> Iterator[tuple[int, ...]]:
+    def simple_paths(
+        self, source: int, target: int, k: int | None = None
+    ) -> Iterator[tuple[int, ...]]:
         """Loopless paths from source to target, shortest first (Yen 1971),
         as node tuples; none if target cannot be reached.  source != target.
 
@@ -495,6 +506,28 @@ class _FreeFlowGraph:
         path, or one that has stayed buffered since (a path with that root
         yielded in between would be later), so this one's path would be
         refused, and skipping it changes nothing.
+
+        With `k` given, once k paths are yielded, a spur search runs only
+        if a lower bound on what it can find is within `bound`: the k-th
+        path's cost plus 1e-9 of it, and at least 1e-9 (Martins & Pascoal
+        2003).  The lower bound is the root's length plus the least, over
+        the spur node's next hops that are neither ignored nor banned, of
+        the link's time and the hop's free-flow distance to the target
+        (`_distances_to`, run once, at the k-th path).  This yields the
+        same paths in the same order as the search without `k` up to the
+        first path that costs more than `bound`, and `enumerate_paths`
+        stops at or before that path:
+        - ignoring nodes and banning links only lengthens distances, so the
+          lower bound holds for the search's restricted graph;
+        - a skipped search could only find a path costing more than
+          `bound`, so more than the k-th cost + 1e-12 at which
+          `enumerate_paths` stops; the margin is far above the float error
+          of the sums;
+        - every path within `bound` is pushed by both searches, in the same
+          relative order, so ties pop the same way;
+        - Lawler's skip still holds: a search at i < d has the spur node,
+          root and banned next hops of the search it leans on, so where
+          this rule skipped that one, it would skip this one too.
         """
         n = len(self.succ)
         first = self._shortest(source, target, bytearray(n), ())
@@ -506,11 +539,16 @@ class _FreeFlowGraph:
         buffered = {first[1]}
         pushes = 1
         yielded: list[tuple[int, ...]] = []
+        to_target: list[float] | None = None  # with the bound, once k are out
+        bound = math.inf
         while buffer:
-            _, _, path, deviation = heappop(buffer)
+            path_cost, _, path, deviation = heappop(buffer)
             buffered.remove(path)
             yield path
             yielded.append(path)
+            if len(yielded) == k:
+                bound = path_cost + max(path_cost * 1e-9, 1e-9)
+                to_target = self._distances_to(target)
             weights = [self.edge[e][0] for e in zip(path, path[1:])]
             ignored = bytearray(n)
             same_root = yielded
@@ -519,20 +557,41 @@ class _FreeFlowGraph:
                 same_root = [p for p in same_root if p[i - 1] == spur_node]
                 spur = None
                 if i >= deviation:
-                    spur = self._shortest(
-                        spur_node, target, ignored, {p[i] for p in same_root}
-                    )
+                    banned = {p[i] for p in same_root}
+                    # each root's length is summed afresh from the source,
+                    # not carried along: the order of the additions decides
+                    # how near-ties round
+                    root = sum(weights[: i - 1])
+                    if to_target is None or root + min(
+                        (t + to_target[w] for w, t in self.succ[spur_node]
+                         if not ignored[w] and w not in banned),
+                        default=math.inf,
+                    ) <= bound:
+                        spur = self._shortest(spur_node, target, ignored, banned)
                 if spur is not None:
                     candidate = path[: i - 1] + spur[1]
                     if candidate not in buffered:
-                        # each root's length is summed afresh from the source,
-                        # not carried along: the order of the additions decides
-                        # how near-ties round
-                        cost = sum(weights[: i - 1]) + spur[0]
-                        heappush(buffer, (cost, pushes, candidate, i))
+                        heappush(buffer, (root + spur[0], pushes, candidate, i))
                         buffered.add(candidate)
                         pushes += 1
                 ignored[spur_node] = 1
+
+    def _distances_to(self, target: int) -> list[float]:
+        """Each node's free-flow distance to `target` (Dijkstra over `pred`);
+        inf where it cannot reach it."""
+        dist = [math.inf] * len(self.pred)
+        dist[target] = 0.0
+        fringe = [(0.0, target)]
+        while fringe:
+            dv, v = heappop(fringe)
+            if dv > dist[v]:
+                continue
+            for u, weight in self.pred[v]:
+                du = dv + weight
+                if du < dist[u]:
+                    dist[u] = du
+                    heappush(fringe, (du, u))
+        return dist
 
     def _shortest(
         self, source: int, target: int, ignored: bytearray, banned: Collection[int]
@@ -613,7 +672,9 @@ def enumerate_paths(network: Network, k: int) -> PathSet:
     Per OD pair, Yen's search yields paths shortest first, ties in the
     order its bidirectional Dijkstra finds them.  It stops after k+32
     paths, or earlier at the first path that costs more than the k-th
-    cheapest so far (by more than 1e-12).  Of the paths yielded, the k
+    cheapest so far (by more than 1e-12); given k, the search skips the
+    spur searches that could only find paths past that stop, so it yields
+    the same paths up to it.  Of the paths yielded, the k
     smallest by (cost rounded to 12 decimals, link ids) are kept, in that
     order.  Where more paths tie than the search yields, that is not the
     k smallest of all paths by the same key: on
@@ -630,7 +691,7 @@ def enumerate_paths(network: Network, k: int) -> PathSet:
     for i, od in enumerate(network.od_pairs):
         candidates: list[tuple[float, tuple[str, ...]]] = []
         kth_cost = math.inf
-        for node_path in g.simple_paths(g.index[od.origin], g.index[od.destination]):
+        for node_path in g.simple_paths(g.index[od.origin], g.index[od.destination], k):
             edges = [g.edge[e] for e in zip(node_path, node_path[1:])]
             link_ids = tuple(link_id for _, link_id in edges)
             cost = sum(weight for weight, _ in edges)
@@ -667,8 +728,10 @@ def load_path_set(source: IO[str], network: Network) -> PathSet:
     """Read paths from a CSV table with the header `origin,destination,links`
     and one path per row, its link ids joined by `;` (`write_path_set`).
     It may also have the columns a solve's paths.csv adds
-    (`_PATH_RESULT_COLUMNS`), so such a file reads back too."""
+    (`_PATH_RESULT_COLUMNS`), so such a file reads back too.  A path
+    listed twice is refused, with both rows."""
     od_index = {(od.origin, od.destination): i for i, od in enumerate(network.od_pairs)}
+    od_name = [f"{od.origin}->{od.destination}" for od in network.od_pairs]
 
     def path(row: Mapping[str, str]) -> Path:
         key = (row["origin"], row["destination"])
@@ -676,8 +739,12 @@ def load_path_set(source: IO[str], network: Network) -> PathSet:
             raise PathError(f"unknown OD pair {key[0]}->{key[1]}")
         return Path(od_index[key], tuple(s.strip() for s in row["links"].split(";") if s.strip()))
 
+    def path_set(rows: dict[int, Path]) -> PathSet:
+        _once(rows, lambda p: p, lambda p: f"path {p.links} of OD pair {od_name[p.od_index]}")
+        return PathSet(network, rows.values())
+
     columns = _PATH_COLUMNS, _PATH_RESULT_COLUMNS
-    return _read_table(source, columns, path, lambda rows: PathSet(network, rows.values()))
+    return _read_table(source, columns, path, path_set)
 
 
 def write_path_set(path_set: PathSet, sink: IO[str]) -> None:

@@ -4,9 +4,13 @@
 search over a bidirectional Dijkstra) to integer node indices, and skips
 the spur searches Lawler's rule shows can only find a path already
 buffered, or none: a yielded path searches only from the spur index it
-was pushed at on.  This is the networkx original, kept as an oracle: both
-searches yield the same paths in the same order, ours with fewer spur
-searches, and both `enumerate_paths` return the same paths.
+was pushed at on.  Given k, it also skips those that a lower bound (the
+root, one link and a free-flow distance to the target) shows can only
+find paths costing more than the k-th.  This is the networkx original,
+kept as an oracle: both searches yield the same paths in the same order,
+ours with fewer spur searches (with k, up to the first path
+`enumerate_paths` stops at), and both `enumerate_paths` return the same
+paths.
 """
 
 import math

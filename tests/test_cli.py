@@ -368,6 +368,18 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err == "error: OD 1->7 is disconnected\n"
 
+    def test_paths_and_k_together_refused(self, scenario_dir, tmp_path, capsys):
+        # paths.csv was read and k=2 ignored without a word, exit 0
+        config = copy_scenario(scenario_dir, tmp_path / "scen", ["k=2"])
+        lines = Path(config).read_text().splitlines()
+        rc = run(["solve", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: config sets both 'paths' (line "
+            f"{lines.index('paths=paths.csv') + 1}) and 'k' (line {len(lines)}); give one\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "table, row, bad_row, what",
         [
@@ -506,13 +518,20 @@ class TestErrors:
             "variant": "queue_dependent", "max_iter": "2000",
             "alpha": "0.5", "beta": "0.5", "m": "1", "n": "4", "gamma": "0.5",
         }
-        work = tmp_path / "scen"
-        shutil.copytree(scenario_dir, work)
-        with open(work / "scenario.cfg", "a") as fh:
-            fh.writelines(f"{key}={value}\n" for key, value in values.items())
         assert set(values) | {"nodes", "links", "demands", "paths"} == cli._CONFIG_KEYS
-        assert run(["solve", "--config", str(work / "scenario.cfg")]) == 0
-        assert (tmp_path / "out" / "summary.txt").is_file()
+        # a config names its path set one way: k in place of paths, then paths
+        for source in ("k", "paths"):
+            work = tmp_path / source
+            shutil.copytree(scenario_dir, work)
+            text = (work / "scenario.cfg").read_text()
+            if source == "k":
+                text = text.replace("paths=paths.csv\n", "")
+            keys = [key for key in values if key != "k" or source == "k"]
+            text += "".join(f"{key}={values[key]}\n" for key in keys)
+            (work / "scenario.cfg").write_text(text)
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            assert run(["solve", "--config", str(work / "scenario.cfg")]) == 0, source
+            assert (tmp_path / "out" / "summary.txt").is_file(), source
 
     def test_repeated_config_key_refused(self, scenario_dir, tmp_path, capsys):
         # the second value used to win silently

@@ -303,6 +303,13 @@ class TestLoading:
         ):
             load_network(nodes, links)
 
+    def test_repeated_path_names_its_lines(self, six_node):
+        # a second 1,3,1 row loaded as a fifth path that carried nothing
+        text = "origin,destination,links\n\n1,3,1\n1,3,3;4;6\n\n1,3,1\n"
+        what = "path ('1',) of OD pair 1->3 given twice, on rows 3 and 6"
+        with pytest.raises(NetworkError, match=re.escape(what)):
+            load_path_set(io.StringIO(text), six_node.network)
+
     def test_repeated_od_pair_names_its_lines(self, six_node):
         # blank lines used to shift the reported rows to 2 and 4
         text = "origin,destination,demand\n\n1,3,3000\n\n2,4,3000\n1,3,500\n"
@@ -586,7 +593,9 @@ class TestEnumeration:
 
     def test_grid15_enum_spur_searches_are_counted(self, monkeypatch):
         # a yielded path searches only from the spur index it was pushed at
-        # on; searching at every index, as Yen's search does, makes 4,127
+        # on, and once k paths are out only where the lower bound is within
+        # the k-th cost; searching at every index, as Yen's search does,
+        # makes 4,127, and the deviation-index skip alone 2,427
         shortest = _FreeFlowGraph._shortest
         calls = 0
 
@@ -597,7 +606,25 @@ class TestEnumeration:
 
         monkeypatch.setattr(_FreeFlowGraph, "_shortest", counted)
         enumerate_paths(fixtures.grid_network(15, 12, 1100.0), 3)
-        assert calls == 2427
+        assert calls == 964
+
+    @pytest.mark.parametrize("half", [0.5, 1e-13])
+    def test_path_within_the_slack_of_the_kth_is_kept(self, half):
+        # the search skips spur searches that can only find paths costing
+        # more than the k-th; this path costs 1e-13 more, within
+        # enumerate_paths' 1e-12 slack, and its link ids sort first, so it
+        # is the one path kept.  At half = 1e-13 the k-th costs 2e-13, and
+        # the bound's absolute floor keeps the search that finds it
+        links = [
+            Link("b1", "u", "b", half, 1000.0),
+            Link("b2", "b", "v", half + 1e-13, 1000.0),
+            Link("c1", "u", "c", half, 1000.0),
+            Link("c2", "c", "v", half, 1000.0),
+            Link("d1", "u", "v", 4 * half, 1000.0),
+        ]
+        net = _net(["u", "b", "c", "v"], links, [ODPair("u", "v", 100.0)])
+        ps = enumerate_paths(net, k=1)
+        assert [p.links for p in ps.paths] == [("b1", "b2")]
 
     def test_disconnected_od_pair(self):
         links = [Link("a", "u", "v", 0.1, 1000.0), Link("b", "w", "u", 0.1, 1000.0)]

@@ -5,10 +5,12 @@ DiGraph and takes networkx's `shortest_simple_paths`.  Both must return the
 same paths in the same order, ties included, and raise the same
 `PathError` for a disconnected OD pair with positive demand.  The search
 itself must yield networkx's paths in networkx's order, beyond the ones
-`enumerate_paths` keeps.
+`enumerate_paths` keeps; given the k that `enumerate_paths` keeps, it must
+yield them up to the first path `enumerate_paths` stops at.
 """
 
 import itertools
+import math
 import random
 
 import networkx as nx
@@ -112,3 +114,38 @@ def test_yield_sequence():
             except nx.NetworkXNoPath:
                 theirs = []
             assert ours == theirs, (network, od)
+
+
+def _cost(g, path):
+    """A node path's free-flow time, summed as `enumerate_paths` sums it."""
+    return sum(g.edge[e][0] for e in zip(path, path[1:]))
+
+
+def test_bounded_search_yields_the_same_paths_until_enumeration_stops():
+    # given k, the search skips the spur searches that can only find paths
+    # costing more than the k-th.  Up to the first path enumerate_paths
+    # stops at, it yields the full search's paths; there it may yield
+    # another path that also costs too much, or none
+    cases = list(_random_networks())
+    cases += [(fixtures.grid_network(size, n_od, 1100.0), 3) for size, n_od in GRIDS]
+    stops = 0
+    for network, k in cases:
+        g = _FreeFlowGraph(network)
+        for od in network.od_pairs:
+            s, t = g.index[od.origin], g.index[od.destination]
+            bounded = g.simple_paths(s, t, k)
+            costs = []
+            for path in itertools.islice(g.simple_paths(s, t), k + 32):
+                kth = sorted(costs)[k - 1] if len(costs) >= k else math.inf
+                ours = next(bounded, None)
+                if _cost(g, path) > kth + 1e-12:
+                    assert ours is None or _cost(g, ours) > kth + 1e-12, (network, od)
+                    stops += 1
+                    break
+                assert ours == path, (network, od)
+                costs.append(_cost(g, path))
+            else:
+                if len(costs) < k + 32:
+                    assert next(bounded, None) is None, (network, od)
+    # the seed reaches the stop often
+    assert stops >= 100, stops
