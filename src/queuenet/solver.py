@@ -1,14 +1,15 @@
 """Alternating path-flow / queue solver for equilibrium with residual queues.
 
-`solve` is one loop over two half-steps, run until neither moves: with the
-queues frozen, path-based gradient-projection (GP) passes shift flow from
-costlier paths to the cheapest path of each OD pair, scaled by the local
-cost curvature on the non-shared links and split among the pair's shifting
-paths, so each pair moves by one step; with the flows frozen, the
-complementarity fixed-point sweep sets each link's queue so inflow net of
-held-back traffic matches the queue-reduced capacity.
+`solve` repeats one outer iteration (`_outer_step`) of two half-steps
+until neither moves: with the queues frozen, path-based gradient-projection
+(GP) passes shift flow from costlier paths to the cheapest path of each OD
+pair, scaled by the local cost curvature on the non-shared links and split
+among the pair's shifting paths, so each pair moves by one step; with the
+flows frozen, the complementarity fixed-point sweep sets each link's queue
+so inflow net of held-back traffic matches the queue-reduced capacity.
 
-Each queue mode supplies only its step rule: the fixed-point mode (default)
+The iteration maps one record of the loop's state (`_Iterate`) to the
+next, and each queue mode is a branch in it: the fixed-point mode (default)
 takes the GP passes as they come, relaxes the sweep by `_queue_relaxation`
 and damps flow<->queue limit cycles; the smoothed-gradient mode puts each
 GP pass and the unrelaxed sweep through one accept-or-halve rule on the
@@ -69,6 +70,7 @@ membership matrix, built from the level's entries.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Sequence
@@ -475,7 +477,7 @@ class EquilibriumReport:
     max_complementarity_residual: float
     max_capacity_residual: float
     congested_links: tuple[str, ...]
-    capacity_residuals: np.ndarray = field(repr=False, default=None)
+    capacity_residuals: np.ndarray = field(repr=False)
 
 
 def kkt_report(state: SolutionState) -> EquilibriumReport:
@@ -617,16 +619,6 @@ def _accept_or_halve(trial, step, halve, merit, j, current):
     return (*current, j)
 
 
-def _aon_initial_flows(path_set: PathSet) -> np.ndarray:
-    """All-or-nothing start: full OD demand on the path `_cheapest` picks at
-    free-flow times."""
-    best = _cheapest(path_set, _path_costs(path_set, path_set.t_f))
-    has_path = best >= 0
-    f = np.zeros(path_set.n_paths)
-    f[best[has_path]] = path_set.demand[has_path]
-    return f
-
-
 def _random_split(path_set: PathSet, rng: np.random.Generator) -> np.ndarray:
     """Path flows that split each OD demand by a uniform Dirichlet draw,
     one draw per OD pair that has a path, in OD pair order."""
@@ -642,6 +634,136 @@ def _apply_variant(params: CostParams, variant: str) -> CostParams:
         # capacity never degrades
         return params.replace(gamma=np.zeros_like(np.asarray(params.gamma, dtype=float)))
     return params
+
+
+def _initial_flows(path_set: PathSet, initial_flows: np.ndarray | None) -> np.ndarray:
+    """A copy of `initial_flows`, checked against the path set's demands, or
+    without them the all-or-nothing start: full OD demand on the path
+    `_cheapest` picks at free-flow times."""
+    if initial_flows is None:
+        best = _cheapest(path_set, _path_costs(path_set, path_set.t_f))
+        has_path = best >= 0
+        f = np.zeros(path_set.n_paths)
+        f[best[has_path]] = path_set.demand[has_path]
+        return f
+    f = np.asarray(initial_flows, dtype=float).copy()
+    if f.shape != (path_set.n_paths,):
+        raise ValueError("initial_flows must have one entry per path")
+    if not np.all(np.isfinite(f) & (f >= 0)):
+        raise ValueError("initial_flows must be finite and >= 0")
+    want = path_set.demand
+    got = np.bincount(path_set.path_od, f, len(want))
+    bad = np.flatnonzero(np.abs(got - want) > 1e-6 * np.maximum(1.0, want))
+    if bad.size:
+        raise ValueError(
+            f"initial_flows violate demand conservation for OD {bad[0]}"
+        )
+    return f
+
+
+def _merit(path_set: PathSet, params: CostParams, variant: str, f, queues) -> float:
+    """`cost.merit` of path flows f and per-entry queues, as `variant` prices paths."""
+    system_optimum, capacity_bound = variant == "system_optimum", variant != "traditional_ue"
+    return _cost.merit(path_set, f, queues, params, system_optimum, capacity_bound)
+
+
+def _priced_state(path_set: PathSet, params: CostParams, variant: str, f, queues) -> SolutionState:
+    """Path flows f and per-entry queues as a priced state."""
+    x, q, q_prime, v = assemble_link_state(path_set, f, queues)
+    times = _cost.link_travel_time(v, q, path_set.t_f, path_set.c_max, params)
+    return SolutionState(path_set, params, variant, f, queues, x, q, q_prime, v, times)
+
+
+class _Iterate(NamedTuple):
+    """What one outer iteration (`_outer_step`) hands the next."""
+
+    f: np.ndarray  # path flows
+    queues: np.ndarray  # per-entry queues
+    j: float  # the accepted `cost.merit` (smoothed mode; NaN in the fixed-point mode)
+    frozen: _FrozenQueues  # the GP pricing last used, kept while the queues are the same
+    damping: np.ndarray  # per OD pair, the fixed-point mode's limit-cycle damping
+    delta: np.ndarray  # the last outer flow step (zeros at the start: no reversal)
+    link_queues: np.ndarray  # Q of `queues`
+    queue_change: float  # the last largest link-queue change
+
+
+def _outer_step(
+    path_set: PathSet, params: CostParams, options: SolverOptions,
+    levels: list[_GroupLevel], iterate: _Iterate, row: list | None,
+) -> tuple[_Iterate, float, int]:
+    """One outer iteration from `iterate`, which it leaves as it is: the
+    flow half-step, then the queue half-step, by the step rule of the queue
+    mode.  Returns the next iterate, the largest path-flow move and the GP
+    passes run.  A `row` list gets the history entries: J after each
+    half-step, the steps and the relative gap."""
+    smoothed = options.queue_mode == "smoothed_gradient"
+    update_queues = options.variant != "traditional_ue"
+    merit = functools.partial(_merit, path_set, params, options.variant)
+    f, queues, j, frozen = iterate.f, iterate.queues, iterate.j, iterate.frozen
+    # the first iteration has no queue change yet (queue_change is 0)
+    inner_tol = max(0.1 * STEP_TOL, INNER_TOL_SHARE * iterate.queue_change)
+
+    # flow half-step: GP passes with the queues frozen, priced again only
+    # when a step replaced them
+    for passes in range(1, MAX_INNER_PASSES + 1):
+        if frozen.queue_alloc is not queues:
+            frozen = _frozen_queues(path_set, queues, levels, params)
+        g = _gp_flow_pass(path_set, f, frozen, levels, options)
+        if smoothed:
+            # a variant without queues keeps the (empty) ones it has
+            trial = lambda g_: (g_, queues)
+            if update_queues:
+                # queued links queue the change in arrivals, keeping slack C(Q) - v
+                _, q0, _, v0 = assemble_link_state(path_set, f, queues)
+                slack = np.where(q0 > 0, path_set.c_max - params.gamma * q0 - v0, -np.inf)
+                trial = lambda g_: (
+                    g_, _queue_targets_fixed_point(path_set, g_, queues, params, 1.0, slack)
+                )
+            g, queues, j = _accept_or_halve(
+                trial, g, lambda g_: f + 0.5 * (g_ - f), merit, j, (f, queues)
+            )
+        inner_change = float(np.abs(g - f).max(initial=0.0))
+        f = g
+        if inner_change <= inner_tol:
+            break
+
+    delta = f - iterate.f
+    damping = iterate.damping
+    if not smoothed:
+        # near-degenerate path sets can sustain a flow<->queue limit cycle:
+        # the iterate swings between two flow splits of identical cost.
+        # Detect the reversal (successive flow deltas pointing in opposite
+        # directions) and damp the outer flow update; averaging a two-cycle
+        # lands on its fixed point.  Recover the step size once the
+        # iteration behaves monotonically again.
+        od = path_set.path_od
+        damping = np.where(
+            np.bincount(od, iterate.delta * delta, len(damping)) < 0.0,  # reversed
+            np.maximum(0.05, 0.5 * damping), np.minimum(1.0, 1.25 * damping),
+        )
+        f = np.where(damping[od] < 1.0, iterate.f + damping[od] * delta, f)
+
+    if row is not None:
+        row.append(merit(f, queues))
+    # queue half-step, with the flows frozen
+    if update_queues and smoothed:
+        # the sweep unrelaxed, halved until the merit does not rise
+        f, queues, j = _accept_or_halve(
+            lambda s: (f, _queue_targets_fixed_point(path_set, f, queues, params, s)),
+            1.0, lambda s: s / 2.0, merit, j, (f, queues),
+        )
+    elif update_queues:
+        relaxation = _queue_relaxation(params.gamma)
+        queues = _queue_targets_fixed_point(path_set, f, queues, params, relaxation)
+
+    flow_change = float(np.abs(f - iterate.f).max(initial=0.0))
+    link_q = np.bincount(path_set.entry_link, queues, path_set.n_links)
+    queue_change = float(np.abs(link_q - iterate.link_queues).max())
+    if row is not None:
+        state = _priced_state(path_set, params, options.variant, f, queues)
+        row += [merit(f, queues), flow_change, queue_change, kkt_report(state).relative_gap]
+    following = _Iterate(f, queues, j, frozen, damping, f - iterate.f, link_q, queue_change)
+    return following, flow_change, passes
 
 
 def solve(
@@ -662,165 +784,55 @@ def solve(
     the iterates are the same either way.
     """
     options = options or SolverOptions()
-    base = (params or CostParams()).for_links(path_set.network.links)
-    base = _apply_variant(base, options.variant)
-    t_f, c_max = path_set.t_f, path_set.c_max
-
+    params = (params or CostParams()).for_links(path_set.network.links)
+    params = _apply_variant(params, options.variant)
     if demands is not None:
         path_set = path_set.with_demands(demands)
-
-    if initial_flows is not None:
-        f = np.asarray(initial_flows, dtype=float).copy()
-        if f.shape != (path_set.n_paths,):
-            raise ValueError("initial_flows must have one entry per path")
-        if not np.all(np.isfinite(f) & (f >= 0)):
-            raise ValueError("initial_flows must be finite and >= 0")
-        want = path_set.demand
-        got = np.bincount(path_set.path_od, f, len(want))
-        bad = np.flatnonzero(np.abs(got - want) > 1e-6 * np.maximum(1.0, want))
-        if bad.size:
-            raise ValueError(
-                f"initial_flows violate demand conservation for OD {bad[0]}"
-            )
-    else:
-        f = _aon_initial_flows(path_set)
-
-    queue_alloc = np.zeros(len(path_set.entry_link))
-    group_levels = _group_levels(path_set)
-    theta = _queue_relaxation(base.gamma)
-    frozen = _frozen_queues(path_set, queue_alloc, group_levels, base)
-
-    update_queues = options.variant != "traditional_ue"
+    f = _initial_flows(path_set, initial_flows)
+    queues = np.zeros(len(path_set.entry_link))
+    levels = _group_levels(path_set)
     smoothed = options.queue_mode == "smoothed_gradient"
-
-    def merit(f_: np.ndarray, qa_: np.ndarray) -> float:
-        return _cost.merit(
-            path_set, f_, qa_, base,
-            system_optimum=options.variant == "system_optimum",
-            capacity_bound=update_queues,
-        )
-
-    def sweep(f_: np.ndarray, qa_: np.ndarray, step: float, slack=None) -> np.ndarray:
-        return _queue_targets_fixed_point(path_set, f_, qa_, base, step, slack)
-
-    def state_at(f_: np.ndarray, qa_: np.ndarray) -> SolutionState:
-        """Path flows f_ and per-entry queues qa_ as a priced state."""
-        x, q, q_prime, v = assemble_link_state(path_set, f_, qa_)
-        times = _cost.link_travel_time(v, q, t_f, c_max, base)
-        return SolutionState(
-            path_set, base, options.variant, f_, qa_, x, q, q_prime, v, times
-        )
-
-    # each mode's step rule: from (f, queues, j), `flow_step` takes a GP
-    # pass's flows g and `queue_step` sweeps; both return the new (f, queues, j)
-    if smoothed:
-        # both half-steps are accepted or halved on the merit: no damping
-        def flow_step(f_, qa_, j_, g):
-            if update_queues:
-                # queued links queue the change in arrivals, keeping slack C(Q) - v
-                _, q0, _, v0 = assemble_link_state(path_set, f_, qa_)
-                slack = np.where(q0 > 0, c_max - base.gamma * q0 - v0, -np.inf)
-                trial = lambda g_: (g_, sweep(g_, qa_, 1.0, slack))
-            else:
-                # a variant without queues keeps the (empty) ones it has
-                trial = lambda g_: (g_, qa_)
-            return _accept_or_halve(
-                trial, g, lambda g_: f_ + 0.5 * (g_ - f_), merit, j_, (f_, qa_),
-            )
-
-        def queue_step(f_, qa_, j_):
-            # the sweep unrelaxed, halved until the merit does not rise
-            return _accept_or_halve(
-                lambda s: (f_, sweep(f_, qa_, s)), 1.0,
-                lambda s: s / 2.0, merit, j_, (f_, qa_),
-            )
-
-        j = merit(f, queue_alloc)
-    else:
-        # plain GP passes, the theta-relaxed sweep and the damping below
-        def flow_step(f_, qa_, j_, g):
-            return g, qa_, j_
-
-        def queue_step(f_, qa_, j_):
-            return f_, sweep(f_, qa_, theta), j_
-
-        j = np.nan
+    iterate = _Iterate(
+        f, queues,
+        _merit(path_set, params, options.variant, f, queues) if smoothed else np.nan,
+        _frozen_queues(path_set, queues, levels, params),
+        np.ones(len(path_set.od_groups)), np.zeros(path_set.n_paths),
+        np.zeros(path_set.n_links), 0.0,
+    )
 
     rows: list[tuple[int, float, float, float, float, float]] = []
-    queue_change = 0.0
     termination = "iteration_limit"
-    it = 0
-    od, n_od = path_set.path_od, len(path_set.od_groups)
-    damping = np.ones(n_od)
-    delta_prev: np.ndarray | None = None
-    inner_passes = 0
-    link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
+    it = inner_passes = 0
     t_start = time.perf_counter()
     for it in range(1, options.max_outer_iterations + 1):
-        f_prev = f.copy()
-        q_prev = link_q
-        # the first iteration has no queue change yet (queue_change is 0)
-        inner_tol = max(0.1 * STEP_TOL, INNER_TOL_SHARE * queue_change)
-
-        # flow half-step: GP passes with the queues frozen, priced again
-        # only when a step replaced them
-        for _ in range(MAX_INNER_PASSES):
-            inner_passes += 1
-            if frozen.queue_alloc is not queue_alloc:
-                frozen = _frozen_queues(path_set, queue_alloc, group_levels, base)
-            g = _gp_flow_pass(path_set, f, frozen, group_levels, options)
-            f_new, queue_alloc, j = flow_step(f, queue_alloc, j, g)
-            inner_change = float(np.max(np.abs(f_new - f))) if f.size else 0.0
-            f = f_new
-            if inner_change <= inner_tol:
-                break
-
-        # near-degenerate path sets can sustain a flow<->queue limit cycle:
-        # the iterate swings between two flow splits of identical cost.
-        # Detect the reversal (successive flow deltas pointing in opposite
-        # directions) and damp the outer flow update; averaging a two-cycle
-        # lands on its fixed point.  Recover the step size once the
-        # iteration behaves monotonically again.
-        delta = f - f_prev
-        if delta_prev is not None and not smoothed:
-            damping = np.where(
-                np.bincount(od, delta_prev * delta, n_od) < 0.0,  # reversed
-                np.maximum(0.05, 0.5 * damping), np.minimum(1.0, 1.25 * damping),
-            )
-            f = np.where(damping[od] < 1.0, f_prev + damping[od] * delta, f)
-        delta_prev = f - f_prev
-
+        row = [it] if history else None
+        iterate, flow_change, passes = _outer_step(
+            path_set, params, options, levels, iterate, row
+        )
+        inner_passes += passes
         if history:
-            j_half = merit(f, queue_alloc)
-        # queue half-step, with the flows frozen
-        if update_queues:
-            f, queue_alloc, j = queue_step(f, queue_alloc, j)
-
-        flow_change = float(np.max(np.abs(f - f_prev))) if f.size else 0.0
-        link_q = np.bincount(path_set.entry_link, queue_alloc, path_set.n_links)
-        queue_change = float(np.max(np.abs(link_q - q_prev)))
-        if history:
-            j_full = merit(f, queue_alloc)
-            gap = kkt_report(state_at(f, queue_alloc)).relative_gap
-            rows.append((it, j_half, j_full, flow_change, queue_change, gap))
-        if max(flow_change, queue_change) <= STEP_TOL:
+            rows.append(tuple(row))
+        if max(flow_change, iterate.queue_change) <= STEP_TOL:
             termination = "tolerance"
             break
 
-    f = _flush_remnants(path_set, f, state_at(f, queue_alloc).path_costs())
+    f, queues = iterate.f, iterate.queues
+    costs = _priced_state(path_set, params, options.variant, f, queues).path_costs()
+    f = _flush_remnants(path_set, f, costs)
+    update_queues = options.variant != "traditional_ue"
     if update_queues:
         # one exact (unrelaxed) sweep so queued links satisfy v = C(Q) to
         # machine precision rather than to the stopping tolerance
-        queue_alloc = sweep(f, queue_alloc, 1.0)
+        queues = _queue_targets_fixed_point(path_set, f, queues, params, 1.0)
 
     # vanished steps are no equilibrium where the audit finds a gap (the
     # smoothed mode stalls where neither half-step lowers the merit, GP steps
     # vanish where the curvature dwarfs the cost gap) or a link above C(Q)
-    state = state_at(f, queue_alloc)
+    state = _priced_state(path_set, params, options.variant, f, queues)
     audit = kkt_report(state)
     if termination == "tolerance" and audit.relative_gap > GAP_TOL:
         termination = "stalled"
-    if update_queues and np.any(audit.capacity_residuals > CAPACITY_RTOL * c_max):
+    if update_queues and np.any(audit.capacity_residuals > CAPACITY_RTOL * path_set.c_max):
         termination = "infeasible"
     report = ConvergenceReport(
         iterations=it,
@@ -830,4 +842,3 @@ def solve(
         inner_passes=inner_passes,
     )
     return state, report
-

@@ -21,7 +21,7 @@ from queuenet.solver import (
     QUEUE_CAP_FRACTION,
     VARIANTS,
     SolverOptions,
-    _aon_initial_flows,
+    _initial_flows,
     _apply_variant,
     _frozen_queues,
     _gp_flow_pass,
@@ -95,7 +95,7 @@ def _cyclic_precedence():
     ps = enumerate_paths(fixtures.grid_network(size=10, n_od=40, demand=900.0), 3)
     _, c_max, params = _link_arrays(ps)
     qa = np.zeros((ps.n_links, ps.n_paths))
-    f = ref.gp_flow_pass(ps, _aon_initial_flows(ps), qa, params, SolverOptions())
+    f = ref.gp_flow_pass(ps, _initial_flows(ps, None), qa, params, SolverOptions())
     return ps, f, per_entry(ps, ref.queue_targets_fixed_point(ps, f, qa, c_max, params, 0.5))
 
 

@@ -21,11 +21,11 @@ from queuenet.solver import (
     SolverOptions,
     VARIANTS,
     _accept_or_halve,
-    _aon_initial_flows,
     _apply_variant,
     _frozen_queues,
     _gp_flow_pass,
     _group_levels,
+    _initial_flows,
     _project_queues,
     assemble_link_state,
     solve,
@@ -164,7 +164,7 @@ class TestFlowPass:
             )
 
         starts = (
-            _aon_initial_flows(six_node),
+            _initial_flows(six_node, None),
             np.full(4, 1500.0),
             np.array([2000.0, 1000.0, 2000.0, 1000.0]),
         )
@@ -207,7 +207,7 @@ class TestFlowPass:
         assert any(len(g) > 1 and np.ptp(free_flow[g]) < 1e-12 for g in ps.od_groups)
         expected = np.zeros(ps.n_paths)
         expected[solver._cheapest(ps, free_flow)] = ps.demand
-        assert np.array_equal(_aon_initial_flows(ps), expected)
+        assert np.array_equal(_initial_flows(ps, None), expected)
 
     def test_group_levels_keep_the_gauss_seidel_order(self):
         # criterion 10's path set (50 OD pairs, 3 paths each), and the same
@@ -605,6 +605,53 @@ class TestConvergenceContract:
         for i, group in enumerate(ps.od_groups):
             demand = network.od_pairs[i].demand
             assert state.path_flows[group].sum() == pytest.approx(demand, abs=1e-9)
+
+
+def _iterate_arrays(iterate):
+    frozen = iterate.frozen
+    return (
+        iterate.f, iterate.queues, iterate.damping, iterate.delta, iterate.link_queues,
+        frozen.queue_alloc, frozen.q, frozen.q_prime, frozen.held,
+    )
+
+
+class TestOuterStep:
+    """`solve` is `_outer_step` looped from its first iterate."""
+
+    @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
+    def test_steps_by_hand_give_the_solve(self, six_node, mode, monkeypatch):
+        # the steps, driven from the first iterate solve builds until the
+        # step test passes, then flushed and swept once more, give solve's
+        # answer, count and history bit for bit; no step changes an array
+        # of the iterate it is given
+        options = SolverOptions(queue_mode=mode)
+        state, report = solve(six_node, options=options, history=True)
+        calls = []
+        step = solver._outer_step
+        monkeypatch.setattr(solver, "_outer_step", lambda *a: calls.append(a) or step(*a))
+        solve(six_node, options=options)
+        path_set, params, _, levels, iterate, _ = calls[0]
+
+        rows, inner_passes = [], 0
+        for it in range(1, options.max_outer_iterations + 1):
+            before = [a.copy() for a in _iterate_arrays(iterate)]
+            row = [it]
+            following, flow_change, passes = step(path_set, params, options, levels, iterate, row)
+            for old, now in zip(before, _iterate_arrays(iterate)):
+                assert old.tobytes() == now.tobytes()
+            iterate, inner_passes = following, inner_passes + passes
+            rows.append(tuple(row))
+            if max(flow_change, iterate.queue_change) <= solver.STEP_TOL:
+                break
+        priced = solver._priced_state(path_set, params, options.variant, *iterate[:2])
+        f = solver._flush_remnants(path_set, iterate.f, priced.path_costs())
+        queues = solver._queue_targets_fixed_point(path_set, f, iterate.queues, params, 1.0)
+
+        assert f.tobytes() == state.path_flows.tobytes()
+        assert queues.tobytes() == state.queue_alloc.tobytes()
+        assert (it, inner_passes) == (report.iterations, report.inner_passes)
+        assert rows == report.history
+        assert report.termination == "tolerance"
 
 
 #: the benchmark's six-node demand sweep: OD 1 over 1000:6000:250, OD 2 off
