@@ -26,7 +26,6 @@ from .cost import (
     gamma_of_flow,
     link_travel_time,
     marginal_link_time,
-    merit,
     objective,
     queuing_delay,
     smoothed_link_time,
@@ -36,6 +35,7 @@ from .solver import (
     SolutionState,
     SolverOptions,
     assemble_link_state,
+    merit,
     solve,
 )
 from .analysis import (

@@ -32,7 +32,7 @@ from .net import (
     _PATH_COLUMNS, _PATH_RESULT_COLUMNS, Network, NetworkError, PathSet, _path_cells, _write_table,
     enumerate_paths, input_lines, load_demands, load_network, load_path_set,
 )
-from .solver import VARIANTS, SolverOptions, _random_split, solve
+from .solver import VARIANTS, SolverOptions, _random_state, solve
 from .sweep import _DIRECTIONS, SweepSpec, run_sweep, trend_check
 
 #: every key a config file may set
@@ -380,11 +380,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     _, network, path_set, params, _ = _load(args)
     params = params.for_links(network.links)
-    rng = np.random.default_rng(args.seed)
-
-    f = _random_split(path_set, rng)
-    q_ap = _scale_feasible(path_set, f, rng.uniform(0.0, 1.0, len(path_set.entry_link)))
-
+    f, q_ap = _random_state(path_set, np.random.default_rng(args.seed))
     max_rel = gradient_check(path_set, f, q_ap, params)
 
     ok = max_rel <= 1e-5
@@ -394,13 +390,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"({'ok' if ok else 'FAIL'})"
     )
     return 0 if ok else 1
-
-
-def _scale_feasible(path_set, f, q_ap):
-    held = np.bincount(path_set.entry_path, q_ap, path_set.n_paths)
-    cap = 0.5 * f  # keep queues well inside the feasible interior
-    scale = np.where(held > cap, cap / np.maximum(held, 1e-300), 1.0)
-    return q_ap * scale[path_set.entry_path]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,24 +9,19 @@ explicit queuing-delay term
     t(v, Q) = t_f * (1 + beta * (v / C(Q))**n) + alpha * (Q / C(Q))**m.
 
 `CostParams` holds its five parameters, and `PARAM_NAMES` their names.
-Two scalar functions of a state are defined here.  `merit`, read off the
-path set's t_f and C_max, is a sum of squared equilibrium residuals: it is
-zero exactly at the model's equilibrium, both solver modes' history rows
-record it as J, and the smoothed-gradient mode's accept-or-halve rule
-takes no step that raises it.
+Everything here prices links; nothing knows of paths, whose costs and
+equilibrium merit `solver.py` sums over the path set.
 `objective` is the Beckmann potential of the running time with the
 exponent smoothed in the queue, n~ = n * phi**(-Q); `smoothed_link_time` is
 its flow derivative.  At Q = 0 it is the classical Beckmann function,
 minimised by the capacity-free user equilibrium; with queues it is neither
 convex in the queues nor stationary at the queue-dependent equilibrium.
 Only the benchmark's probe and tests read it.  No function can serve as an
-exact potential for this model: `merit` explains why.  Their smoothing
-base phi (default e) is an argument, not a model parameter.
+exact potential for this model: `solver.merit` explains why.  Their
+smoothing base phi (default e) is an argument, not a model parameter.
 
-Per-(link, path) queues Q_ap are vectors over the path set's flat
-path-link entries (`PathSet.entry_link`, `entry_path`).  The slopes the
-solver's gradient-projection step divides by are `_flow_part`'s flow slope
-and, on a queued link, `_queue_response_slope`.
+The slopes the solver's gradient-projection step divides by are
+`_flow_part`'s flow slope and, on a queued link, `_queue_response_slope`.
 """
 from __future__ import annotations
 
@@ -37,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .net import Link, PathSet
+    from .net import Link
 
 __all__ = [
     "CostParams",
@@ -48,7 +43,6 @@ __all__ = [
     "smoothed_link_time",
     "marginal_link_time",
     "objective",
-    "merit",
 ]
 
 ArrayLike = "float | np.ndarray"
@@ -358,7 +352,7 @@ def objective(
     because held traffic drops out of the downstream running-time terms.
     It has no capacity bound, and on the six-node scenario it is lower at
     Q = 0 than at the equilibrium queue.  The solver's safeguard reads
-    `merit` instead.
+    `solver.merit` instead.
     """
     v = np.asarray(v, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -377,98 +371,3 @@ def objective(
         params.alpha
     ) * _queue_integral(q, c_max, params)
     return float(np.sum(running + queue))
-
-
-def _merit_weights(t_f: np.ndarray, c_max: np.ndarray) -> np.ndarray:
-    """kappa_a: a complementarity residual of 1% of C_max weighs like C_max
-    travellers each misjudging their path cost by t_f.  This puts closing
-    a capacity violation far ahead of the path-cost imbalance its queue
-    delay causes, so the smoothed mode's accept-or-halve safeguard lets
-    queues form first and flows rebalance after, instead of settling for an
-    overloaded link with no queue."""
-    return c_max * (t_f / (0.01 * c_max)) ** 2
-
-
-def merit(
-    path_set: "PathSet",
-    path_flows: np.ndarray,
-    queue_alloc: np.ndarray,
-    params: CostParams,
-    system_optimum: bool = False,
-    capacity_bound: bool = True,
-) -> float:
-    """Equilibrium merit J >= 0 of a state; J = 0 exactly at equilibrium.
-
-        J = W + sum_a kappa_a * (L_a + P_a),   kappa_a = 1e4 * t_f,a**2 / C_max,a
-
-    W is the Wardrop residual.  With c_p the path cost, d_w = sum f_p and
-    cbar_w = sum f_p c_p / d_w over the paths of OD pair w,
-
-        W = sum_w sum_p [f_p (c_p - cbar_w)**2 + d_w max(0, cbar_w - c_p)**2].
-
-    It vanishes iff every used path costs cbar_w and no path costs less.
-    L_a is the complementarity residual.  With y = v + Q the arrivals,
-
-        L = [(C(Q) - v)**2 - max(0, C_max - y)**2] / (2 (1 - gamma)).
-
-    At fixed arrivals L = (1-gamma)/2 [(Q - Qt)**2 - min(0, Qt)**2] with
-    Qt = (y - C_max)/(1 - gamma).  It is >= 0 for Q >= 0, and 0 only at
-    Q = max(0, Qt): v <= C(Q), with a queue only where v = C(Q).  P_a is the
-    queue-sharing residual sum_p (Q_ap y_a - Q_a g_ap)**2 / C_max**2, where
-    g_ap is path p's arrivals at a.  It is 0 iff every path holds the share
-    of the queue that it has of the arrivals, as the fixed-point sweep
-    shares it.  So the zeros of J are exactly the equilibria, and J is C^1.
-    kappa (`_merit_weights`) only sets how the safeguard trades the
-    residuals against each other.
-
-    c_p is the generalized time, or with `system_optimum` the marginal
-    time.  Without `capacity_bound` (traditional UE) J is W alone.
-
-    Why not a potential.  A queue at link a holds traffic back from the
-    links after a on its path, lowering their times; no other path's queue
-    does.  The cross-derivatives of the equilibrium conditions are
-    therefore not symmetric, so nothing has them as its gradient: if
-    dJ/df_p equals the path cost everywhere, dJ/dQ_ap must contain minus
-    the cost of p after a, and stationarity in Q_ap then balances that
-    downstream cost instead of enforcing v = C(Q).
-    """
-    ps = path_set
-    f = np.asarray(path_flows, dtype=float)
-    t_f, c_max = ps.t_f, ps.c_max
-    link_e, path_e = ps.entry_link, ps.entry_path
-    n_links, n_paths, n_od = ps.n_links, ps.n_paths, len(ps.network.od_pairs)
-
-    # a path's arrivals at a link are its flow less what its queues
-    # upstream of the link hold back; a link's arrivals y are x - Q'
-    held = np.asarray(queue_alloc, dtype=float)
-    arriving = f[path_e] - ps.held_upstream(held)
-    y = np.bincount(link_e, arriving, n_links)
-    q = np.bincount(link_e, held, n_links)
-    v = y - q
-    if np.any(v < -1e-9) or np.any(q < 0):
-        raise ValueError("infeasible state: negative throughflow or queue")
-    v = np.maximum(v, 0.0)
-
-    # Wardrop residual against the flow-weighted mean cost of each OD pair
-    qp = _queue_part(q, t_f, c_max, *_link_arrays(params))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cost = _flow_part(v, qp, system_optimum)[0]
-    path_cost = np.bincount(path_e, cost[link_e], n_paths)
-    od = ps.path_od
-    demand = np.bincount(od, f, n_od)
-    mean = np.bincount(od, f * path_cost, n_od) / np.where(demand > 0, demand, 1.0)
-    excess = np.where(demand[od] > 0, path_cost - mean[od], 0.0)
-    under = np.maximum(0.0, -excess)
-    value = float(f @ excess**2 + demand[od] @ under**2)
-
-    if capacity_bound:
-        gamma = np.asarray(params.gamma, dtype=float)
-        kappa = _merit_weights(t_f, c_max)
-        slack = c_max - gamma * q - v  # C(Q) - v
-        spare = np.maximum(0.0, c_max - y)
-        complementarity = (slack**2 - spare**2) / (2.0 * (1.0 - gamma))
-        # FIFO sharing: each path's share of the queue is its share of arrivals
-        share_res = held * y[link_e] - q[link_e] * arriving
-        sharing = np.bincount(link_e, share_res**2, n_links) / c_max**2
-        value += float(kappa @ (complementarity + sharing))
-    return value

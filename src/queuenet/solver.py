@@ -13,7 +13,7 @@ next, and each queue mode is a branch in it: the fixed-point mode (default)
 takes the GP passes as they come, relaxes the sweep by `_queue_relaxation`
 and damps flow<->queue limit cycles; the smoothed-gradient mode puts each
 GP pass and the unrelaxed sweep through one accept-or-halve rule on the
-equilibrium merit `cost.merit` (`_accept_or_halve`).
+equilibrium merit J (`merit`, `_accept_or_halve`).
 
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.  They hold back part of the
@@ -52,7 +52,9 @@ The solver works on the flat path-link entries of `PathSet`: one entry
 per (link, path) pair (`entry_link`, `entry_path`); the queues are one
 vector over them.  Link totals and path costs are `np.bincount` over the
 entries, and what a path holds upstream of an entry is
-`PathSet.held_upstream`.
+`PathSet.held_upstream`.  Outside `net.py` only this module reads the
+entries: `cost.py` prices links, and path costs, the merit and the audit
+are summed here.
 The fixed-point sweep updates every link at once from the arrivals of its
 previous round (Jacobi) until the queues stop moving; a link's queue is
 settled once those upstream of it are, so the sweep needs no link order
@@ -88,6 +90,7 @@ __all__ = [
     "EquilibriumReport",
     "assemble_link_state",
     "kkt_report",
+    "merit",
     "solve",
     "VARIANTS",
 ]
@@ -160,7 +163,7 @@ class ConvergenceReport:
     #: per-iteration rows, filled only when `solve` is called with
     #: `history=True` (empty otherwise):
     #: (iteration, J after flow step, J after queue step, max |df|, max |dQ|, gap)
-    #: J is `cost.merit` in both modes (the smoothed-gradient mode's
+    #: J is `merit` in both modes (the smoothed-gradient mode's
     #: accept-or-halve rule reads it)
     history: list[tuple[int, float, float, float, float, float]] = field(
         default_factory=list
@@ -525,6 +528,100 @@ def kkt_report(state: SolutionState) -> EquilibriumReport:
     )
 
 
+def _merit_weights(t_f: np.ndarray, c_max: np.ndarray) -> np.ndarray:
+    """kappa_a: a complementarity residual of 1% of C_max weighs like C_max
+    travellers each misjudging their path cost by t_f.  This puts closing
+    a capacity violation far ahead of the path-cost imbalance its queue
+    delay causes, so the smoothed mode's accept-or-halve safeguard lets
+    queues form first and flows rebalance after, instead of settling for an
+    overloaded link with no queue."""
+    return c_max * (t_f / (0.01 * c_max)) ** 2
+
+
+def merit(
+    path_set: PathSet,
+    path_flows: np.ndarray,
+    queue_alloc: np.ndarray,
+    params: CostParams,
+    variant: str = "queue_dependent",
+) -> float:
+    """Equilibrium merit J >= 0 of a state; J = 0 exactly at equilibrium.
+
+        J = W + sum_a kappa_a * (L_a + P_a),   kappa_a = 1e4 * t_f,a**2 / C_max,a
+
+    W is the Wardrop residual.  With c_p the path cost, d_w = sum f_p and
+    cbar_w = sum f_p c_p / d_w over the paths of OD pair w,
+
+        W = sum_w sum_p [f_p (c_p - cbar_w)**2 + d_w max(0, cbar_w - c_p)**2].
+
+    It vanishes iff every used path costs cbar_w and no path costs less.
+    L_a is the complementarity residual.  With y = v + Q the arrivals,
+
+        L = [(C(Q) - v)**2 - max(0, C_max - y)**2] / (2 (1 - gamma)).
+
+    At fixed arrivals L = (1-gamma)/2 [(Q - Qt)**2 - min(0, Qt)**2] with
+    Qt = (y - C_max)/(1 - gamma).  It is >= 0 for Q >= 0, and 0 only at
+    Q = max(0, Qt): v <= C(Q), with a queue only where v = C(Q).  P_a is the
+    queue-sharing residual sum_p (Q_ap y_a - Q_a g_ap)**2 / C_max**2, where
+    g_ap is path p's arrivals at a.  It is 0 iff every path holds the share
+    of the queue that it has of the arrivals, as the fixed-point sweep
+    shares it.  So the zeros of J are exactly the equilibria, and J is C^1.
+    kappa (`_merit_weights`) only sets how the safeguard trades the
+    residuals against each other.
+
+    The variant prices c_p as `kkt_report` does: by the generalized time,
+    or for the system optimum by the marginal time.  Traditional UE has no
+    capacity bound, so its J is W alone.  `params` are the per-link ones
+    the variant solves with (`SolutionState.params`).
+
+    Why not a potential.  A queue at link a holds traffic back from the
+    links after a on its path, lowering their times; no other path's queue
+    does.  The cross-derivatives of the equilibrium conditions are
+    therefore not symmetric, so nothing has them as its gradient: if
+    dJ/df_p equals the path cost everywhere, dJ/dQ_ap must contain minus
+    the cost of p after a, and stationarity in Q_ap then balances that
+    downstream cost instead of enforcing v = C(Q).
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant: {variant}")
+    ps = path_set
+    f = np.asarray(path_flows, dtype=float)
+    t_f, c_max = ps.t_f, ps.c_max
+    link_e, n_links, od = ps.entry_link, ps.n_links, ps.path_od
+
+    # a path's arrivals at a link are its flow less what its queues
+    # upstream of the link hold back; a link's arrivals y are x - Q'
+    held = np.asarray(queue_alloc, dtype=float)
+    arriving = f[ps.entry_path] - ps.held_upstream(held)
+    y = np.bincount(link_e, arriving, n_links)
+    q = np.bincount(link_e, held, n_links)
+    v = y - q
+    if np.any(v < -1e-9) or np.any(q < 0):
+        raise ValueError("infeasible state: negative throughflow or queue")
+    v = np.maximum(v, 0.0)
+
+    # Wardrop residual against the flow-weighted mean cost of each OD pair
+    times = _cost._checked_cost(v, q, t_f, c_max, params, variant == "system_optimum")[0]
+    path_cost = _path_costs(ps, times)
+    demand = np.bincount(od, f, len(ps.network.od_pairs))
+    mean = np.bincount(od, f * path_cost, len(demand)) / np.where(demand > 0, demand, 1.0)
+    excess = np.where(demand[od] > 0, path_cost - mean[od], 0.0)
+    under = np.maximum(0.0, -excess)
+    value = float(f @ excess**2 + demand[od] @ under**2)
+
+    if variant != "traditional_ue":
+        gamma = np.asarray(params.gamma, dtype=float)
+        kappa = _merit_weights(t_f, c_max)
+        slack = c_max - gamma * q - v  # C(Q) - v
+        spare = np.maximum(0.0, c_max - y)
+        complementarity = (slack**2 - spare**2) / (2.0 * (1.0 - gamma))
+        # FIFO sharing: each path's share of the queue is its share of arrivals
+        share_res = held * y[link_e] - q[link_e] * arriving
+        sharing = np.bincount(link_e, share_res**2, n_links) / c_max**2
+        value += float(kappa @ (complementarity + sharing))
+    return value
+
+
 def _queue_targets_fixed_point(
     path_set: PathSet,
     f: np.ndarray,
@@ -607,12 +704,13 @@ def _queue_relaxation(gamma: np.ndarray) -> float:
     return float(0.5 * (1.0 - gamma.max()))
 
 
-def _accept_or_halve(trial, step, halve, merit, j, current):
-    """The first (flows, queues, merit) of trial(step), trial(halve(step)),
-    ... (at most 40 trials) whose merit is <= j; else (*current, j)."""
+def _accept_or_halve(trial, step, halve, j_of, j, current):
+    """The first (flows, queues, J) of trial(step), trial(halve(step)),
+    ... (at most 40 trials) whose J = j_of(flows, queues) is <= j; else
+    (*current, j)."""
     for _ in range(40):
         flows, queues = trial(step)
-        j_trial = merit(flows, queues)
+        j_trial = j_of(flows, queues)
         if j_trial <= j:
             return flows, queues, j_trial
         step = halve(step)
@@ -627,6 +725,20 @@ def _random_split(path_set: PathSet, rng: np.random.Generator) -> np.ndarray:
         if len(group):
             f[group] = rng.dirichlet(np.ones(len(group))) * demand
     return f
+
+
+def _random_state(
+    path_set: PathSet, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """A random feasible (path flows, per-entry queues): `_random_split`'s
+    flows, and queues drawn uniform in [0, 1) per entry, scaled down on a
+    path that would hold back more than half its flow."""
+    f = _random_split(path_set, rng)
+    queues = rng.uniform(0.0, 1.0, len(path_set.entry_link))
+    held = _path_held(path_set, queues)
+    cap = 0.5 * f  # keep queues well inside the feasible interior
+    scale = np.where(held > cap, cap / np.maximum(held, 1e-300), 1.0)
+    return f, queues * scale[path_set.entry_path]
 
 
 def _apply_variant(params: CostParams, variant: str) -> CostParams:
@@ -661,12 +773,6 @@ def _initial_flows(path_set: PathSet, initial_flows: np.ndarray | None) -> np.nd
     return f
 
 
-def _merit(path_set: PathSet, params: CostParams, variant: str, f, queues) -> float:
-    """`cost.merit` of path flows f and per-entry queues, as `variant` prices paths."""
-    system_optimum, capacity_bound = variant == "system_optimum", variant != "traditional_ue"
-    return _cost.merit(path_set, f, queues, params, system_optimum, capacity_bound)
-
-
 def _priced_state(path_set: PathSet, params: CostParams, variant: str, f, queues) -> SolutionState:
     """Path flows f and per-entry queues as a priced state."""
     x, q, q_prime, v = assemble_link_state(path_set, f, queues)
@@ -679,7 +785,7 @@ class _Iterate(NamedTuple):
 
     f: np.ndarray  # path flows
     queues: np.ndarray  # per-entry queues
-    j: float  # the accepted `cost.merit` (smoothed mode; NaN in the fixed-point mode)
+    j: float  # the accepted `merit` (smoothed mode; NaN in the fixed-point mode)
     frozen: _FrozenQueues  # the GP pricing last used, kept while the queues are the same
     damping: np.ndarray  # per OD pair, the fixed-point mode's limit-cycle damping
     delta: np.ndarray  # the last outer flow step (zeros at the start: no reversal)
@@ -698,7 +804,7 @@ def _outer_step(
     half-step, the steps and the relative gap."""
     smoothed = options.queue_mode == "smoothed_gradient"
     update_queues = options.variant != "traditional_ue"
-    merit = functools.partial(_merit, path_set, params, options.variant)
+    j_of = functools.partial(merit, path_set, params=params, variant=options.variant)
     f, queues, j, frozen = iterate.f, iterate.queues, iterate.j, iterate.frozen
     # the first iteration has no queue change yet (queue_change is 0)
     inner_tol = max(0.1 * STEP_TOL, INNER_TOL_SHARE * iterate.queue_change)
@@ -720,7 +826,7 @@ def _outer_step(
                     g_, _queue_targets_fixed_point(path_set, g_, queues, params, 1.0, slack)
                 )
             g, queues, j = _accept_or_halve(
-                trial, g, lambda g_: f + 0.5 * (g_ - f), merit, j, (f, queues)
+                trial, g, lambda g_: f + 0.5 * (g_ - f), j_of, j, (f, queues)
             )
         inner_change = float(np.abs(g - f).max(initial=0.0))
         f = g
@@ -744,13 +850,13 @@ def _outer_step(
         f = np.where(damping[od] < 1.0, iterate.f + damping[od] * delta, f)
 
     if row is not None:
-        row.append(merit(f, queues))
+        row.append(j_of(f, queues))
     # queue half-step, with the flows frozen
     if update_queues and smoothed:
         # the sweep unrelaxed, halved until the merit does not rise
         f, queues, j = _accept_or_halve(
             lambda s: (f, _queue_targets_fixed_point(path_set, f, queues, params, s)),
-            1.0, lambda s: s / 2.0, merit, j, (f, queues),
+            1.0, lambda s: s / 2.0, j_of, j, (f, queues),
         )
     elif update_queues:
         relaxation = _queue_relaxation(params.gamma)
@@ -761,7 +867,7 @@ def _outer_step(
     queue_change = float(np.abs(link_q - iterate.link_queues).max())
     if row is not None:
         state = _priced_state(path_set, params, options.variant, f, queues)
-        row += [merit(f, queues), flow_change, queue_change, kkt_report(state).relative_gap]
+        row += [j_of(f, queues), flow_change, queue_change, kkt_report(state).relative_gap]
     following = _Iterate(f, queues, j, frozen, damping, f - iterate.f, link_q, queue_change)
     return following, flow_change, passes
 
@@ -794,7 +900,7 @@ def solve(
     smoothed = options.queue_mode == "smoothed_gradient"
     iterate = _Iterate(
         f, queues,
-        _merit(path_set, params, options.variant, f, queues) if smoothed else np.nan,
+        merit(path_set, f, queues, params, options.variant) if smoothed else np.nan,
         _frozen_queues(path_set, queues, levels, params),
         np.ones(len(path_set.od_groups)), np.zeros(path_set.n_paths),
         np.zeros(path_set.n_links), 0.0,

@@ -3,27 +3,42 @@
     python tests/identity.py --against REV
 
 It checks REV out with `git worktree` into a temporary directory, then runs
-one fixed list of solves and six-node CLI commands in both trees, each tree
-in a fresh interpreter that imports its own `src`.  It prints one sha256
-digest per field over all cases for each tree, and exits 1 naming the first
-field that differs and the first case where it does (0 when none does).
-pytest does not collect it: the name has no `test_` prefix.
+one fixed list of solves, six-node CLI commands and path enumerations in
+both trees, each tree in a fresh interpreter that imports its own `src`.
+It prints one sha256 digest per field over all cases for each tree, and
+exits 1 naming the first field that differs and the first case where it
+does (0 when none does).  The harness runs REV's `src` under this file, so
+it calls only names that REV has too.  pytest does not collect it: the name
+has no `test_` prefix.
 
-The 32 cases, every solve with `history=True`:
+The 34 cases, every solve with `history=True`:
 - the six-node scenario under each variant, in both queue modes, at
   gamma 0, 0.5 and 0.9 (24);
 - criterion 10's grid (`grid_network()`) and `grid_network(8, 12, 900)`,
   paths enumerated at k = 3, in both modes (4);
 - criterion 10's grid at m = 0.5 and gamma = 0.9, capped at 60 outer
   iterations, in both modes (2);
+- `grid_network(10, 40, 900)`, whose overlapping paths make the link
+  precedence cyclic, at k = 3, capped at 30 outer iterations, in both
+  modes (2);
 - the six-node demand sweep: OD 1->3 over 1000:6000:250, OD 2->4 off (21
   solves, one case);
 - four random starts as `analysis.uniqueness_probe` draws them, seed 3
   (one case).
 The fields of a solve are its path flows, per-entry queues, x, Q, v, link
-times, history rows, iterations, GP passes and termination.  The CLI
-bundles (`solve` in both modes, `compare`, and `sweep` over gamma on the
-six-node scenario) are digested file by file, as one more field.
+times, history rows, iterations, GP passes, termination, and its audit
+(`kkt_report`'s relative gap, largest capacity and complementarity
+residuals, and per-link capacity residuals).  Three more fields, each
+digested item by item:
+- bundles: the CLI bundles (`solve` in both modes, `compare`, and `sweep`
+  over gamma on the six-node scenario), file by file;
+- validate: `queuenet validate` at seeds 7, 20-29 and 50-59, on the
+  six-node scenario and on it at demands of 1 and 0.4 veh/h (where the
+  random queues are cut to half of each path's flow), its stdout and the
+  random state it checks the slopes at;
+- path_sets: `write_path_set` of the paths enumerated for criterion 10
+  (k = 3), for the benchmark's 15x15 grid (`grid_network(15, 12, 1100)`)
+  at k = 1..6, and for `grid_network(20, 100)` at k = 3.
 """
 from __future__ import annotations
 
@@ -41,10 +56,14 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 MODES = ("fixed_point", "smoothed_gradient")
-FIELDS = (
+#: the fields of each solve, then those digested item by item
+SOLVE_FIELDS = (
     "path_flows", "queues", "x", "Q", "v", "link_times",
-    "history", "iterations", "inner_passes", "termination", "bundles",
+    "history", "iterations", "inner_passes", "termination", "audit",
 )
+ITEM_FIELDS = ("bundles", "validate", "path_sets")
+FIELDS = SOLVE_FIELDS + ITEM_FIELDS
+VALIDATE_SEEDS = (7, *range(20, 30), *range(50, 60))
 CLI_RUNS = {
     "solve_fixed_point": ["solve", "--mode", "fixed_point"],
     "solve_smoothed_gradient": ["solve", "--mode", "smoothed_gradient"],
@@ -84,6 +103,12 @@ def _cases():
         yield f"criterion_10 m=0.5 gamma=0.9 60 iterations {mode}", [
             solve(criterion_10, params, options, history=True)
         ]
+    cyclic = enumerate_paths(fixtures.grid_network(10, 40, 900.0), 3)
+    for mode in MODES:
+        options = SolverOptions(queue_mode=mode, max_outer_iterations=30)
+        yield f"cyclic grid 10/40/900 30 iterations {mode}", [
+            solve(cyclic, options=options, history=True)
+        ]
     yield "six_node demand sweep", [
         solve(six, demands=[demand, 0.0], history=True)
         for demand in np.arange(1000.0, 6001.0, 250.0)
@@ -96,9 +121,11 @@ def _cases():
 
 def _solve_digests(solves) -> dict[str, str]:
     import numpy as np
+    from queuenet.analysis import kkt_report
 
-    sums = {name: hashlib.sha256() for name in FIELDS[:-1]}
+    sums = {name: hashlib.sha256() for name in SOLVE_FIELDS}
     for state, report in solves:
+        audit = kkt_report(state)
         values = {
             "path_flows": state.path_flows,
             "queues": state.queue_alloc,
@@ -110,6 +137,10 @@ def _solve_digests(solves) -> dict[str, str]:
             "iterations": report.iterations,
             "inner_passes": report.inner_passes,
             "termination": report.termination,
+            "audit": np.array([
+                audit.relative_gap, audit.max_capacity_residual,
+                audit.max_complementarity_residual, *audit.capacity_residuals,
+            ]),
         }
         for name, value in values.items():
             if isinstance(value, np.ndarray):
@@ -136,6 +167,60 @@ def _bundle_digests(directory: Path) -> dict[str, str]:
     }
 
 
+def _validate_digests(directory: Path) -> dict[str, str]:
+    """Per scenario and seed, validate's stdout and the (path flows,
+    per-entry queues) it hands `gradient_check`."""
+    import numpy as np
+    from queuenet import cli, fixtures
+
+    low = fixtures.write_six_node_scenario(directory / "low_demand")
+    (low.parent / "demands.csv").write_text("origin,destination,demand\n1,3,1\n2,4,0.4\n")
+    configs = {
+        "six_node": fixtures.write_six_node_scenario(directory / "six_node"),
+        "six_node demands 1/0.4": low,
+    }
+    check = cli.gradient_check
+    states = []
+
+    def recording_check(path_set, f, queues, params):
+        states.append(np.concatenate([f, queues]))
+        return check(path_set, f, queues, params)
+
+    digests = {}
+    cli.gradient_check = recording_check
+    try:
+        for name, config in configs.items():
+            for seed in VALIDATE_SEEDS:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    status = cli.main(["validate", "--config", str(config), "--seed", str(seed)])
+                if status != 0:
+                    raise SystemExit(f"queuenet validate ({name}) --seed {seed} exited {status}")
+                digest = hashlib.sha256(stdout.getvalue().encode())
+                digest.update(states.pop().tobytes())
+                digests[f"{name} seed {seed}"] = digest.hexdigest()
+    finally:
+        cli.gradient_check = check
+    return digests
+
+
+def _path_set_digests() -> dict[str, str]:
+    """`write_path_set` of each enumerated path set."""
+    from queuenet import fixtures
+    from queuenet.net import enumerate_paths, write_path_set
+
+    grid_15 = fixtures.grid_network(15, 12, 1100.0)
+    networks = [("criterion_10", fixtures.grid_network(), 3)]
+    networks += [("grid 15/12/1100", grid_15, k) for k in range(1, 7)]
+    networks += [("grid 20/100", fixtures.grid_network(20, 100), 3)]
+    digests = {}
+    for name, network, k in networks:
+        sink = io.StringIO()
+        write_path_set(enumerate_paths(network, k), sink)
+        digests[f"{name} k={k}"] = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+    return digests
+
+
 def _worker(tree: Path, result: Path) -> None:
     """Digest every case and bundle with the `queuenet` under tree/src."""
     import queuenet
@@ -144,17 +229,22 @@ def _worker(tree: Path, result: Path) -> None:
         raise SystemExit(f"imported {queuenet.__file__}, not the one under {tree}")
     cases = [(name, _solve_digests(solves)) for name, solves in _cases()]
     with tempfile.TemporaryDirectory() as tmp:
-        bundles = _bundle_digests(Path(tmp))
-    result.write_text(json.dumps({"cases": cases, "bundles": bundles}))
+        items = {
+            "bundles": _bundle_digests(Path(tmp)),
+            "validate": _validate_digests(Path(tmp)),
+            "path_sets": _path_set_digests(),
+        }
+    result.write_text(json.dumps({"cases": cases, **items}))
 
 
 def _per_field(result: dict) -> dict[str, list[tuple[str, str]]]:
-    """Per field, the (case, digest) pairs in case order."""
+    """Per field, the (case or item, digest) pairs in order."""
     fields = {
         name: [(case, digests[name]) for case, digests in result["cases"]]
-        for name in FIELDS[:-1]
+        for name in SOLVE_FIELDS
     }
-    fields["bundles"] = sorted(result["bundles"].items())
+    for name in ITEM_FIELDS:
+        fields[name] = sorted(result[name].items())
     return fields
 
 
@@ -194,11 +284,14 @@ def _compare(rev: str) -> int:
         if not same and first is None:
             cases = [a[0] for a, b in zip(theirs[name], ours[name]) if a != b]
             first = f"{name}, first in case {cases[0] if cases else '(the case lists differ)'}"
-    n_cases, n_files = len(ours["path_flows"]), len(ours["bundles"])
+    counts = (
+        f"{len(ours['path_flows'])} cases, {len(ours['bundles'])} bundle files, "
+        f"{len(ours['validate'])} validate runs and {len(ours['path_sets'])} path sets"
+    )
     if first:
         print(f"first field that differs: {first}")
         return 1
-    print(f"{n_cases} cases and {n_files} bundle files: every field identical")
+    print(f"{counts}: every field identical")
     return 0
 
 

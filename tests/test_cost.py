@@ -19,13 +19,12 @@ from queuenet.cost import (
     gamma_of_flow,
     link_travel_time,
     marginal_link_time,
-    merit,
     objective,
     queuing_delay,
     smoothed_link_time,
 )
 from queuenet.net import enumerate_paths
-from queuenet.solver import assemble_link_state
+from queuenet.solver import assemble_link_state, merit
 
 from conftest import feasible_random_state, per_entry
 from loop_reference import dense_queues
@@ -262,9 +261,16 @@ class TestMerit:
         state = traditional_solution[0]
         params = self._params(six_node)
         assert merit(
-            six_node, state.path_flows, state.queue_alloc, params, capacity_bound=False,
+            six_node, state.path_flows, state.queue_alloc, params, "traditional_ue",
         ) == pytest.approx(0.0, abs=1e-6)
         assert merit(six_node, state.path_flows, state.queue_alloc, params) > 1.0
+
+    def test_refuses_an_unknown_variant(self, six_node, base_state):
+        with pytest.raises(ValueError, match="unknown variant: capacity_free"):
+            merit(
+                six_node, base_state.path_flows, base_state.queue_alloc,
+                self._params(six_node), "capacity_free",
+            )
 
     def test_unequal_queue_sharing_is_penalized(self, six_node, base_state):
         # move the bottleneck queue onto one of its two paths: flows, link

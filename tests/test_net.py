@@ -1,6 +1,8 @@
 """Network/path data model: loading, validation, and incidence structure."""
 
+import ast
 import io
+import pathlib
 import re
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import queuenet
 from queuenet import fixtures
 from queuenet.net import (
     Link,
@@ -425,6 +428,24 @@ class TestPathSet:
         assert first.paths.tolist() == [0, 1]
         assert first.links.tolist() == six_node.od_group_links[0].tolist()
         assert first.member.tolist() == [[1, 0, 0, 0], [0, 1, 1, 1]]
+
+    @pytest.mark.parametrize(
+        "module", ["cost.py", "cli.py", "analysis.py", "sweep.py", "fixtures.py"]
+    )
+    def test_only_net_and_solver_read_the_entry_layout(self, module):
+        # the flat (link, path) entries are `PathSet`'s layout: `solver.py`
+        # sums over them and every other module asks it for paths' totals
+        layout = {
+            "entry_link", "entry_path", "path_start", "held_upstream", "running_sum",
+            "path_od",
+        }
+        source = (pathlib.Path(queuenet.__file__).parent / module).read_text()
+        reads = sorted(
+            f"{node.attr} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in layout
+        )
+        assert reads == [], f"{module} reads the entry layout: {reads}"
 
     def test_broken_chain_rejected(self, six_node):
         net = six_node.network

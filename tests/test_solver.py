@@ -422,7 +422,7 @@ class TestConvergenceContract:
         assert report.converged
         assert report.iterations == 1
         assert np.all(state.path_flows == 0.0)
-        assert _cost.merit(six_node, state.path_flows, state.queue_alloc, state.params) == 0.0
+        assert solver.merit(six_node, state.path_flows, state.queue_alloc, state.params) == 0.0
 
     @pytest.mark.parametrize("value", [2.5, 1e9, "3", True, None])
     def test_max_outer_iterations_must_be_an_integer(self, value):
@@ -526,9 +526,9 @@ class TestConvergenceContract:
         # two iterations at an overloaded link with no queue: neither
         # half-step lowers the merit, so the steps vanish far from the
         # equilibrium (relative gap 7.2e-2)
-        weights = _cost._merit_weights
+        weights = solver._merit_weights
         monkeypatch.setattr(
-            _cost, "_merit_weights", lambda t_f, c_max: weights(t_f, c_max) / 100.0
+            solver, "_merit_weights", lambda t_f, c_max: weights(t_f, c_max) / 100.0
         )
         state, report = solve(
             six_node,
@@ -846,7 +846,7 @@ class TestHistoryOptIn:
 
 
 class TestHistoryMerit:
-    """Both modes' history rows record J = `cost.merit`, which is zero
+    """Both modes' history rows record J = `solver.merit`, which is zero
     exactly at an equilibrium."""
 
     @pytest.mark.parametrize("mode", ["fixed_point", "smoothed_gradient"])
