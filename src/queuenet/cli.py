@@ -380,7 +380,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     _, network, path_set, params, _ = _load(args)
     params = params.for_links(network.links)
-    f, q_ap = _random_state(path_set, np.random.default_rng(args.seed))
+    f, q_ap = _random_state(path_set, params, np.random.default_rng(args.seed))
     max_rel = gradient_check(path_set, f, q_ap, params)
 
     ok = max_rel <= 1e-5

@@ -13,7 +13,11 @@ next, and each queue mode is a branch in it: the fixed-point mode (default)
 takes the GP passes as they come, relaxes the sweep by `_queue_relaxation`
 and damps flow<->queue limit cycles; the smoothed-gradient mode puts each
 GP pass and the unrelaxed sweep through one accept-or-halve rule on the
-equilibrium merit J (`merit`, `_accept_or_halve`).
+equilibrium merit J (`merit`, `_accept_or_halve`).  The damping shrinks an
+OD group's outer step once it turns back from the previous one by at least
+120 degrees (`_reversed`), as a two-cycle does; a group of three or more
+paths may zig-zag by less without being damped.  A two-path group conserves
+its demand, so its steps are collinear and any reversal is a full turn.
 
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.  They hold back part of the
@@ -136,6 +140,15 @@ INNER_TOL_SHARE = 0.03
 #: the queue sweep's rounds stop once no per-entry queue moves by more than
 #: this (veh); exact equality can cycle in the last bit
 SWEEP_TOL = 1e-9
+
+#: the fixed-point mode damps an OD group's step once it turns back from the
+#: previous one by at least 120 degrees: cos <= -this.  A two-cycle turns
+#: by 180 degrees, while a group of three or more paths can zig-zag by more
+#: than 90 degrees without cycling, and damping such a step wastes the
+#: passes that computed it.  Half keeps a margin from the edge: from
+#: 1/sqrt(2) up, criterion 10's grid at gamma 0.9 (which has no
+#: equilibrium) cycles to the iteration cap instead of ending infeasible
+REVERSAL_COSINE = 0.5
 
 
 @dataclass(frozen=True)
@@ -728,17 +741,25 @@ def _random_split(path_set: PathSet, rng: np.random.Generator) -> np.ndarray:
 
 
 def _random_state(
-    path_set: PathSet, rng: np.random.Generator
+    path_set: PathSet, params: CostParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A random feasible (path flows, per-entry queues): `_random_split`'s
-    flows, and queues drawn uniform in [0, 1) per entry, scaled down on a
-    path that would hold back more than half its flow."""
+    """A random feasible (path flows, per-entry queues) at queues of the
+    demand's scale: `_random_split`'s flows, each path holding back a
+    uniform share in [0, 0.5) of its flow, split over its entries by
+    uniform Dirichlet weights.  A link whose queue would pass half its
+    cap, 0.5 QUEUE_CAP_FRACTION C_max / gamma at the per-link `params`,
+    is scaled down to it: C(Q) then keeps about half of C_max, so a probe
+    of a small share of Q stays on the scale on which C(Q) bends."""
     f = _random_split(path_set, rng)
-    queues = rng.uniform(0.0, 1.0, len(path_set.entry_link))
-    held = _path_held(path_set, queues)
-    cap = 0.5 * f  # keep queues well inside the feasible interior
-    scale = np.where(held > cap, cap / np.maximum(held, 1e-300), 1.0)
-    return f, queues * scale[path_set.entry_path]
+    entry_path, n_paths = path_set.entry_path, path_set.n_paths
+    weights = rng.exponential(1.0, len(entry_path))
+    share = rng.uniform(0.0, 0.5, n_paths) * f / np.bincount(entry_path, weights, n_paths)
+    queues = share[entry_path] * weights
+    q, _ = _link_queues(path_set, queues)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = 0.5 * QUEUE_CAP_FRACTION * path_set.c_max / np.abs(params.gamma)
+        scale = np.where(q > cap, cap / q, 1.0)
+    return f, queues * scale[path_set.entry_link]
 
 
 def _apply_variant(params: CostParams, variant: str) -> CostParams:
@@ -778,6 +799,22 @@ def _priced_state(path_set: PathSet, params: CostParams, variant: str, f, queues
     x, q, q_prime, v = assemble_link_state(path_set, f, queues)
     times = _cost.link_travel_time(v, q, path_set.t_f, path_set.c_max, params)
     return SolutionState(path_set, params, variant, f, queues, x, q, q_prime, v, times)
+
+
+def _reversed(
+    od: np.ndarray, before: np.ndarray, after: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """Per OD group, whether its step `after` turned back from its step
+    `before` by at least 120 degrees: dot < 0 and dot**2 >=
+    REVERSAL_COSINE**2 |before|**2 |after|**2, with no square root.  The
+    norms are summed only when some dot is negative, so an iteration
+    without a reversal pays for one `bincount`."""
+    dot = np.bincount(od, before * after, n_groups)
+    turned = dot < 0.0
+    if not turned.any():
+        return turned
+    norms = np.bincount(od, before * before, n_groups) * np.bincount(od, after * after, n_groups)
+    return turned & (dot * dot >= REVERSAL_COSINE**2 * norms)
 
 
 class _Iterate(NamedTuple):
@@ -838,13 +875,15 @@ def _outer_step(
     if not smoothed:
         # near-degenerate path sets can sustain a flow<->queue limit cycle:
         # the iterate swings between two flow splits of identical cost.
-        # Detect the reversal (successive flow deltas pointing in opposite
-        # directions) and damp the outer flow update; averaging a two-cycle
-        # lands on its fixed point.  Recover the step size once the
-        # iteration behaves monotonically again.
+        # Detect the reversal (an OD group's step turned back by at least
+        # 120 degrees from its previous one, `_reversed`: a zig-zag of three
+        # or more paths is no cycle; a two-path group's steps are collinear,
+        # so any negative dot is a full turn) and damp the outer flow
+        # update; averaging a two-cycle lands on its fixed point.  Recover
+        # the step size once the iteration behaves monotonically again.
         od = path_set.path_od
         damping = np.where(
-            np.bincount(od, iterate.delta * delta, len(damping)) < 0.0,  # reversed
+            _reversed(od, iterate.delta, delta, len(damping)),
             np.maximum(0.05, 0.5 * damping), np.minimum(1.0, 1.25 * damping),
         )
         f = np.where(damping[od] < 1.0, iterate.f + damping[od] * delta, f)

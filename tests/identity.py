@@ -2,14 +2,16 @@
 
     python tests/identity.py --against REV
 
-It checks REV out with `git worktree` into a temporary directory, then runs
+It extracts REV with `git archive` into a temporary directory, then runs
 one fixed list of solves, six-node CLI commands and path enumerations in
 both trees, each tree in a fresh interpreter that imports its own `src`.
 It prints one sha256 digest per field over all cases for each tree, and
 exits 1 naming the first field that differs and the first case where it
-does (0 when none does).  The harness runs REV's `src` under this file, so
-it calls only names that REV has too.  pytest does not collect it: the name
-has no `test_` prefix.
+does (0 when none does).  For each case whose solve fields differ it also
+prints how far the change moved it: both trees' outer iterations and GP
+passes, and the largest |dv| (veh/h) and |dQ| (veh) over its solves.  The
+harness runs REV's `src` under this file, so it calls only names that REV
+has too.  pytest does not collect it: the name has no `test_` prefix.
 
 The 34 cases, every solve with `history=True`:
 - the six-node scenario under each variant, in both queue modes, at
@@ -117,6 +119,19 @@ def _cases():
     yield "uniqueness_probe 4 starts seed 3", [
         solve(six, initial_flows=_random_split(six, rng), history=True) for _ in range(4)
     ]
+
+
+def _moves(solves) -> dict:
+    """What `_report_moves` compares of a case: its outer iterations and GP
+    passes, and v and Q over its solves."""
+    import numpy as np
+
+    return {
+        "iterations": sum(report.iterations for _, report in solves),
+        "inner_passes": sum(report.inner_passes for _, report in solves),
+        "v": np.concatenate([state.throughflows for state, _ in solves]).tolist(),
+        "Q": np.concatenate([state.link_queues for state, _ in solves]).tolist(),
+    }
 
 
 def _solve_digests(solves) -> dict[str, str]:
@@ -227,14 +242,17 @@ def _worker(tree: Path, result: Path) -> None:
 
     if Path(queuenet.__file__).resolve().parent != (tree / "src" / "queuenet").resolve():
         raise SystemExit(f"imported {queuenet.__file__}, not the one under {tree}")
-    cases = [(name, _solve_digests(solves)) for name, solves in _cases()]
+    cases, moves = [], {}
+    for name, solves in _cases():
+        cases.append((name, _solve_digests(solves)))
+        moves[name] = _moves(solves)
     with tempfile.TemporaryDirectory() as tmp:
         items = {
             "bundles": _bundle_digests(Path(tmp)),
             "validate": _validate_digests(Path(tmp)),
             "path_sets": _path_set_digests(),
         }
-    result.write_text(json.dumps({"cases": cases, **items}))
+    result.write_text(json.dumps({"cases": cases, "moves": moves, **items}))
 
 
 def _per_field(result: dict) -> dict[str, list[tuple[str, str]]]:
@@ -248,6 +266,33 @@ def _per_field(result: dict) -> dict[str, list[tuple[str, str]]]:
     return fields
 
 
+def _report_moves(label: str, theirs: dict, ours: dict) -> None:
+    """For each case whose solve fields differ, both trees' counts and the
+    largest |dv| and |dQ| between their answers."""
+    import numpy as np
+
+    moved = [
+        name for (name, a), (_, b) in zip(theirs["cases"], ours["cases"]) if a != b
+    ]
+    if not moved:
+        return
+    print(
+        f"moved cases (iterations/GP passes, {label} -> this tree; "
+        "largest |dv| veh/h, |dQ| veh):"
+    )
+    for name in moved:
+        a, b = theirs["moves"][name], ours["moves"][name]
+        dv, dq = (
+            f"{np.abs(np.subtract(a[k], b[k])).max(initial=0.0):.2g}"
+            if len(a[k]) == len(b[k]) else "(shapes differ)"
+            for k in ("v", "Q")
+        )
+        print(
+            f"  {name}: {a['iterations']}/{a['inner_passes']} -> "
+            f"{b['iterations']}/{b['inner_passes']}, |dv| {dv}, |dQ| {dq}"
+        )
+
+
 def _compare(rev: str) -> int:
     short = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", "--short", rev],
@@ -255,26 +300,25 @@ def _compare(rev: str) -> int:
     ).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp) / "tree"
-        subprocess.run(
-            ["git", "-C", str(REPO), "worktree", "add", "--quiet", "--detach", str(other), rev],
-            check=True,
+        other.mkdir()
+        archive = subprocess.Popen(
+            ["git", "-C", str(REPO), "archive", rev], stdout=subprocess.PIPE
         )
-        try:
-            # both trees at once, each in its own interpreter
-            runs = {}
-            for label, tree in ((short, other), ("this tree", REPO)):
-                out = Path(tmp) / f"{len(runs)}.json"
-                env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-                argv = [sys.executable, __file__, "--worker", str(tree), str(out)]
-                runs[label] = (subprocess.Popen(argv, env=env, cwd=tree), out)
-            if any([proc.wait() != 0 for proc, _ in runs.values()]):  # wait for both
-                return 2
-            theirs, ours = (_per_field(json.loads(out.read_text())) for _, out in runs.values())
-        finally:
-            subprocess.run(
-                ["git", "-C", str(REPO), "worktree", "remove", "--force", str(other)], check=True
-            )
+        subprocess.run(["tar", "-x", "-C", str(other)], stdin=archive.stdout, check=True)
+        if archive.wait() != 0:
+            return 2
+        # both trees at once, each in its own interpreter
+        runs = {}
+        for label, tree in ((short, other), ("this tree", REPO)):
+            out = Path(tmp) / f"{len(runs)}.json"
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+            argv = [sys.executable, __file__, "--worker", str(tree), str(out)]
+            runs[label] = (subprocess.Popen(argv, env=env, cwd=tree), out)
+        if any([proc.wait() != 0 for proc, _ in runs.values()]):  # wait for both
+            return 2
+        results = [json.loads(out.read_text()) for _, out in runs.values()]
 
+    theirs, ours = (_per_field(result) for result in results)
     print(f"{'field':<13} {short:<16} {'this tree':<16}")
     first = None
     for name in FIELDS:
@@ -288,6 +332,7 @@ def _compare(rev: str) -> int:
         f"{len(ours['path_flows'])} cases, {len(ours['bundles'])} bundle files, "
         f"{len(ours['validate'])} validate runs and {len(ours['path_sets'])} path sets"
     )
+    _report_moves(short, *results)
     if first:
         print(f"first field that differs: {first}")
         return 1

@@ -654,6 +654,31 @@ class TestOuterStep:
         assert report.termination == "tolerance"
 
 
+class TestLimitCycleDamping:
+    """The fixed-point mode damps an OD group whose step turned back by at
+    least 120 degrees (`solver._reversed`), not every negative dot."""
+
+    def test_three_path_zig_zag_is_not_damped(self):
+        # cos = -0.6 / sqrt(2 * 1.68) = -0.33: a turn of 109 degrees
+        od = np.zeros(3, dtype=np.intp)
+        before, after = np.array([1.0, 0.0, -1.0]), np.array([0.2, -1.0, 0.8])
+        assert before @ after < 0.0
+        assert not solver._reversed(od, before, after, 1)[0]
+
+    def test_three_path_two_cycle_is_damped(self):
+        od = np.zeros(3, dtype=np.intp)
+        step = np.array([0.2, -1.0, 0.8])
+        assert solver._reversed(od, step, -step, 1)[0]
+
+    @pytest.mark.parametrize("a, b", [(1.0, -1.0), (-250.0, 1e-9), (3e-7, -4e5)])
+    def test_two_path_group_with_a_negative_dot_is_damped(self, a, b):
+        # a two-path group conserves its demand, so its steps are collinear
+        # and any negative dot is a full turn; group 1's steps agree
+        od = np.array([0, 0, 1, 1])
+        before, after = np.array([a, -a, a, -a]), np.array([b, -b, -b, b])
+        assert solver._reversed(od, before, after, 2).tolist() == [True, False]
+
+
 #: the benchmark's six-node demand sweep: OD 1 over 1000:6000:250, OD 2 off
 SWEEP_DEMANDS = [[d, 0.0] for d in np.arange(1000.0, 6001.0, 250.0)]
 
@@ -682,6 +707,13 @@ class TestInexactInnerSolve:
         # 7,666 passes when every flow block is solved to 0.1 STEP_TOL
         assert all(report.converged for _, report in inexact_sweep)
         assert sum(report.inner_passes for _, report in inexact_sweep) <= 2500
+
+    def test_grid20_staircase_pass_budget(self):
+        # the benchmark's grid20_paths instance: 288 passes; 369 when every
+        # OD group's step with a negative dot on its last one was damped
+        _, report = solve(_grid20_staircase_path_set())
+        assert report.converged
+        assert report.inner_passes <= 300
 
     def test_sweep_agrees_with_exact_inner_solves(
         self, six_node, inexact_sweep, monkeypatch
@@ -946,6 +978,25 @@ class TestProjectQueues:
         np.testing.assert_allclose(_project_queues(ps, f, new), new, rtol=0, atol=1e-9)
         if np.all(np.bincount(ps.entry_path, held, ps.n_paths) <= f):
             np.testing.assert_array_equal(new, held)
+
+
+class TestRandomState:
+    """`queuenet validate` checks the slopes at `solver._random_state`."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+    def test_queues_reach_the_demand_scale_inside_the_cap(self, six_node, gamma):
+        # the queues used to be drawn uniform in [0, 1) veh per entry, so on
+        # the six-node scenario no link's Q passed 1e-3 of C_max
+        params = CostParams(gamma=gamma).for_links(six_node.network.links)
+        ratios = []
+        for seed in range(20, 30):
+            f, queues = solver._random_state(six_node, params, np.random.default_rng(seed))
+            held = np.bincount(six_node.entry_path, queues, six_node.n_paths)
+            assert np.all(queues >= 0.0) and np.all(held < 0.5 * f)
+            _, q, _, _ = assemble_link_state(six_node, f, queues)
+            assert np.all(gamma * q < QUEUE_CAP_FRACTION * six_node.c_max)
+            ratios.append(np.max(q / six_node.c_max))
+        assert max(ratios) >= 0.1
 
 
 def _assert_passes_keep_held_queues(path_set, **options):
