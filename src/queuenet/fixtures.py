@@ -110,8 +110,15 @@ def grid_network(
 
     Every horizontal and vertical neighbor pair gets links in both
     directions (~4*size*(size-1) links).  Capacities cycle through a few
-    levels so some links queue at the default demand.
+    levels so some links queue at the default demand.  The n_od distinct
+    OD pairs are drawn at least 4 grid steps apart; a ValueError says so
+    when the grid has fewer such pairs.
     """
+    # ordered pairs 4+ steps apart: all, less those at the 24 offsets 1 to 3 steps long
+    near = sum(max(0, size - abs(r)) * max(0, size - abs(c))
+               for r in range(-3, 4) for c in range(-3, 4) if 0 < abs(r) + abs(c) < 4)
+    if n_od > (far := size * size * (size * size - 1) - near):
+        raise ValueError(f"n_od={n_od}: a {size}x{size} grid has {far} OD pairs 4+ steps apart")
     nodes = tuple(
         Node(f"n{r}_{c}", x=float(c), y=float(r))
         for r in range(size)

@@ -8,16 +8,18 @@ among the pair's shifting paths, so each pair moves by one step; with the
 flows frozen, the complementarity fixed-point sweep sets each link's queue
 so inflow net of held-back traffic matches the queue-reduced capacity.
 
-The iteration maps one record of the loop's state (`_Iterate`) to the
-next, and each queue mode is a branch in it: the fixed-point mode (default)
-takes the GP passes as they come, relaxes the sweep by `_queue_relaxation`
-and damps flow<->queue limit cycles; the smoothed-gradient mode puts each
-GP pass and the unrelaxed sweep through one accept-or-halve rule on the
-equilibrium merit J (`merit`, `_accept_or_halve`).  The damping shrinks an
-OD group's outer step once it turns back from the previous one by at least
-120 degrees (`_reversed`), as a two-cycle does; a group of three or more
-paths may zig-zag by less without being damped.  A two-path group conserves
-its demand, so its steps are collinear and any reversal is a full turn.
+The iteration is a pure map from one record of the loop's state
+(`_Iterate`) to the next, and `solve` alone keeps the books (the passes,
+the flow step, the history rows, the stop test).  Each queue mode is a
+branch in it: the fixed-point mode (default) takes the GP passes as they
+come, relaxes the sweep by `_queue_relaxation` and damps flow<->queue
+limit cycles; the smoothed-gradient mode puts each GP pass and the
+unrelaxed sweep through one accept-or-halve rule on the equilibrium merit
+J (`merit`, `_accept_or_halve`).  The damping shrinks an OD group's outer
+step once it turns back from the previous one by at least 120 degrees
+(`_reversed`), as a two-cycle does; a group of three or more paths may
+zig-zag by less without being damped.  A two-path group conserves its
+demand, so its steps are collinear and any reversal is a full turn.
 
 Queues are carried per (link, path) so that a queue at one link shelters
 the links downstream of it on the same path.  They hold back part of the
@@ -832,13 +834,13 @@ class _Iterate(NamedTuple):
 
 def _outer_step(
     path_set: PathSet, params: CostParams, options: SolverOptions,
-    levels: list[_GroupLevel], iterate: _Iterate, row: list | None,
-) -> tuple[_Iterate, float, int]:
-    """One outer iteration from `iterate`, which it leaves as it is: the
-    flow half-step, then the queue half-step, by the step rule of the queue
-    mode.  Returns the next iterate, the largest path-flow move and the GP
-    passes run.  A `row` list gets the history entries: J after each
-    half-step, the steps and the relative gap."""
+    levels: list[_GroupLevel], iterate: _Iterate,
+) -> tuple[_Iterate, np.ndarray, int]:
+    """One outer iteration from `iterate`, a pure map that leaves its input
+    as it is: the flow half-step, then the queue half-step, by the step
+    rule of the queue mode.  Returns the next iterate, the per-entry queues
+    the flow half-step ended with (the smoothed mode's flow trials sweep
+    them) and the GP passes run; `solve` keeps the books on these."""
     smoothed = options.queue_mode == "smoothed_gradient"
     update_queues = options.variant != "traditional_ue"
     j_of = functools.partial(merit, path_set, params=params, variant=options.variant)
@@ -888,8 +890,7 @@ def _outer_step(
         )
         f = np.where(damping[od] < 1.0, iterate.f + damping[od] * delta, f)
 
-    if row is not None:
-        row.append(j_of(f, queues))
+    flow_queues = queues
     # queue half-step, with the flows frozen
     if update_queues and smoothed:
         # the sweep unrelaxed, halved until the merit does not rise
@@ -901,14 +902,10 @@ def _outer_step(
         relaxation = _queue_relaxation(params.gamma)
         queues = _queue_targets_fixed_point(path_set, f, queues, params, relaxation)
 
-    flow_change = float(np.abs(f - iterate.f).max(initial=0.0))
     link_q = np.bincount(path_set.entry_link, queues, path_set.n_links)
     queue_change = float(np.abs(link_q - iterate.link_queues).max())
-    if row is not None:
-        state = _priced_state(path_set, params, options.variant, f, queues)
-        row += [j_of(f, queues), flow_change, queue_change, kkt_report(state).relative_gap]
     following = _Iterate(f, queues, j, frozen, damping, f - iterate.f, link_q, queue_change)
-    return following, flow_change, passes
+    return following, flow_queues, passes
 
 
 def solve(
@@ -950,18 +947,19 @@ def solve(
     it = inner_passes = 0
     t_start = time.perf_counter()
     for it in range(1, options.max_outer_iterations + 1):
-        row = [it] if history else None
-        iterate, flow_change, passes = _outer_step(
-            path_set, params, options, levels, iterate, row
-        )
+        iterate, flow_queues, passes = _outer_step(path_set, params, options, levels, iterate)
+        f, queues, queue_change = iterate.f, iterate.queues, iterate.queue_change
         inner_passes += passes
+        flow_change = float(np.abs(iterate.delta).max(initial=0.0))
         if history:
-            rows.append(tuple(row))
-        if max(flow_change, iterate.queue_change) <= STEP_TOL:
+            j_of = functools.partial(merit, path_set, f, params=params, variant=options.variant)
+            state = _priced_state(path_set, params, options.variant, f, queues)
+            gap = kkt_report(state).relative_gap
+            rows.append((it, j_of(flow_queues), j_of(queues), flow_change, queue_change, gap))
+        if max(flow_change, queue_change) <= STEP_TOL:
             termination = "tolerance"
             break
 
-    f, queues = iterate.f, iterate.queues
     costs = _priced_state(path_set, params, options.variant, f, queues).path_costs()
     f = _flush_remnants(path_set, f, costs)
     update_queues = options.variant != "traditional_ue"

@@ -13,7 +13,7 @@ passes, and the largest |dv| (veh/h) and |dQ| (veh) over its solves.  The
 harness runs REV's `src` under this file, so it calls only names that REV
 has too.  pytest does not collect it: the name has no `test_` prefix.
 
-The 34 cases, every solve with `history=True`:
+The 37 cases, every solve but the benchmark's with `history=True`:
 - the six-node scenario under each variant, in both queue modes, at
   gamma 0, 0.5 and 0.9 (24);
 - criterion 10's grid (`grid_network()`) and `grid_network(8, 12, 900)`,
@@ -26,7 +26,11 @@ The 34 cases, every solve with `history=True`:
 - the six-node demand sweep: OD 1->3 over 1000:6000:250, OD 2->4 off (21
   solves, one case);
 - four random starts as `analysis.uniqueness_probe` draws them, seed 3
-  (one case).
+  (one case);
+- the benchmark's three base instances, from `bench/workloads.py`, solved
+  with `history=False` as the benchmark solves them: the six-node demand
+  sweep (21 solves, one case), grid15_enum's enumerated paths and
+  grid20_paths' staircase paths (3).
 The fields of a solve are its path flows, per-entry queues, x, Q, v, link
 times, history rows, iterations, GP passes, termination, and its audit
 (`kkt_report`'s relative gap, largest capacity and complementarity
@@ -82,7 +86,7 @@ def _cases():
     import numpy as np
     from queuenet import fixtures
     from queuenet.cost import CostParams
-    from queuenet.net import enumerate_paths
+    from queuenet.net import PathSet, enumerate_paths
     from queuenet.solver import VARIANTS, SolverOptions, _random_split, solve
 
     six = fixtures.six_node_path_set()
@@ -119,6 +123,18 @@ def _cases():
     yield "uniqueness_probe 4 starts seed 3", [
         solve(six, initial_flows=_random_split(six, rng), history=True) for _ in range(4)
     ]
+    sys.path.insert(0, str(REPO / "bench"))
+    try:
+        from workloads import GRID15, GRID20, GRID_SEED, K_PATHS, SWEEP_VALUES, staircase_paths
+    finally:
+        sys.path.pop(0)
+    yield "bench sixnode_demand_sweep", [
+        solve(six, demands=[demand, 0.0]) for demand in SWEEP_VALUES
+    ]
+    grid_15 = fixtures.grid_network(GRID15.size, GRID15.n_od, GRID15.demand, GRID_SEED)
+    yield "bench grid15_enum", [solve(enumerate_paths(grid_15, K_PATHS))]
+    grid_20 = fixtures.grid_network(GRID20.size, GRID20.n_od, GRID20.demand, GRID_SEED)
+    yield "bench grid20_paths", [solve(PathSet(grid_20, staircase_paths(grid_20)))]
 
 
 def _moves(solves) -> dict:

@@ -674,6 +674,18 @@ class TestFixtures:
         assert len(net.links) == 840
         assert len(net.od_pairs) == 50
 
+    @pytest.mark.parametrize(("size", "n_od", "far"), [(3, 5, 4), (2, 1, 0)])
+    def test_grid_refuses_more_od_pairs_than_it_has(self, size, n_od, far):
+        # the rejection draw used to loop forever on these
+        with pytest.raises(ValueError, match=rf"n_od={n_od}: .* has {far} OD pairs"):
+            fixtures.grid_network(size, n_od)
+
+    def test_grid_draws_every_pair_it_has(self):
+        # a 3x3 grid has 4 ordered pairs 4 steps apart: the opposite corners
+        net = fixtures.grid_network(3, 4)
+        corners = {("n0_0", "n2_2"), ("n2_2", "n0_0"), ("n0_2", "n2_0"), ("n2_0", "n0_2")}
+        assert {(od.origin, od.destination) for od in net.od_pairs} == corners
+
     def test_two_route(self):
         net = fixtures.two_route_network()
         ps = enumerate_paths(net, k=2)

@@ -623,25 +623,29 @@ class TestOuterStep:
         # the steps, driven from the first iterate solve builds until the
         # step test passes, then flushed and swept once more, give solve's
         # answer, count and history bit for bit; no step changes an array
-        # of the iterate it is given
+        # of the iterate it is given.  The rows are built here from what
+        # the step returns, with the public merit and audit
         options = SolverOptions(queue_mode=mode)
         state, report = solve(six_node, options=options, history=True)
         calls = []
         step = solver._outer_step
         monkeypatch.setattr(solver, "_outer_step", lambda *a: calls.append(a) or step(*a))
         solve(six_node, options=options)
-        path_set, params, _, levels, iterate, _ = calls[0]
+        path_set, params, _, levels, iterate = calls[0]
 
         rows, inner_passes = [], 0
         for it in range(1, options.max_outer_iterations + 1):
             before = [a.copy() for a in _iterate_arrays(iterate)]
-            row = [it]
-            following, flow_change, passes = step(path_set, params, options, levels, iterate, row)
+            following, flow_queues, passes = step(path_set, params, options, levels, iterate)
             for old, now in zip(before, _iterate_arrays(iterate)):
                 assert old.tobytes() == now.tobytes()
+            flow_change = float(np.abs(following.f - iterate.f).max())
             iterate, inner_passes = following, inner_passes + passes
-            rows.append(tuple(row))
-            if max(flow_change, iterate.queue_change) <= solver.STEP_TOL:
+            f, queues, queue_change = iterate.f, iterate.queues, iterate.queue_change
+            audit = kkt_report(solver._priced_state(path_set, params, options.variant, f, queues))
+            j_flow, j_queue = (solver.merit(path_set, f, q, params) for q in (flow_queues, queues))
+            rows.append((it, j_flow, j_queue, flow_change, queue_change, audit.relative_gap))
+            if max(flow_change, queue_change) <= solver.STEP_TOL:
                 break
         priced = solver._priced_state(path_set, params, options.variant, *iterate[:2])
         f = solver._flush_remnants(path_set, iterate.f, priced.path_costs())
